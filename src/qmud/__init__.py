@@ -7,7 +7,7 @@ seeded Monte Carlo harness and CLI.
 """
 
 from .cdma import (correlation_matrix, is_diagonally_dominant, matched_filter,
-                   transmit, walsh_hadamard_signatures)
+                   noiseless_waveforms, transmit, walsh_hadamard_signatures)
 from .config import QuantizerSpec, Scenario, default_amplitude, scenario_digest
 from .detectors import (DetectorKind, decorrelate_detect, mlse_objective,
                         mmse_detect, optimal_detect, sud_detect)

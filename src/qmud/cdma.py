@@ -63,6 +63,23 @@ def is_diagonally_dominant(R: np.ndarray) -> bool:
     return True
 
 
+def noiseless_waveforms(amplitudes, signatures, bits) -> np.ndarray:
+    """Noiseless chip waveforms sum_k (amp_k b_k) s_k, one per row of bits.
+
+    ``bits`` has shape (..., K) and ``signatures`` (K, PG).  Users are added
+    in ascending index order with elementwise operations only, never a BLAS
+    product, so a waveform is bit-identical however many rows are computed
+    at once.
+    The transmitter and the register enumeration both build their waveforms
+    here, so they agree on which side of a quantizer edge a chip falls.
+    """
+    terms = (np.asarray(amplitudes) * np.asarray(bits, dtype=float))[..., None] * signatures
+    total = terms[..., 0, :]
+    for k in range(1, terms.shape[-2]):
+        total = total + terms[..., k, :]
+    return total
+
+
 def transmit(scenario: Scenario, bits, rng: SplitMix64) -> np.ndarray:
     """Received chip waveform for one symbol.
 
@@ -73,7 +90,7 @@ def transmit(scenario: Scenario, bits, rng: SplitMix64) -> np.ndarray:
     bits = np.asarray(bits, dtype=float)
     if bits.shape != (scenario.K,):
         raise ValidationError(f"bits: expected length {scenario.K}, got {bits.shape}")
-    clean = (scenario.amplitude_vector() * bits) @ scenario.signature_matrix()
+    clean = noiseless_waveforms(scenario.amplitude_vector(), scenario.signature_matrix(), bits)
     noise = np.array([rng.normal() for _ in range(scenario.PG)])
     return clean + scenario.noise_sigma * noise
 

@@ -3,10 +3,12 @@
 Each trial draws uniform bits, synthesizes the received waveform, runs the
 classical detector bank on the matched-filter outputs, quantizes the
 waveform into a basis index, and runs the quantum receiver per user against
-hypothesis registers built once per scenario.  Trial t's stream is seeded
-with derive_seed(master_seed, t); within a trial the draw order is fixed
-(K bit uniforms, PG noise normals, then the users' measurement draws in
-ascending user order), so every aggregate is bit-reproducible.
+hypothesis registers built once per scenario; a sweep builds them again
+only at points that change a field the registers depend on.  Trial t's
+stream is seeded with derive_seed(master_seed, t); within a trial the draw
+order is fixed (K bit uniforms, PG noise normals, then the users'
+measurement draws in ascending user order), so every aggregate is
+bit-reproducible.
 
 Sweeps reuse the same master seed at every parameter value: matching trial
 indices see identical bits and identical standard-normal noise (common
@@ -18,10 +20,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
+import numpy as np
+
 from .cdma import correlation_matrix, matched_filter, transmit
 from .config import QuantizerSpec, Scenario, scenario_digest
-from .detectors import (DetectorKind, decorrelate_detect, mmse_detect,
-                        optimal_detect, sud_detect)
+from .detectors import (DetectorKind, check_condition, decorrelate_detect,
+                        mmse_detect, optimal_detect, sud_detect)
 from .errors import QmudError, UnknownParameter, ValidationError
 from .povm import Decision, UserDecision, detect_user
 from .registers import enumerate_hypotheses, pack_basis, quantize_waveform
@@ -80,17 +84,49 @@ class MetricsReport:
         return self.detector_bit_errors[kind] / (self.trials * self.users)
 
 
-class _Prepared:
-    """Per-scenario state shared by all trials: R and the register bank."""
+class _RegisterCache:
+    """The register bank for the most recent register-defining fields.
 
-    def __init__(self, scenario: Scenario, include_qmud: bool):
+    The key holds every scenario field enumerate_hypotheses reads, so a
+    noise_sigma or reps_max sweep builds its bank once.  A new key drops
+    the old bank before building its own: two banks never coexist.
+    """
+
+    def __init__(self):
+        self._key = None
+        self._registers = None
+
+    def registers(self, scenario: Scenario) -> dict:
+        key = (scenario.signatures, scenario.energies, scenario.gains,
+               scenario.quantizer, scenario.gamma, scenario.delays)
+        if key != self._key:
+            self._key = self._registers = None
+            self._registers = {(k, bit): enumerate_hypotheses(scenario, k, bit)
+                               for k in range(scenario.K) for bit in (1, -1)}
+            self._key = key
+        return self._registers
+
+
+class _Prepared:
+    """Per-scenario state shared by all trials: R and the register bank.
+
+    Before any register is built, the matrix each selected detector inverts
+    is checked, so a degenerate scenario fails without the costly builds.
+    Without registers nothing is costly, and the detectors' own checks fail
+    at trial 0.
+    """
+
+    def __init__(self, scenario: Scenario, include_qmud: bool, kinds=ALL_DETECTORS,
+                 cache: _RegisterCache | None = None):
         self.R = correlation_matrix(scenario)
         self.noise_variance = scenario.noise_sigma ** 2
         self.registers = {}
         if include_qmud:
-            for k in range(scenario.K):
-                for bit in (1, -1):
-                    self.registers[(k, bit)] = enumerate_hypotheses(scenario, k, bit)
+            if DetectorKind.DECORRELATOR in kinds or DetectorKind.OPTIMAL in kinds:
+                check_condition(self.R)
+            if DetectorKind.MMSE in kinds:
+                check_condition(self.R + self.noise_variance * np.eye(scenario.K))
+            self.registers = (cache or _RegisterCache()).registers(scenario)
 
 
 def _run_detectors(kinds, soft, prep: _Prepared):
@@ -127,8 +163,7 @@ def run_single_trial(scenario: Scenario, prep: _Prepared, kinds, include_qmud: b
             per_user.append(detect_user(prep.registers[(k, 1)], prep.registers[(k, -1)],
                                         v, scenario.reps_max, rng))
         qmud_decisions = tuple(per_user)
-        misses = tuple(v not in prep.registers[(k, bits[k])].members
-                       for k in range(scenario.K))
+        misses = tuple(v not in prep.registers[(k, bits[k])] for k in range(scenario.K))
         reps = tuple(d.reps_used for d in per_user)
     return TrialRecord(trial_index, bits, decisions, qmud_decisions, v, misses, reps)
 
@@ -136,10 +171,16 @@ def run_single_trial(scenario: Scenario, prep: _Prepared, kinds, include_qmud: b
 def run_trials(scenario: Scenario, detectors=ALL_DETECTORS, include_qmud: bool = True,
                trials: int = 1000, master_seed: int = 0) -> MetricsReport:
     """Run the full pipeline for `trials` symbols and aggregate counts."""
+    return _run_trials(scenario, detectors, include_qmud, trials, master_seed,
+                       _RegisterCache())
+
+
+def _run_trials(scenario: Scenario, detectors, include_qmud: bool, trials: int,
+                master_seed: int, cache: _RegisterCache) -> MetricsReport:
     if trials < 1:
         raise ValidationError(f"trials must be >= 1, got {trials}")
     kinds = tuple(k for k in ALL_DETECTORS if k in set(detectors))
-    prep = _Prepared(scenario, include_qmud)
+    prep = _Prepared(scenario, include_qmud, kinds, cache)
 
     bit_errors = {k: 0 for k in kinds}
     correct = false_dec = no_msg = ambiguous = inconclusive = miss_count = 0
@@ -198,13 +239,17 @@ def _apply_parameter(scenario: Scenario, name: str, value) -> Scenario:
 
 def sweep(scenario: Scenario, parameter: str, values, trials: int, master_seed: int,
           detectors=ALL_DETECTORS, include_qmud: bool = True) -> list[MetricsReport]:
-    """One report per parameter value, in order, under common random numbers."""
+    """One report per parameter value, in order, under common random numbers.
+
+    Consecutive points that agree on every register-defining field share
+    one register bank.
+    """
     if parameter not in SWEEPABLE:
         raise UnknownParameter(f"cannot sweep {parameter!r}; choose one of {SWEEPABLE}")
+    cache = _RegisterCache()
     reports = []
     for value in values:
         modified = _apply_parameter(scenario, parameter, value)
-        report = run_trials(modified, detectors=detectors, include_qmud=include_qmud,
-                            trials=trials, master_seed=master_seed)
+        report = _run_trials(modified, detectors, include_qmud, trials, master_seed, cache)
         reports.append(replace(report, param_name=parameter, param_value=float(value)))
     return reports

@@ -201,8 +201,12 @@ def measurement_block(reg: SparseRegister, v: int, rng: SplitMix64) -> Measureme
     """
     if reg.n_s == 0:
         raise EmptyRegister("cannot measure an empty register")
-    state = reduce_to_qubit(reg, v)
-    confirm, reject = confirm_reject_pair(reg.n_s)
+    return _sample_block(confirm_reject_pair(reg.n_s), reduce_to_qubit(reg, v), rng)
+
+
+def _sample_block(pair: tuple[PovmTriple, PovmTriple], state: QubitState,
+                  rng: SplitMix64) -> MeasurementOutcome:
+    confirm, reject = pair
     out_confirm = sample_outcome(confirm, state, rng)
     out_reject = sample_outcome(reject, state, rng)
     return combine_block_outcomes(out_confirm, out_reject)
@@ -229,24 +233,28 @@ def detect_user(reg1: SparseRegister, reg0: SparseRegister, v: int,
     Each round re-measures every still-inconclusive bank (bank1 before
     bank0, fresh independent shots, registers unchanged) until both banks
     are conclusive or the budget runs out.  reps_used reports the larger
-    of the two banks' block counts.
+    of the two banks' block counts.  Each register is reduced to its qubit
+    state once per call; every block then samples that state exactly as
+    measurement_block would.
     """
     if reg1.n_s == 0 or reg0.n_s == 0:
         raise EmptyRegister("both hypothesis registers must be nonempty")
     if reps_max < 1:
         raise ValidationError(f"reps_max must be >= 1, got {reps_max}")
 
+    pair1, state1 = confirm_reject_pair(reg1.n_s), reduce_to_qubit(reg1, v)
+    pair0, state0 = confirm_reject_pair(reg0.n_s), reduce_to_qubit(reg0, v)
     verdict1: MeasurementOutcome | None = None
     verdict0: MeasurementOutcome | None = None
     reps1 = reps0 = 0
     for rep in range(1, reps_max + 1):
         if verdict1 is None:
-            out = measurement_block(reg1, v, rng)
+            out = _sample_block(pair1, state1, rng)
             reps1 = rep
             if out is not MeasurementOutcome.E3:
                 verdict1 = out
         if verdict0 is None:
-            out = measurement_block(reg0, v, rng)
+            out = _sample_block(pair0, state0, rng)
             reps0 = rep
             if out is not MeasurementOutcome.E3:
                 verdict0 = out

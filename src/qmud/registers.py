@@ -6,6 +6,14 @@ hypothesis register for bit b is the set of indices reachable from that
 bit: own-signature delay variants, every interferer bit pattern, and a
 bounded lattice of per-chip noise offsets.  Registers carry implicit
 uniform amplitudes 1/sqrt(N_s), so membership alone fixes the state.
+
+A register stores its members as a read-only sorted ``np.int64`` array
+(8 bytes per index; N_Q <= 24 bits, so every index fits), and membership is
+one binary search.  ``enumerate_hypotheses`` computes every waveform of a
+register in numpy and collapses duplicates with one sort.  Registers
+depend only on the signatures, energies, gains, quantizer, gamma and
+delays, so ``harness.sweep`` builds them once for a ``noise_sigma`` or
+``reps_max`` sweep and anew at each point of a ``gamma`` or ``N_ch`` sweep.
 """
 
 from __future__ import annotations
@@ -17,6 +25,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from .cdma import noiseless_waveforms
 from .config import QuantizerSpec, Scenario
 from .errors import (BudgetExceeded, CodeOutOfRange, DelayOutOfRange,
                      EmptyRegister, ValidationError)
@@ -74,26 +83,54 @@ def shift_variants(chips, delays) -> list[tuple[float, ...]]:
     return variants
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SparseRegister:
-    """Uniform-amplitude superposition stored as a set of basis indices."""
+    """Uniform-amplitude superposition stored as its sorted basis indices.
 
-    members: frozenset[int]
+    Built from any iterable of ints or an integer ndarray; ``members`` is
+    then a read-only, strictly increasing ``np.int64`` array, duplicates
+    collapsed.  ``v in reg`` is a binary search.
+    """
+
+    members: np.ndarray
     n_q: int
 
     def __post_init__(self):
-        object.__setattr__(self, "members", frozenset(int(v) for v in self.members))
-        limit = 1 << self.n_q
-        for v in self.members:
-            if not 0 <= v < limit:
-                raise ValidationError(f"basis index {v} outside [0, 2**{self.n_q})")
+        values = self.members
+        if not (isinstance(values, np.ndarray) and values.dtype.kind in "iu"):
+            try:
+                values = np.fromiter((int(v) for v in values), dtype=np.int64)
+            except OverflowError as exc:
+                raise ValidationError(
+                    f"basis index outside [0, 2**{self.n_q}): {exc}") from exc
+        values = np.sort(values, axis=None)
+        if values.size and (values[0] < 0 or values[-1] >= 1 << self.n_q):
+            bad = values[0] if values[0] < 0 else values[-1]
+            raise ValidationError(f"basis index {bad} outside [0, 2**{self.n_q})")
+        values = values.astype(np.int64, copy=False)
+        if values.size:
+            values = values[np.concatenate(([True], values[1:] != values[:-1]))]
+        values.setflags(write=False)
+        object.__setattr__(self, "members", values)
+
+    def __contains__(self, v) -> bool:
+        i = int(np.searchsorted(self.members, v))
+        return i < self.members.size and bool(self.members[i] == v)
+
+    def __eq__(self, other):
+        if not isinstance(other, SparseRegister):
+            return NotImplemented
+        return self.n_q == other.n_q and np.array_equal(self.members, other.members)
+
+    def __hash__(self):
+        return hash((self.n_q, self.members.tobytes()))
 
     @property
     def n_s(self) -> int:
-        return len(self.members)
+        return self.members.size
 
     def sorted_members(self) -> list[int]:
-        return sorted(self.members)
+        return self.members.tolist()
 
 
 @dataclass(frozen=True)
@@ -133,7 +170,7 @@ def membership_amplitude(reg: SparseRegister, v: int) -> float:
     """Amplitude of basis index v in the register: 1/sqrt(N_s) or 0."""
     if reg.n_s == 0:
         raise EmptyRegister("register holds no states")
-    return 1.0 / math.sqrt(reg.n_s) if v in reg.members else 0.0
+    return 1.0 / math.sqrt(reg.n_s) if v in reg else 0.0
 
 
 def reduce_to_qubit(reg: SparseRegister, v: int) -> QubitState:
@@ -144,7 +181,7 @@ def reduce_to_qubit(reg: SparseRegister, v: int) -> QubitState:
     """
     if reg.n_s == 0:
         raise EmptyRegister("register holds no states")
-    if v in reg.members:
+    if v in reg:
         return QubitState.present(reg.n_s)
     return QubitState.absent()
 
@@ -177,34 +214,27 @@ def enumerate_hypotheses(scenario: Scenario, user: int, bit: int) -> SparseRegis
     spec = scenario.quantizer
     amp = scenario.amplitude_vector()
     sig = scenario.signature_matrix()
-    others = [l for l in range(scenario.K) if l != user]
+    # Every interferer bit pattern with the user's own bit fixed: (2**(K-1), K).
+    patterns = np.array([p[:user] + (float(bit),) + p[user:]
+                         for p in itertools.product((-1.0, 1.0), repeat=scenario.K - 1)])
+    lattice = spec.step * np.arange(-scenario.gamma, scenario.gamma + 1, dtype=float)
 
-    own_variants = [
-        bit * amp[user] * np.array(v)
-        for v in shift_variants(sig[user], scenario.delays)
-    ]
-    offsets = spec.step * np.array(
-        list(itertools.product(range(-scenario.gamma, scenario.gamma + 1),
-                               repeat=scenario.PG)),
-        dtype=float,
-    )
-    weights = np.array(
-        [spec.levels ** (scenario.PG - 1 - n) for n in range(scenario.PG)],
-        dtype=np.int64,
-    )
-
-    members: set[int] = set()
-    for own in own_variants:
-        for pattern in itertools.product((-1.0, 1.0), repeat=len(others)):
-            base = own.copy()
-            for l, b_l in zip(others, pattern):
-                base += amp[l] * b_l * sig[l]
-            waves = base[None, :] + offsets
-            codes = np.clip(
-                np.floor((waves + spec.amplitude) / spec.step).astype(np.int64),
-                0, spec.levels - 1)
-            members.update((codes @ weights).tolist())
-    return SparseRegister(frozenset(members), scenario.register_bits)
+    # One chunk per own-signature delay variant; the budget check above
+    # bounds all chunks together to ENUMERATION_BUDGET indices.
+    chunks = []
+    for own in shift_variants(sig[user], scenario.delays):
+        sig[user] = own
+        base = noiseless_waveforms(amp, sig, patterns)
+        # codes[p, n, j]: chip n of pattern p shifted by lattice offset j.
+        codes = np.clip(np.floor((base[:, :, None] + lattice + spec.amplitude) / spec.step),
+                        0, spec.levels - 1).astype(np.int64)
+        # Pack every combination of per-chip offsets, chip 0 most significant.
+        index = np.zeros((len(patterns), 1), dtype=np.int64)
+        for n in range(scenario.PG):
+            index = (index[:, :, None] * spec.levels + codes[:, n, None, :]).reshape(
+                len(patterns), -1)
+        chunks.append(index.ravel())
+    return SparseRegister(np.concatenate(chunks), scenario.register_bits)
 
 
 def dump_register(reg: SparseRegister) -> str:

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import make_orthogonal, make_scenario, random_unit_signatures
 from qmud import (correlation_matrix, is_diagonally_dominant, matched_filter,
-                  transmit, walsh_hadamard_signatures)
+                  noiseless_waveforms, transmit, walsh_hadamard_signatures)
 from qmud.errors import ValidationError
 from qmud.rng import SplitMix64
 
@@ -92,6 +92,31 @@ class TestTransmit:
         expected = (transmit(clean, (1, -1), SplitMix64(0))
                     - transmit(clean, (-1, -1), SplitMix64(0)))
         np.testing.assert_allclose(diff, expected, atol=1e-12)
+
+
+class TestNoiselessWaveforms:
+    @pytest.mark.parametrize("seed,K,PG", [(0, 1, 3), (1, 4, 4), (2, 8, 6)])
+    def test_batched_rows_equal_single_rows_bitwise(self, seed, K, PG):
+        sc = _random_scenario(seed, K, PG)
+        amp, sig = sc.amplitude_vector(), sc.signature_matrix()
+        patterns = np.array(list(itertools.product((-1.0, 1.0), repeat=K)))
+        batch = noiseless_waveforms(amp, sig, patterns)
+        assert batch.shape == (2 ** K, PG)
+        for row, bits in zip(batch, patterns):
+            assert np.array_equal(row, noiseless_waveforms(amp, sig, bits))
+
+    def test_users_are_added_in_ascending_order(self):
+        amp = np.array([1.0, 1e-17, -1.0])
+        sig = np.ones((3, 1))
+        # ((1 + 1e-17) - 1) loses the middle term; another order would keep it.
+        assert noiseless_waveforms(amp, sig, [1, 1, 1])[0] == 0.0
+
+    def test_noiseless_transmit_is_the_waveform(self):
+        sc = _random_scenario(5, 3, 4)
+        for bits in itertools.product((-1, 1), repeat=3):
+            received = transmit(sc, bits, SplitMix64(0))
+            expected = noiseless_waveforms(sc.amplitude_vector(), sc.signature_matrix(), bits)
+            assert np.array_equal(received, expected)
 
 
 class TestMatchedFilter:

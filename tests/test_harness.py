@@ -1,12 +1,28 @@
+import gc
 import math
+import weakref
+from dataclasses import replace
 
 import pytest
 
 from conftest import make_orthogonal, make_scenario
-from qmud import Decision, DetectorKind, QuantizerSpec, run_trials, sweep
+from qmud import Decision, DetectorKind, QuantizerSpec, harness, run_trials, sweep
 from qmud.config import default_amplitude
-from qmud.errors import UnknownParameter, ValidationError
-from qmud.harness import ALL_DETECTORS, _Prepared, run_single_trial
+from qmud.errors import SingularMatrix, UnknownParameter, ValidationError
+from qmud.harness import ALL_DETECTORS, _Prepared, _RegisterCache, run_single_trial
+
+
+def _count_builds(monkeypatch) -> list:
+    """Record every register build the harness makes."""
+    builds = []
+    real = harness.enumerate_hypotheses
+
+    def counting(scenario, user, bit):
+        builds.append((user, bit))
+        return real(scenario, user, bit)
+
+    monkeypatch.setattr(harness, "enumerate_hypotheses", counting)
+    return builds
 
 
 def _nonorthogonal_noisy(**overrides):
@@ -146,3 +162,93 @@ class TestSweep:
     def test_non_integer_value_for_integer_parameter(self, two_user_scenario):
         with pytest.raises(ValidationError):
             sweep(two_user_scenario, "gamma", [1.5], 5, 0)
+
+
+class TestRegisterReuse:
+    @pytest.mark.parametrize("param,values", [("noise_sigma", [0.0, 0.1, 0.2]),
+                                              ("reps_max", [1, 3, 6])])
+    def test_register_neutral_sweep_builds_once(self, monkeypatch, param, values):
+        builds = _count_builds(monkeypatch)
+        sweep(_nonorthogonal_noisy(), param, values, trials=20, master_seed=1)
+        assert len(builds) == 2 * 2
+
+    @pytest.mark.parametrize("param,values", [("gamma", [0, 1, 2]), ("N_ch", [2, 3, 4])])
+    def test_register_defining_sweep_rebuilds_every_point(self, monkeypatch, param, values):
+        builds = _count_builds(monkeypatch)
+        sweep(_nonorthogonal_noisy(), param, values, trials=20, master_seed=1)
+        assert len(builds) == 2 * 2 * len(values)
+
+    def test_run_trials_builds_its_own_bank(self, monkeypatch):
+        builds = _count_builds(monkeypatch)
+        sc = _nonorthogonal_noisy()
+        run_trials(sc, trials=5, master_seed=0)
+        run_trials(sc, trials=5, master_seed=0)
+        assert len(builds) == 2 * 2 * 2
+
+    @pytest.mark.parametrize("param,values", [("noise_sigma", [0.0, 0.1, 0.2]),
+                                              ("reps_max", [1, 3, 6]),
+                                              ("gamma", [0, 1, 2]),
+                                              ("N_ch", [2, 3, 4])])
+    def test_sweep_reports_equal_standalone_runs(self, param, values):
+        sc = _nonorthogonal_noisy()
+        reports = sweep(sc, param, values, trials=150, master_seed=13)
+        for value, report in zip(values, reports):
+            if param == "N_ch":
+                point = sc.with_overrides(
+                    quantizer=QuantizerSpec(n_ch=value, amplitude=sc.quantizer.amplitude))
+            else:
+                point = sc.with_overrides(**{param: value})
+            alone = run_trials(point, trials=150, master_seed=13)
+            assert report == replace(alone, param_name=param, param_value=float(value))
+
+    def test_new_key_frees_the_old_bank_before_building(self, monkeypatch):
+        cache = _RegisterCache()
+        old = weakref.ref(cache.registers(_nonorthogonal_noisy(gamma=0))[(0, 1)])
+        alive_at_build = []
+        real = harness.enumerate_hypotheses
+
+        def probing(scenario, user, bit):
+            gc.collect()
+            alive_at_build.append(old() is not None)
+            return real(scenario, user, bit)
+
+        monkeypatch.setattr(harness, "enumerate_hypotheses", probing)
+        cache.registers(_nonorthogonal_noisy(gamma=1))
+        assert alive_at_build == [False] * 4
+
+
+class TestDegenerateScenarios:
+    # Three users on two chips: R has rank 2.
+    SINGULAR = dict(K=3, PG=2, signatures=((1.0, 0.0), (0.0, 1.0), (0.6, 0.8)),
+                    energies=(1.0,) * 3, gains=(1.0,) * 3)
+
+    def test_singular_r_fails_before_any_register_build(self, monkeypatch):
+        builds = _count_builds(monkeypatch)
+        with pytest.raises(SingularMatrix):
+            run_trials(make_scenario(**self.SINGULAR), trials=3, master_seed=0)
+        assert builds == []
+
+    @pytest.mark.parametrize("kind", [DetectorKind.DECORRELATOR, DetectorKind.OPTIMAL])
+    def test_each_inverting_detector_is_checked(self, monkeypatch, kind):
+        builds = _count_builds(monkeypatch)
+        with pytest.raises(SingularMatrix):
+            sweep(make_scenario(**self.SINGULAR), "noise_sigma", [0.1], trials=3,
+                  master_seed=0, detectors=(kind,))
+        assert builds == []
+
+    def test_mmse_checks_its_regularized_matrix(self, monkeypatch):
+        builds = _count_builds(monkeypatch)
+        sc = make_scenario(**self.SINGULAR)
+        with pytest.raises(SingularMatrix):
+            run_trials(sc, detectors=(DetectorKind.MMSE,), trials=3, master_seed=0)
+        assert builds == []
+        # With noise, R + sigma^2 I is invertible and the run goes ahead.
+        report = run_trials(sc.with_overrides(noise_sigma=0.1), detectors=(DetectorKind.MMSE,),
+                            trials=3, master_seed=0)
+        assert len(builds) == 2 * 3
+        assert report.qmud is not None
+
+    def test_detectors_without_inversion_run_on_singular_r(self):
+        report = run_trials(make_scenario(**self.SINGULAR), detectors=(DetectorKind.SUD,),
+                            trials=3, master_seed=0)
+        assert set(report.detector_bit_errors) == {DetectorKind.SUD}

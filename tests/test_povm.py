@@ -11,7 +11,7 @@ from qmud import (Decision, MeasurementOutcome, QubitState, SparseRegister,
                   symmetric_gain, confirm_reject_pair)
 from qmud.errors import (DomainError, EmptyRegister, InternalInconsistency,
                          NotPositive, ValidationError)
-from qmud.povm import combine_block_outcomes, select_decision
+from qmud.povm import UserDecision, combine_block_outcomes, select_decision
 from qmud.rng import SplitMix64
 
 BETA_GRID = [round(0.1 * i, 1) for i in range(11)]
@@ -309,3 +309,35 @@ class TestDetectUser:
             p_stuck = 1.0 - (1.0 - 0.75 ** m) ** 2
             sigma = math.sqrt(p_stuck * (1 - p_stuck) / n)
             assert abs(stuck / n - p_stuck) <= 3 * sigma
+
+
+def _detect_user_block_by_block(reg1, reg0, v, reps_max, rng):
+    """detect_user as a plain loop of measurement_block calls."""
+    verdicts = {1: None, 0: None}
+    reps = {1: 0, 0: 0}
+    for rep in range(1, reps_max + 1):
+        for bank, reg in ((1, reg1), (0, reg0)):
+            if verdicts[bank] is None:
+                out = measurement_block(reg, v, rng)
+                reps[bank] = rep
+                if out is not MeasurementOutcome.E3:
+                    verdicts[bank] = out
+        if None not in verdicts.values():
+            break
+    used = max(reps.values())
+    if None in verdicts.values():
+        return UserDecision(Decision.INCONCLUSIVE, used)
+    return UserDecision(select_decision(verdicts[1], verdicts[0]), used)
+
+
+@given(st.sets(st.integers(0, 15), min_size=1), st.sets(st.integers(0, 15), min_size=1),
+       st.integers(0, 15), st.integers(1, 8), st.integers(0, 2**64 - 1))
+@settings(max_examples=300, deadline=None)
+def test_detect_user_equals_block_by_block_receiver(members1, members0, v, reps_max, seed):
+    # Reducing each register once per call must leave every draw and verdict
+    # exactly as measuring block by block does.
+    reg1, reg0 = SparseRegister(members1, n_q=4), SparseRegister(members0, n_q=4)
+    fast, slow = SplitMix64(seed), SplitMix64(seed)
+    assert detect_user(reg1, reg0, v, reps_max, fast) == _detect_user_block_by_block(
+        reg1, reg0, v, reps_max, slow)
+    assert fast.uniform() == slow.uniform()

@@ -1,12 +1,13 @@
 import itertools
 import math
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import make_scenario
-from qmud import (QuantizerSpec, QubitState, SparseRegister, dump_register,
+from qmud import (QuantizerSpec, QubitState, Scenario, SparseRegister, dump_register,
                   enumerate_hypotheses, load_register, membership_amplitude,
                   pack_basis, quantize_chip, reduce_to_qubit, shift_variants,
                   transmit)
@@ -14,8 +15,42 @@ from qmud.errors import (BudgetExceeded, CodeOutOfRange, DelayOutOfRange,
                          EmptyRegister, ValidationError)
 from qmud.registers import quantize_waveform, unpack_basis
 from qmud.rng import SplitMix64
+from scalar_reference import reference_hypotheses
 
 SPEC22 = QuantizerSpec(n_ch=2, amplitude=2.0)
+
+# PG=1 near-far case where a noiseless chip, -0.1 - 0.2 - 0.4, sits on a
+# quantizer edge (step 0.1): summing the users in another order than the
+# transmitter moves it into the neighbouring cell.
+NEAR_FAR_EDGE = Scenario(
+    K=3, PG=1, signatures=((1.0,),) * 3, energies=(1.0,) * 3, gains=(0.1, 0.2, 0.4),
+    noise_sigma=0.0, quantizer=QuantizerSpec(n_ch=4, amplitude=0.8))
+
+
+@st.composite
+def edge_prone_scenarios(draw, max_gamma=2, zero_delay=False):
+    """Small scenarios whose noiseless chips often land exactly on quantizer edges.
+
+    Chips come from a coarse integer grid and gains, energies and the
+    quantizer range from short lists of round values.
+    """
+    K = draw(st.integers(1, 4))
+    PG = draw(st.integers(1, 4))
+    signatures = []
+    for _ in range(K):
+        chips = draw(st.lists(st.integers(-2, 2), min_size=PG, max_size=PG).filter(any))
+        norm = math.sqrt(sum(c * c for c in chips))
+        signatures.append(tuple(c / norm for c in chips))
+    values = st.sampled_from((0.1, 0.2, 0.4, 0.7, 1.0, -0.5))
+    gains = draw(st.lists(values, min_size=K, max_size=K))
+    energies = draw(st.lists(st.sampled_from((0.25, 1.0, 2.0)), min_size=K, max_size=K))
+    delays = draw(st.sets(st.integers(0, PG - 1), min_size=1))
+    quantizer = QuantizerSpec(n_ch=draw(st.integers(1, 6)),
+                              amplitude=draw(st.sampled_from((0.5, 0.8, 1.2, 2.4))))
+    return Scenario(K=K, PG=PG, signatures=tuple(signatures), energies=tuple(energies),
+                    gains=tuple(gains), noise_sigma=0.0, quantizer=quantizer,
+                    gamma=draw(st.integers(0, max_gamma)),
+                    delays=tuple(delays | {0}) if zero_delay else tuple(delays))
 
 
 class TestQuantizeChip:
@@ -168,6 +203,98 @@ class TestEnumerateHypotheses:
             v = pack_basis(quantize_waveform(received, sc.quantizer), sc.quantizer)
             assert v in regs[(0, bits[0])].members
             assert v in regs[(1, bits[1])].members
+
+
+class TestVectorizedEnumeration:
+    @given(edge_prone_scenarios())
+    @example(make_scenario(K=1, PG=2, signatures=((0.6, 0.8),), energies=(1.0,),
+                           gains=(1.0,), gamma=2, delays=(0, 1)))
+    @example(NEAR_FAR_EDGE)
+    @settings(max_examples=80, deadline=None)
+    def test_matches_scalar_reference(self, sc):
+        for k in range(sc.K):
+            for bit in (1, -1):
+                reg = enumerate_hypotheses(sc, k, bit)
+                assert reg.sorted_members() == sorted(reference_hypotheses(sc, k, bit))
+
+    @given(edge_prone_scenarios(max_gamma=0, zero_delay=True))
+    @example(NEAR_FAR_EDGE)
+    @settings(max_examples=150, deadline=None)
+    def test_noiseless_waveform_lies_in_its_true_bit_register(self, sc):
+        # sigma = 0 and gamma = 0: the transmitter and the register bank must
+        # quantize every bit pattern's waveform into the same cell.
+        spec = sc.quantizer
+        regs = {(k, b): enumerate_hypotheses(sc, k, b) for k in range(sc.K) for b in (1, -1)}
+        for pattern in itertools.product((-1, 1), repeat=sc.K):
+            v = pack_basis(quantize_waveform(transmit(sc, pattern, SplitMix64(0)), spec), spec)
+            for k in range(sc.K):
+                assert v in regs[(k, pattern[k])], (pattern, k)
+
+    def test_near_far_edge_chip(self):
+        received = transmit(NEAR_FAR_EDGE, (-1, -1, -1), SplitMix64(0))
+        v = pack_basis(quantize_waveform(received, NEAR_FAR_EDGE.quantizer),
+                       NEAR_FAR_EDGE.quantizer)
+        for k in range(3):
+            assert v in enumerate_hypotheses(NEAR_FAR_EDGE, k, -1)
+
+
+class TestSparseRegisterApi:
+    def test_construction_sorts_and_collapses_duplicates(self):
+        expected = [1, 3, 200]
+        for source in (frozenset({200, 3, 1}), [3, 200, 1, 3], (v for v in (200, 1, 3, 1)),
+                       np.array([200, 3, 3, 1], dtype=np.int64),
+                       np.array([3, 1, 200], dtype=np.uint16)):
+            reg = SparseRegister(source, n_q=8)
+            assert reg.members.dtype == np.int64
+            assert reg.sorted_members() == expected
+            assert reg.n_s == 3
+
+    def test_members_support_in_len_and_iteration(self):
+        reg = SparseRegister(frozenset({9, 2, 5}), n_q=4)
+        assert 5 in reg.members and 7 not in reg.members
+        assert len(reg.members) == 3
+        assert [int(v) for v in reg.members] == [2, 5, 9]
+        assert set(reg.members) == {2, 5, 9}
+
+    def test_register_membership(self):
+        reg = SparseRegister(range(0, 64, 3), n_q=6)
+        for v in range(-2, 70):
+            assert (v in reg) == (v % 3 == 0 and 0 <= v < 64)
+        assert 2**70 not in reg
+
+    def test_members_are_read_only(self):
+        source = np.array([4, 1], dtype=np.int64)
+        reg = SparseRegister(source, n_q=4)
+        with pytest.raises(ValueError):
+            reg.members[0] = 3
+        source[0] = 2
+        assert reg.sorted_members() == [1, 4]
+
+    def test_equality_and_hash(self):
+        a = SparseRegister(frozenset({1, 2}), n_q=4)
+        b = SparseRegister(np.array([2, 1, 2]), n_q=4)
+        assert a == b and hash(a) == hash(b)
+        assert a != SparseRegister(frozenset({1, 2}), n_q=5)
+        assert a != SparseRegister(frozenset({1, 3}), n_q=4)
+        assert a != frozenset({1, 2})
+
+    def test_dump_load_round_trip_from_array(self):
+        reg = SparseRegister(np.array([255, 0, 17]), n_q=8)
+        assert load_register(dump_register(reg)) == reg
+
+    @pytest.mark.parametrize("bad", [[-1], [16], [3, 2**70], np.array([0, 16]),
+                                     np.array([-1, 2]), np.array([2**63], dtype=np.uint64)])
+    def test_out_of_range_indices_rejected(self, bad):
+        with pytest.raises(ValidationError):
+            SparseRegister(bad, n_q=4)
+
+    def test_empty_register(self):
+        reg = SparseRegister(frozenset(), n_q=2)
+        assert reg.n_s == 0 and len(reg.members) == 0
+        assert 0 not in reg
+        assert reg == SparseRegister(np.array([], dtype=np.int64), n_q=2)
+        assert dump_register(reg) == "N_Q=2 N_s=0\n"
+        assert load_register(dump_register(reg)) == reg
 
 
 class TestSparseRegisterStates:
