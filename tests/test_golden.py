@@ -1,0 +1,45 @@
+"""Byte-for-byte CLI output against frozen golden CSVs.
+
+Each case runs one ``qmud`` command on a scenario stored next to its CSV
+in ``tests/golden/``.  Together they cover a long ``run``, a sweep over
+every sweepable parameter, own-signature delays with a noise lattice, and
+the noiseless near-far ``reps_max`` sweep.  Any change to draws, quantized
+indices, registers, detectors or CSV formatting shows up here.
+"""
+
+from pathlib import Path
+
+import pytest
+
+from qmud.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
+
+# name -> (scenario JSON in GOLDEN, CLI arguments without --config/--out)
+CASES = {
+    "two_user_run": ("two_user.json", ["run", "--trials", "2000", "--seed", "7"]),
+    "two_user_noise_sigma": ("two_user.json", [
+        "sweep", "--param", "noise_sigma", "--values", "0.1,0.2,0.3",
+        "--trials", "800", "--seed", "7"]),
+    "two_user_reps_max": ("two_user.json", [
+        "sweep", "--param", "reps_max", "--values", "1,3,6",
+        "--trials", "800", "--seed", "7"]),
+    "two_user_gamma": ("two_user.json", [
+        "sweep", "--param", "gamma", "--values", "0,1,2",
+        "--trials", "800", "--seed", "7"]),
+    "two_user_N_ch": ("two_user.json", [
+        "sweep", "--param", "N_ch", "--values", "2,3,4",
+        "--trials", "800", "--seed", "7"]),
+    "delays_k2pg4_run": ("delays_k2pg4.json", ["run", "--trials", "600", "--seed", "11"]),
+    "nearfar_reps_max": ("nearfar_reps.json", [
+        "sweep", "--param", "reps_max", "--values", "1,2,4,8,16",
+        "--trials", "300", "--seed", "11"]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_cli_output_matches_golden(name, tmp_path):
+    scenario, args = CASES[name]
+    out = tmp_path / f"{name}.csv"
+    assert main(args + ["--config", str(GOLDEN / scenario), "--out", str(out)]) == 0
+    assert out.read_bytes() == (GOLDEN / f"{name}.csv").read_bytes()
