@@ -19,7 +19,7 @@ from .povm import (Decision, MeasurementOutcome, PovmTriple, UserDecision,
                    symmetric_gain, confirm_reject_pair)
 from .registers import (QubitState, SparseRegister, dump_register,
                         enumerate_hypotheses, load_register,
-                        membership_amplitude, pack_basis, quantize_chip,
+                        membership_amplitude, pack_basis, quantize_waveform,
                         reduce_to_qubit, shift_variants)
 from .rng import SplitMix64, derive_seed
 

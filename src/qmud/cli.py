@@ -52,39 +52,37 @@ def parse_config(text: str) -> Scenario:
         raise ValidationError(f"missing config keys: {sorted(missing)}")
 
     signatures = doc["signatures"]
-    if not isinstance(signatures, list) or len(signatures) != doc["K"]:
-        raise ValidationError(f"signatures: expected {doc['K']} sequences")
+    if not isinstance(signatures, list):
+        raise ValidationError("signatures: expected a list of chip sequences")
     normalized = []
     for k, sig in enumerate(signatures):
-        if not isinstance(sig, list) or len(sig) != doc["PG"]:
-            raise ValidationError(f"signatures[{k}]: expected {doc['PG']} chips")
-        try:
-            norm = math.sqrt(sum(float(c) ** 2 for c in sig))
-        except (TypeError, ValueError) as exc:
-            raise ValidationError(f"signatures[{k}]: non-numeric chip") from exc
+        if not (isinstance(sig, list) and all(
+                isinstance(c, (int, float)) and not isinstance(c, bool) for c in sig)):
+            raise ValidationError(f"signatures[{k}]: expected a list of numeric chips")
+        norm = math.sqrt(sum(float(c) ** 2 for c in sig))
         if norm == 0:
             raise ValidationError(f"signatures[{k}]: zero vector cannot be normalized")
         if abs(norm - 1.0) > 1e-6:
             warnings.warn(f"signatures[{k}]: norm {norm:.6g} re-normalized to 1")
         normalized.append(tuple(float(c) / norm for c in sig))
 
+    # Counts, ranges and integrality are Scenario's and QuantizerSpec's to check.
     try:
         amplitude = doc.get("amplitude_A")
         if amplitude is None:
             amplitude = default_amplitude(normalized, doc["energies"], doc["gains"])
-        quantizer = QuantizerSpec(n_ch=int(doc["N_ch"]), amplitude=float(amplitude))
         return Scenario(
-            K=int(doc["K"]),
-            PG=int(doc["PG"]),
+            K=doc["K"],
+            PG=doc["PG"],
             signatures=tuple(normalized),
             energies=tuple(doc["energies"]),
             gains=tuple(doc["gains"]),
-            noise_sigma=float(doc["noise_sigma"]),
-            quantizer=quantizer,
-            gamma=int(doc["gamma"]),
+            noise_sigma=doc["noise_sigma"],
+            quantizer=QuantizerSpec(n_ch=doc["N_ch"], amplitude=amplitude),
+            gamma=doc["gamma"],
             delays=tuple(doc.get("delays", [0])),
-            reps_max=int(doc["reps_max"]),
-            seed=int(doc["seed"]),
+            reps_max=doc["reps_max"],
+            seed=doc["seed"],
         )
     except ValidationError:
         raise
@@ -130,11 +128,7 @@ def write_csv(reports, out_path) -> None:
     lines = [RESULTS_HEADER]
     for report in reports:
         lines.extend(_report_rows(report))
-    try:
-        with open(out_path, "w", newline="") as fh:
-            fh.write("\n".join(lines) + "\n")
-    except OSError as exc:
-        raise IoError(f"cannot write {out_path}: {exc}") from exc
+    _write_lines(lines, out_path)
 
 
 def write_povm_table(n_s_values, betas, out_path) -> None:
@@ -143,6 +137,10 @@ def write_povm_table(n_s_values, betas, out_path) -> None:
     for n_s, beta, alpha, label, p1, p2, p3 in rows:
         lines.append(",".join([str(n_s), _fmt(beta), _fmt(alpha), label,
                                _fmt(p1), _fmt(p2), _fmt(p3)]))
+    _write_lines(lines, out_path)
+
+
+def _write_lines(lines, out_path) -> None:
     try:
         with open(out_path, "w", newline="") as fh:
             fh.write("\n".join(lines) + "\n")

@@ -13,6 +13,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -24,6 +25,13 @@ MAX_REGISTER_BITS = 24
 
 # Unit-norm slack accepted at construction; parse_config re-normalizes first.
 _NORM_TOL = 1e-8
+
+
+def _integer(name: str, value) -> int:
+    if (isinstance(value, numbers.Integral) and not isinstance(value, bool)
+            or isinstance(value, float) and value.is_integer()):
+        return int(value)
+    raise ValidationError(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -38,6 +46,8 @@ class QuantizerSpec:
     amplitude: float
 
     def __post_init__(self):
+        object.__setattr__(self, "n_ch", _integer("N_ch", self.n_ch))
+        object.__setattr__(self, "amplitude", float(self.amplitude))
         if not 1 <= self.n_ch <= 8:
             raise ValidationError(f"N_ch must be in 1..8, got {self.n_ch}")
         if not (self.amplitude > 0 and math.isfinite(self.amplitude)):
@@ -75,11 +85,15 @@ class Scenario:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("K", "PG", "gamma", "reps_max", "seed"):
+            object.__setattr__(self, name, _integer(name, getattr(self, name)))
         object.__setattr__(self, "signatures",
                            tuple(tuple(float(c) for c in sig) for sig in self.signatures))
         object.__setattr__(self, "energies", tuple(float(e) for e in self.energies))
         object.__setattr__(self, "gains", tuple(float(a) for a in self.gains))
-        object.__setattr__(self, "delays", tuple(sorted(set(int(d) for d in self.delays))))
+        object.__setattr__(self, "noise_sigma", float(self.noise_sigma))
+        object.__setattr__(self, "delays",
+                           tuple(sorted(set(_integer("delays", d) for d in self.delays))))
         self._validate()
 
     def _validate(self):

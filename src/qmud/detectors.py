@@ -66,6 +66,12 @@ def mmse_detect(soft, R, noise_variance: float) -> np.ndarray:
     return _sign(np.linalg.solve(M, np.asarray(soft, dtype=float)))
 
 
+def _likelihood_metric(candidates: np.ndarray, soft: np.ndarray, R: np.ndarray) -> np.ndarray:
+    """(b~ - R y)^T R^-1 (b~ - R y) for every row y of ``candidates``."""
+    d = soft[None, :] - candidates @ R.T
+    return np.einsum("nk,kn->n", d, np.linalg.solve(R, d.T))
+
+
 def mlse_objective(y, soft, R) -> float:
     """Joint likelihood metric (b~ - R y)^T R^-1 (b~ - R y).
 
@@ -74,8 +80,8 @@ def mlse_objective(y, soft, R) -> float:
     """
     R = np.asarray(R, dtype=float)
     check_condition(R)
-    d = np.asarray(soft, dtype=float) - R @ np.asarray(y, dtype=float)
-    return float(d @ np.linalg.solve(R, d))
+    y = np.asarray(y, dtype=float)
+    return float(_likelihood_metric(y[None, :], np.asarray(soft, dtype=float), R)[0])
 
 
 def optimal_detect(soft, R) -> np.ndarray:
@@ -97,8 +103,7 @@ def optimal_detect(soft, R) -> np.ndarray:
         chunk = np.array(list(itertools.islice(candidates, _ENUM_CHUNK)))
         if chunk.size == 0:
             break
-        d = soft[None, :] - chunk @ R.T
-        objs = np.einsum("nk,kn->n", d, np.linalg.solve(R, d.T))
+        objs = _likelihood_metric(chunk, soft, R)
         i = int(np.argmin(objs))
         # Strict < keeps the earliest (lexicographically smallest) argmin.
         if objs[i] < best_obj:

@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .cdma import correlation_matrix, matched_filter, transmit
-from .config import QuantizerSpec, Scenario, scenario_digest
+from .config import Scenario, scenario_digest
 from .detectors import (DetectorKind, check_condition, decorrelate_detect,
                         mmse_detect, optimal_detect, sud_detect)
 from .errors import QmudError, UnknownParameter, ValidationError
@@ -222,18 +222,11 @@ def _run_trials(scenario: Scenario, detectors, include_qmud: bool, trials: int,
 
 
 def _apply_parameter(scenario: Scenario, name: str, value) -> Scenario:
-    if name == "noise_sigma":
-        return scenario.with_overrides(noise_sigma=float(value))
-    as_int = int(value)
-    if as_int != value:
-        raise ValidationError(f"{name} must be an integer, got {value}")
-    if name == "reps_max":
-        return scenario.with_overrides(reps_max=as_int)
-    if name == "gamma":
-        return scenario.with_overrides(gamma=as_int)
+    # Scenario and QuantizerSpec reject a fractional count.
     if name == "N_ch":
-        quantizer = QuantizerSpec(n_ch=as_int, amplitude=scenario.quantizer.amplitude)
-        return scenario.with_overrides(quantizer=quantizer)
+        return scenario.with_overrides(quantizer=replace(scenario.quantizer, n_ch=value))
+    if name in SWEEPABLE:
+        return scenario.with_overrides(**{name: value})
     raise UnknownParameter(f"cannot sweep {name!r}; choose one of {SWEEPABLE}")
 
 

@@ -18,6 +18,10 @@ beta=1), which doubles the per-shot conclusive probability relative to the
 symmetric operating point.  The receiver runs one block bank against the
 bit-1 register and one against the bit-0 register, repeating inconclusive
 banks up to a budget, and maps the pair of verdicts to a user decision.
+
+The operators are the model, sampled shot by shot by ``measurement_block``;
+``detect_user`` reproduces its draws and verdicts by register membership
+plus one threshold compare per block, and the tests check it against them.
 """
 
 from __future__ import annotations
@@ -29,8 +33,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import (DomainError, EmptyRegister, InternalInconsistency,
-                     NotPositive, ValidationError)
+from .errors import DomainError, InternalInconsistency, NotPositive, ValidationError
 from .registers import QubitState, SparseRegister, present_qubit_amplitudes, reduce_to_qubit
 from .rng import SplitMix64
 
@@ -139,19 +142,22 @@ def confirm_reject_pair(n_s: int) -> tuple[PovmTriple, PovmTriple]:
     return build_povm(1.0, 0.0, n_s), build_povm(0.0, 1.0, n_s)
 
 
-def outcome_probabilities(povm: PovmTriple, state: QubitState) -> tuple[float, float, float]:
-    """Born probabilities (p1, p2, p3) of the three outcomes.
+def _conclusive_probabilities(povm: PovmTriple, state: QubitState) -> tuple[float, float]:
+    """(p1, p2) via the rank-one factors alpha*<1|s>**2 and beta*<psi|s>**2.
 
-    p1 and p2 are evaluated through the rank-one factors alpha*<1|s>**2 and
-    beta*<psi|s>**2 rather than the assembled matrices: with the shared
-    amplitude helper the impossible-outcome probabilities cancel to exactly
-    0.0, which is what makes conclusive outcomes literally error-free.
+    With the shared amplitude helper these cancel the impossible-outcome
+    probabilities to exactly 0.0: conclusive outcomes are error-free.
     """
     c0, c1 = state.c0, state.c1
     full0, full1 = present_qubit_amplitudes(povm.n_s)
     ip = full1 * c0 - full0 * c1
-    p1 = povm.alpha * c1 * c1
-    p2 = povm.beta * ip * ip
+    return povm.alpha * c1 * c1, povm.beta * ip * ip
+
+
+def outcome_probabilities(povm: PovmTriple, state: QubitState) -> tuple[float, float, float]:
+    """Born probabilities (p1, p2, p3) of the three outcomes."""
+    p1, p2 = _conclusive_probabilities(povm, state)
+    c0, c1 = state.c0, state.c1
     e3 = povm.e3
     p3 = float(c0 * c0 * e3[0, 0] + 2.0 * c0 * c1 * e3[0, 1] + c1 * c1 * e3[1, 1])
     return (max(p1, 0.0), max(p2, 0.0), max(p3, 0.0))
@@ -161,13 +167,9 @@ def sample_outcome(povm: PovmTriple, state: QubitState, rng: SplitMix64) -> Meas
     """One measurement: inverse-CDF over (p1, p2, p3) from a single uniform.
 
     Only the two conclusive thresholds are needed; everything past p1 + p2
-    is E3.  The factored forms match outcome_probabilities exactly.
+    is E3.
     """
-    c0, c1 = state.c0, state.c1
-    full0, full1 = present_qubit_amplitudes(povm.n_s)
-    ip = full1 * c0 - full0 * c1
-    p1 = povm.alpha * c1 * c1
-    p2 = povm.beta * ip * ip
+    p1, p2 = _conclusive_probabilities(povm, state)
     u = rng.uniform()
     if u < p1:
         return MeasurementOutcome.E1
@@ -199,14 +201,8 @@ def measurement_block(reg: SparseRegister, v: int, rng: SplitMix64) -> Measureme
 
     Draw order is fixed: confirm branch first, then reject branch.
     """
-    if reg.n_s == 0:
-        raise EmptyRegister("cannot measure an empty register")
-    return _sample_block(confirm_reject_pair(reg.n_s), reduce_to_qubit(reg, v), rng)
-
-
-def _sample_block(pair: tuple[PovmTriple, PovmTriple], state: QubitState,
-                  rng: SplitMix64) -> MeasurementOutcome:
-    confirm, reject = pair
+    state = reduce_to_qubit(reg, v)  # before build_povm, so an empty register is EmptyRegister
+    confirm, reject = confirm_reject_pair(reg.n_s)
     out_confirm = sample_outcome(confirm, state, rng)
     out_reject = sample_outcome(reject, state, rng)
     return combine_block_outcomes(out_confirm, out_reject)
@@ -233,37 +229,33 @@ def detect_user(reg1: SparseRegister, reg0: SparseRegister, v: int,
     Each round re-measures every still-inconclusive bank (bank1 before
     bank0, fresh independent shots, registers unchanged) until both banks
     are conclusive or the budget runs out.  reps_used reports the larger
-    of the two banks' block counts.  Each register is reduced to its qubit
-    state once per call; every block then samples that state exactly as
-    measurement_block would.
+    of the two banks' block counts.  A block draws the confirm and then the
+    reject uniform, as measurement_block does.  Membership fixes the one
+    outcome a bank can reach: E1 if v is stored, when the confirm uniform
+    is below c1*c1, else E2, when the reject uniform is.
     """
-    if reg1.n_s == 0 or reg0.n_s == 0:
-        raise EmptyRegister("both hypothesis registers must be nonempty")
     if reps_max < 1:
         raise ValidationError(f"reps_max must be >= 1, got {reps_max}")
 
-    pair1, state1 = confirm_reject_pair(reg1.n_s), reduce_to_qubit(reg1, v)
-    pair0, state0 = confirm_reject_pair(reg0.n_s), reduce_to_qubit(reg0, v)
-    verdict1: MeasurementOutcome | None = None
-    verdict0: MeasurementOutcome | None = None
-    reps1 = reps0 = 0
+    banks = []
+    for reg in (reg1, reg0):
+        c1 = present_qubit_amplitudes(reg.n_s)[1]  # raises EmptyRegister for N_s = 0
+        banks.append((v in reg, c1 * c1))  # the float sample_outcome compares with
+    done = [False, False]
+    reps = [0, 0]
     for rep in range(1, reps_max + 1):
-        if verdict1 is None:
-            out = _sample_block(pair1, state1, rng)
-            reps1 = rep
-            if out is not MeasurementOutcome.E3:
-                verdict1 = out
-        if verdict0 is None:
-            out = _sample_block(pair0, state0, rng)
-            reps0 = rep
-            if out is not MeasurementOutcome.E3:
-                verdict0 = out
-        if verdict1 is not None and verdict0 is not None:
+        for b, (stored, threshold) in enumerate(banks):
+            if not done[b]:
+                u_confirm, u_reject = rng.uniform(), rng.uniform()
+                done[b] = (u_confirm if stored else u_reject) < threshold
+                reps[b] = rep
+        if done[0] and done[1]:
             break
-    reps_used = max(reps1, reps0)
-    if verdict1 is None or verdict0 is None:
-        return UserDecision(Decision.INCONCLUSIVE, reps_used)
-    return UserDecision(select_decision(verdict1, verdict0), reps_used)
+    if not (done[0] and done[1]):
+        return UserDecision(Decision.INCONCLUSIVE, max(reps))
+    verdicts = [MeasurementOutcome.E1 if stored else MeasurementOutcome.E2
+                for stored, _ in banks]
+    return UserDecision(select_decision(*verdicts), max(reps))
 
 
 def povm_table_rows(n_s_values, betas) -> list[tuple]:

@@ -1,11 +1,12 @@
 """Chip quantization and sparse hypothesis registers.
 
-Every candidate received waveform is quantized chip by chip and packed into
-a single basis index of an N_Q-bit register (N_Q = N_ch * PG).  A user's
-hypothesis register for bit b is the set of indices reachable from that
-bit: own-signature delay variants, every interferer bit pattern, and a
-bounded lattice of per-chip noise offsets.  Registers carry implicit
-uniform amplitudes 1/sqrt(N_s), so membership alone fixes the state.
+Every candidate received waveform is quantized chip by chip, by one
+quantizer for arrays of any shape, and packed into a single basis index of
+an N_Q-bit register (N_Q = N_ch * PG).  A user's hypothesis register for
+bit b is the set of indices reachable from that bit: own-signature delay
+variants, every interferer bit pattern, and a bounded lattice of per-chip
+noise offsets.  Registers carry implicit uniform amplitudes 1/sqrt(N_s),
+so membership alone fixes the state.
 
 A register stores its members as a read-only sorted ``np.int64`` array
 (8 bytes per index; N_Q <= 24 bits, so every index fits), and membership is
@@ -34,18 +35,14 @@ from .errors import (BudgetExceeded, CodeOutOfRange, DelayOutOfRange,
 ENUMERATION_BUDGET = 10**6
 
 
-def quantize_chip(x: float, spec: QuantizerSpec) -> int:
-    """Uniform mid-rise code with saturation at both rails.
+def quantize_waveform(chips, spec: QuantizerSpec) -> np.ndarray:
+    """Uniform mid-rise chip codes with saturation at both rails.
 
-    code = clamp(floor((x + A) / step), 0, 2**n_ch - 1).
+    code = clip(floor((x + A) / step), 0, 2**n_ch - 1), elementwise over an
+    array of any shape, returned as ``np.int64``.
     """
-    code = math.floor((x + spec.amplitude) / spec.step)
-    return min(max(code, 0), spec.levels - 1)
-
-
-def quantize_waveform(chips, spec: QuantizerSpec) -> tuple[int, ...]:
-    """Quantize every chip of a waveform."""
-    return tuple(quantize_chip(float(x), spec) for x in chips)
+    x = np.asarray(chips, dtype=float)
+    return np.floor((x + spec.amplitude) / spec.step).clip(0, spec.levels - 1).astype(np.int64)
 
 
 def pack_basis(codes, spec: QuantizerSpec) -> int:
@@ -226,8 +223,7 @@ def enumerate_hypotheses(scenario: Scenario, user: int, bit: int) -> SparseRegis
         sig[user] = own
         base = noiseless_waveforms(amp, sig, patterns)
         # codes[p, n, j]: chip n of pattern p shifted by lattice offset j.
-        codes = np.clip(np.floor((base[:, :, None] + lattice + spec.amplitude) / spec.step),
-                        0, spec.levels - 1).astype(np.int64)
+        codes = quantize_waveform(base[:, :, None] + lattice, spec)
         # Pack every combination of per-chip offsets, chip 0 most significant.
         index = np.zeros((len(patterns), 1), dtype=np.int64)
         for n in range(scenario.PG):

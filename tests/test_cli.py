@@ -97,6 +97,15 @@ class TestParseConfig:
             sc = parse_config(_doc(signatures=[[1.0, 1.0]]))
         assert sum(c * c for c in sc.signatures[0]) == pytest.approx(1.0, abs=1e-12)
 
+    def test_integral_floats_read_as_integers(self):
+        whole = json.loads(_doc(gamma=1, delays=[0, 1]))
+        floats = dict(whole, K=1.0, PG=2.0, N_ch=2.0, gamma=1.0, delays=[0.0, 1.0],
+                      reps_max=1.0, seed=0.0)
+        sc = parse_config(json.dumps(floats))
+        assert sc == parse_config(json.dumps(whole))
+        assert all(type(n) is int for n in (sc.K, sc.PG, sc.quantizer.n_ch, sc.gamma,
+                                            sc.reps_max, sc.seed, *sc.delays))
+
     def test_round_trip_of_defaults(self):
         sc = parse_config(_doc())
         echo = {
@@ -184,6 +193,13 @@ class TestMainExitCodes:
         cfg = self._write_config(tmp_path, doc)
         assert main(["run", "--config", cfg, "--out", str(tmp_path / "r.csv")]) == 1
 
+    @pytest.mark.parametrize("override", [
+        {"N_ch": 3.9}, {"gamma": True}, {"reps_max": 6.5}, {"delays": [0.7]}])
+    def test_non_integral_counts_rejected(self, tmp_path, override):
+        cfg = self._write_config(tmp_path, dict(GOLDEN_CONFIG, **override))
+        assert main(["run", "--config", cfg, "--trials", "1",
+                     "--out", str(tmp_path / "r.csv")]) == 1
+
     def test_unknown_sweep_parameter(self, tmp_path):
         cfg = self._write_config(tmp_path, MINIMAL_ONE_USER)
         assert main(["sweep", "--config", cfg, "--param", "bogus",
@@ -237,6 +253,10 @@ class TestPovmTable:
     def test_bad_beta_grid_rejected(self, tmp_path):
         assert main(["povm-table", "--ns", "2", "--beta", "0,2",
                      "--out", str(tmp_path / "t.csv")]) == 1
+
+    def test_unwritable_output_maps_to_two(self, tmp_path):
+        assert main(["povm-table", "--ns", "2", "--beta", "0",
+                     "--out", str(tmp_path / "missing" / "t.csv")]) == 2
 
     def test_bad_number_list(self, tmp_path):
         assert main(["povm-table", "--ns", "x", "--beta", "0",

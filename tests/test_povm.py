@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qmud import (Decision, MeasurementOutcome, QubitState, SparseRegister,
@@ -11,6 +11,7 @@ from qmud import (Decision, MeasurementOutcome, QubitState, SparseRegister,
                   symmetric_gain, confirm_reject_pair)
 from qmud.errors import (DomainError, EmptyRegister, InternalInconsistency,
                          NotPositive, ValidationError)
+from qmud import povm
 from qmud.povm import UserDecision, combine_block_outcomes, select_decision
 from qmud.rng import SplitMix64
 
@@ -311,6 +312,22 @@ class TestDetectUser:
             assert abs(stuck / n - p_stuck) <= 3 * sigma
 
 
+def test_detect_user_never_builds_the_operator_algebra(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("detect_user reached the operator algebra")
+
+    for name in ("sample_outcome", "reduce_to_qubit", "confirm_reject_pair"):
+        monkeypatch.setattr(povm, name, forbidden)
+    reg1 = SparseRegister(frozenset({1, 2, 3, 4}), n_q=4)
+    reg0 = SparseRegister(frozenset({8, 9}), n_q=4)
+    rng = SplitMix64(11)
+    kinds = {detect_user(reg1, reg0, v, 8, rng).kind for v in (1, 8, 12) for _ in range(200)}
+    assert kinds == {Decision.BIT_ONE, Decision.BIT_ZERO, Decision.NO_MESSAGE,
+                     Decision.INCONCLUSIVE}
+    with pytest.raises(AssertionError, match="operator algebra"):
+        measurement_block(reg1, 1, rng)
+
+
 def _detect_user_block_by_block(reg1, reg0, v, reps_max, rng):
     """detect_user as a plain loop of measurement_block calls."""
     verdicts = {1: None, 0: None}
@@ -332,10 +349,14 @@ def _detect_user_block_by_block(reg1, reg0, v, reps_max, rng):
 
 @given(st.sets(st.integers(0, 15), min_size=1), st.sets(st.integers(0, 15), min_size=1),
        st.integers(0, 15), st.integers(1, 8), st.integers(0, 2**64 - 1))
+@example({3}, {3}, 3, 2, 1)
+@example({3}, {5}, 3, 2, 2)
+@example({3}, {5}, 5, 2, 3)
+@example({3}, {5}, 9, 2, 4)
 @settings(max_examples=300, deadline=None)
 def test_detect_user_equals_block_by_block_receiver(members1, members0, v, reps_max, seed):
-    # Reducing each register once per call must leave every draw and verdict
-    # exactly as measuring block by block does.
+    # Deciding by membership and one threshold per bank must leave every draw
+    # and verdict exactly as measuring block by block does.
     reg1, reg0 = SparseRegister(members1, n_q=4), SparseRegister(members0, n_q=4)
     fast, slow = SplitMix64(seed), SplitMix64(seed)
     assert detect_user(reg1, reg0, v, reps_max, fast) == _detect_user_block_by_block(

@@ -9,11 +9,11 @@ from hypothesis import strategies as st
 from conftest import make_scenario
 from qmud import (QuantizerSpec, QubitState, Scenario, SparseRegister, dump_register,
                   enumerate_hypotheses, load_register, membership_amplitude,
-                  pack_basis, quantize_chip, reduce_to_qubit, shift_variants,
+                  pack_basis, quantize_waveform, reduce_to_qubit, shift_variants,
                   transmit)
 from qmud.errors import (BudgetExceeded, CodeOutOfRange, DelayOutOfRange,
                          EmptyRegister, ValidationError)
-from qmud.registers import quantize_waveform, unpack_basis
+from qmud.registers import unpack_basis
 from qmud.rng import SplitMix64
 from scalar_reference import reference_hypotheses
 
@@ -53,35 +53,51 @@ def edge_prone_scenarios(draw, max_gamma=2, zero_delay=False):
                     delays=tuple(delays | {0}) if zero_delay else tuple(delays))
 
 
-class TestQuantizeChip:
+def quantize_one(x, spec):
+    """Code of a single chip through the waveform quantizer."""
+    (code,) = quantize_waveform([x], spec)
+    return int(code)
+
+
+class TestQuantizeWaveform:
     def test_interior_value(self):
-        assert quantize_chip(0.6, SPEC22) == 2
+        assert quantize_one(0.6, SPEC22) == 2
 
     def test_lower_saturation(self):
-        assert quantize_chip(-2.0, SPEC22) == 0
-        assert quantize_chip(-100.0, SPEC22) == 0
+        assert quantize_one(-2.0, SPEC22) == 0
+        assert quantize_one(-100.0, SPEC22) == 0
 
     def test_upper_saturation(self):
-        assert quantize_chip(5.0, SPEC22) == 3
+        assert quantize_one(5.0, SPEC22) == 3
 
     @given(st.floats(-50, 50), st.integers(1, 8), st.floats(0.1, 10))
     @settings(max_examples=200, deadline=None)
     def test_code_always_in_range(self, x, n_ch, amplitude):
         spec = QuantizerSpec(n_ch, amplitude)
-        assert 0 <= quantize_chip(x, spec) < spec.levels
+        assert 0 <= quantize_one(x, spec) < spec.levels
 
     @given(st.floats(-5, 5), st.floats(-5, 5))
     @settings(max_examples=200, deadline=None)
     def test_monotone(self, x, y):
         lo, hi = sorted((x, y))
-        assert quantize_chip(lo, SPEC22) <= quantize_chip(hi, SPEC22)
+        assert quantize_one(lo, SPEC22) <= quantize_one(hi, SPEC22)
 
     def test_exact_step_shift_moves_code_by_one(self):
         spec = QuantizerSpec(n_ch=3, amplitude=1.5)
         x = 0.31
-        base = quantize_chip(x, spec)
-        assert quantize_chip(x + spec.step, spec) == base + 1
-        assert quantize_chip(x - spec.step, spec) == base - 1
+        base = quantize_one(x, spec)
+        assert quantize_one(x + spec.step, spec) == base + 1
+        assert quantize_one(x - spec.step, spec) == base - 1
+
+    def test_any_shape_equals_its_elementwise_codes(self):
+        spec = QuantizerSpec(n_ch=3, amplitude=1.5)
+        chips = np.random.default_rng(5).uniform(-2.0, 2.0, size=(3, 4, 5))
+        chips[0, 0, :3] = (-1.5, 1.5, -1.5 + spec.step)  # rails and an edge
+        codes = quantize_waveform(chips, spec)
+        assert codes.shape == chips.shape and codes.dtype == np.int64
+        for x, code in zip(chips.ravel().tolist(), codes.ravel().tolist()):
+            scalar = math.floor((x + spec.amplitude) / spec.step)
+            assert code == min(max(scalar, 0), spec.levels - 1) == quantize_one(x, spec)
 
 
 class TestPackBasis:
