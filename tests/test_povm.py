@@ -9,9 +9,9 @@ from qmud import (Decision, MeasurementOutcome, QubitState, SparseRegister,
                   build_povm, detect_user, measurement_block,
                   outcome_probabilities, sample_outcome, solve_alpha_for_beta,
                   symmetric_gain, confirm_reject_pair)
+from qmud import povm
 from qmud.errors import (DomainError, EmptyRegister, InternalInconsistency,
                          NotPositive, ValidationError)
-from qmud import povm
 from qmud.povm import UserDecision, combine_block_outcomes, select_decision
 from qmud.rng import SplitMix64
 
