@@ -18,9 +18,8 @@ from .povm import (Decision, MeasurementOutcome, PovmTriple, UserDecision,
                    outcome_probabilities, sample_outcome, solve_alpha_for_beta,
                    symmetric_gain, confirm_reject_pair)
 from .registers import (QubitState, SparseRegister, dump_register,
-                        enumerate_hypotheses, load_register,
-                        membership_amplitude, pack_basis, quantize_waveform,
-                        reduce_to_qubit, shift_variants)
+                        enumerate_hypotheses, load_register, pack_basis,
+                        quantize_waveform, reduce_to_qubit, shift_variants)
 from .rng import SplitMix64, derive_seed
 
 __version__ = "0.1.0"

@@ -66,24 +66,28 @@ def parse_config(text: str) -> Scenario:
             warnings.warn(f"signatures[{k}]: norm {norm:.6g} re-normalized to 1")
         normalized.append(tuple(float(c) / norm for c in sig))
 
-    # Counts, ranges and integrality are Scenario's and QuantizerSpec's to check.
+    # Counts, ranges and integrality are Scenario's and QuantizerSpec's to check;
+    # a missing amplitude_A is derived only from lengths Scenario has accepted.
     try:
         amplitude = doc.get("amplitude_A")
-        if amplitude is None:
-            amplitude = default_amplitude(normalized, doc["energies"], doc["gains"])
-        return Scenario(
+        scenario = Scenario(
             K=doc["K"],
             PG=doc["PG"],
             signatures=tuple(normalized),
             energies=tuple(doc["energies"]),
             gains=tuple(doc["gains"]),
             noise_sigma=doc["noise_sigma"],
-            quantizer=QuantizerSpec(n_ch=doc["N_ch"], amplitude=amplitude),
+            quantizer=QuantizerSpec(doc["N_ch"], 1.0 if amplitude is None else amplitude),
             gamma=doc["gamma"],
             delays=tuple(doc.get("delays", [0])),
             reps_max=doc["reps_max"],
             seed=doc["seed"],
         )
+        if amplitude is not None:
+            return scenario
+        derived = default_amplitude(scenario.signatures, scenario.energies, scenario.gains)
+        return scenario.with_overrides(
+            quantizer=QuantizerSpec(scenario.quantizer.n_ch, derived))
     except ValidationError:
         raise
     except (TypeError, ValueError) as exc:

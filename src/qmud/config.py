@@ -95,6 +95,11 @@ class Scenario:
         object.__setattr__(self, "delays",
                            tuple(sorted(set(_integer("delays", d) for d in self.delays))))
         self._validate()
+        sig = np.array(self.signatures, dtype=float)
+        amp = np.sqrt(np.array(self.energies)) * np.array(self.gains)
+        sig.flags.writeable = amp.flags.writeable = False
+        object.__setattr__(self, "_signature_matrix", sig)
+        object.__setattr__(self, "_amplitude_vector", amp)
 
     def _validate(self):
         if self.K < 1:
@@ -146,12 +151,12 @@ class Scenario:
         return self.quantizer.n_ch * self.PG
 
     def signature_matrix(self) -> np.ndarray:
-        """Signatures as a (K, PG) float array."""
-        return np.array(self.signatures, dtype=float)
+        """Signatures as a read-only (K, PG) float array, built once."""
+        return self._signature_matrix
 
     def amplitude_vector(self) -> np.ndarray:
-        """Per-user symbol amplitudes sqrt(E_k) * a_k as a length-K array."""
-        return np.sqrt(np.array(self.energies)) * np.array(self.gains)
+        """Per-user symbol amplitudes sqrt(E_k) * a_k as a read-only length-K array."""
+        return self._amplitude_vector
 
     def with_overrides(self, **kwargs) -> "Scenario":
         return replace(self, **kwargs)

@@ -32,7 +32,7 @@ class DetectorKind(enum.Enum):
     OPTIMAL = "optimal"
 
 
-def check_condition(M: np.ndarray):
+def _check_condition(M: np.ndarray):
     """Raise SingularMatrix for a non-finite or ill-conditioned matrix."""
     if not np.all(np.isfinite(M)) or np.linalg.cond(M) > CONDITION_LIMIT:
         raise SingularMatrix(
@@ -52,7 +52,7 @@ def sud_detect(soft) -> np.ndarray:
 def decorrelate_detect(soft, R) -> np.ndarray:
     """Sign of R^-1 b~; inverts the multiple-access interference exactly."""
     R = np.asarray(R, dtype=float)
-    check_condition(R)
+    _check_condition(R)
     return _sign(np.linalg.solve(R, np.asarray(soft, dtype=float)))
 
 
@@ -62,7 +62,7 @@ def mmse_detect(soft, R, noise_variance: float) -> np.ndarray:
         raise ValueError("noise_variance must be >= 0")
     R = np.asarray(R, dtype=float)
     M = R + noise_variance * np.eye(len(R))
-    check_condition(M)
+    _check_condition(M)
     return _sign(np.linalg.solve(M, np.asarray(soft, dtype=float)))
 
 
@@ -79,7 +79,7 @@ def mlse_objective(y, soft, R) -> float:
     soft outputs.
     """
     R = np.asarray(R, dtype=float)
-    check_condition(R)
+    _check_condition(R)
     y = np.asarray(y, dtype=float)
     return float(_likelihood_metric(y[None, :], np.asarray(soft, dtype=float), R)[0])
 
@@ -94,7 +94,7 @@ def optimal_detect(soft, R) -> np.ndarray:
     K = len(soft)
     if K > MAX_EXHAUSTIVE_USERS:
         raise KTooLarge(f"K={K} exceeds exhaustive-search cap {MAX_EXHAUSTIVE_USERS}")
-    check_condition(R)
+    _check_condition(R)
 
     best_obj = np.inf
     best = None

@@ -24,8 +24,8 @@ import numpy as np
 
 from .cdma import correlation_matrix, matched_filter, transmit
 from .config import Scenario, scenario_digest
-from .detectors import (DetectorKind, check_condition, decorrelate_detect,
-                        mmse_detect, optimal_detect, sud_detect)
+from .detectors import (DetectorKind, decorrelate_detect, mmse_detect,
+                        optimal_detect, sud_detect)
 from .errors import QmudError, UnknownParameter, ValidationError
 from .povm import Decision, UserDecision, detect_user
 from .registers import enumerate_hypotheses, pack_basis, quantize_waveform
@@ -108,30 +108,29 @@ class _RegisterCache:
 
 
 class _Prepared:
-    """Per-scenario state shared by all trials: R and the register bank.
+    """Everything a trial reads, built once per scenario.
 
-    Before any register is built, the matrix each selected detector inverts
-    is checked, so a degenerate scenario fails without the costly builds.
-    Without registers nothing is costly, and the detectors' own checks fail
-    at trial 0.
+    Holds the scenario, the selected detector kinds, R and, with
+    include_qmud, the register bank.  Each selected detector first runs
+    once on a zero soft vector, so its own checks (SingularMatrix,
+    KTooLarge) reject a degenerate scenario before any register build and
+    before trial 0, with or without registers.
     """
 
     def __init__(self, scenario: Scenario, include_qmud: bool, kinds=ALL_DETECTORS,
                  cache: _RegisterCache | None = None):
+        self.scenario = scenario
+        self.kinds = kinds
         self.R = correlation_matrix(scenario)
         self.noise_variance = scenario.noise_sigma ** 2
-        self.registers = {}
-        if include_qmud:
-            if DetectorKind.DECORRELATOR in kinds or DetectorKind.OPTIMAL in kinds:
-                check_condition(self.R)
-            if DetectorKind.MMSE in kinds:
-                check_condition(self.R + self.noise_variance * np.eye(scenario.K))
-            self.registers = (cache or _RegisterCache()).registers(scenario)
+        _run_detectors(np.zeros(scenario.K), self)
+        self.registers = ((cache or _RegisterCache()).registers(scenario)
+                          if include_qmud else None)
 
 
-def _run_detectors(kinds, soft, prep: _Prepared):
+def _run_detectors(soft, prep: _Prepared):
     out = {}
-    for kind in kinds:
+    for kind in prep.kinds:
         if kind is DetectorKind.SUD:
             dec = sud_detect(soft)
         elif kind is DetectorKind.DECORRELATOR:
@@ -144,19 +143,19 @@ def _run_detectors(kinds, soft, prep: _Prepared):
     return out
 
 
-def run_single_trial(scenario: Scenario, prep: _Prepared, kinds, include_qmud: bool,
-                     trial_index: int, master_seed: int) -> TrialRecord:
+def run_single_trial(prep: _Prepared, trial_index: int, master_seed: int) -> TrialRecord:
+    scenario = prep.scenario
     rng = SplitMix64(derive_seed(master_seed, trial_index))
     bits = tuple(1 if rng.uniform() < 0.5 else -1 for _ in range(scenario.K))
     received = transmit(scenario, bits, rng)
     soft = matched_filter(received, scenario)
-    decisions = _run_detectors(kinds, soft, prep)
+    decisions = _run_detectors(soft, prep)
 
     qmud_decisions = None
     v = None
     misses = None
     reps = None
-    if include_qmud:
+    if prep.registers is not None:
         v = pack_basis(quantize_waveform(received, scenario.quantizer), scenario.quantizer)
         per_user = []
         for k in range(scenario.K):
@@ -188,7 +187,7 @@ def _run_trials(scenario: Scenario, detectors, include_qmud: bool, trials: int,
 
     for t in range(trials):
         try:
-            rec = run_single_trial(scenario, prep, kinds, include_qmud, t, master_seed)
+            rec = run_single_trial(prep, t, master_seed)
         except QmudError as exc:
             raise type(exc)(f"trial {t}: {exc}") from exc
         for kind in kinds:
@@ -225,9 +224,7 @@ def _apply_parameter(scenario: Scenario, name: str, value) -> Scenario:
     # Scenario and QuantizerSpec reject a fractional count.
     if name == "N_ch":
         return scenario.with_overrides(quantizer=replace(scenario.quantizer, n_ch=value))
-    if name in SWEEPABLE:
-        return scenario.with_overrides(**{name: value})
-    raise UnknownParameter(f"cannot sweep {name!r}; choose one of {SWEEPABLE}")
+    return scenario.with_overrides(**{name: value})
 
 
 def sweep(scenario: Scenario, parameter: str, values, trials: int, master_seed: int,

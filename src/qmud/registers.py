@@ -163,13 +163,6 @@ def present_qubit_amplitudes(n_s: int) -> tuple[float, float]:
     return math.sqrt((n_s - 1.0) / n_s), math.sqrt(1.0 / n_s)
 
 
-def membership_amplitude(reg: SparseRegister, v: int) -> float:
-    """Amplitude of basis index v in the register: 1/sqrt(N_s) or 0."""
-    if reg.n_s == 0:
-        raise EmptyRegister("register holds no states")
-    return 1.0 / math.sqrt(reg.n_s) if v in reg else 0.0
-
-
 def reduce_to_qubit(reg: SparseRegister, v: int) -> QubitState:
     """Collapse the register to the two-level state seen by the measurement.
 
@@ -210,7 +203,8 @@ def enumerate_hypotheses(scenario: Scenario, user: int, bit: int) -> SparseRegis
 
     spec = scenario.quantizer
     amp = scenario.amplitude_vector()
-    sig = scenario.signature_matrix()
+    # Row `user` is overwritten once per delay variant below.
+    sig = scenario.signature_matrix().copy()
     # Every interferer bit pattern with the user's own bit fixed: (2**(K-1), K).
     patterns = np.array([p[:user] + (float(bit),) + p[user:]
                          for p in itertools.product((-1.0, 1.0), repeat=scenario.K - 1)])

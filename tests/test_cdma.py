@@ -119,6 +119,16 @@ class TestNoiselessWaveforms:
             assert np.array_equal(received, expected)
 
 
+class TestScenarioArrays:
+    def test_arrays_are_built_once_and_read_only(self, two_user_scenario):
+        for method in ("signature_matrix", "amplitude_vector"):
+            first = getattr(two_user_scenario, method)()
+            assert getattr(two_user_scenario, method)() is first
+            assert not first.flags.writeable
+        assert np.array_equal(two_user_scenario.signature_matrix(),
+                              np.array(two_user_scenario.signatures))
+
+
 class TestMatchedFilter:
     def test_worked_example(self, two_user_scenario):
         soft = matched_filter((0.0, 0.0, 1.0, 0.0), two_user_scenario)

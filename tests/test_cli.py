@@ -65,6 +65,20 @@ class TestParseConfig:
         with pytest.raises(ValidationError, match="signatures"):
             parse_config(_doc(K=2))
 
+    @pytest.mark.parametrize("key", ["energies", "gains"])
+    def test_wrong_length_message_does_not_depend_on_amplitude(self, key):
+        messages = []
+        for extra in ({}, {"amplitude_A": 2.0}):
+            with pytest.raises(ValidationError) as info:
+                parse_config(_doc(**{key: [1.0, 1.0]}, **extra))
+            messages.append(str(info.value))
+        assert messages[0] == messages[1]
+        assert messages[0].startswith(f"{key}: expected 1 values, got 2")
+
+    def test_zero_amplitude_is_rejected_not_defaulted(self):
+        with pytest.raises(ValidationError, match="must be positive"):
+            parse_config(_doc(amplitude_A=0))
+
     def test_register_width_cap(self):
         with pytest.raises(ValidationError, match="24"):
             parse_config(_doc(PG=10, N_ch=3,

@@ -8,7 +8,7 @@ import pytest
 from conftest import make_orthogonal, make_scenario
 from qmud import Decision, DetectorKind, QuantizerSpec, harness, run_trials, sweep
 from qmud.config import default_amplitude
-from qmud.errors import SingularMatrix, UnknownParameter, ValidationError
+from qmud.errors import KTooLarge, SingularMatrix, UnknownParameter, ValidationError
 from qmud.harness import ALL_DETECTORS, _Prepared, _RegisterCache, run_single_trial
 
 
@@ -64,9 +64,9 @@ class TestRunTrials:
         # Every conclusive bit points at the register that actually holds
         # the received index; no-message means neither register holds it.
         sc = _nonorthogonal_noisy()
-        prep = _Prepared(sc, include_qmud=True)
+        prep = _Prepared(sc, include_qmud=True, kinds=())
         for t in range(300):
-            rec = run_single_trial(sc, prep, (), True, t, master_seed=11)
+            rec = run_single_trial(prep, t, master_seed=11)
             for k in range(sc.K):
                 kind = rec.qmud_decisions[k].kind
                 in1 = rec.received_index in prep.registers[(k, 1)].members
@@ -82,10 +82,9 @@ class TestRunTrials:
 
     def test_conclusive_decisions_match_sud_in_trivial_regime(self):
         sc = make_orthogonal(K=2, PG=4, reps_max=32)
-        prep = _Prepared(sc, include_qmud=True)
-        kinds = (DetectorKind.SUD,)
+        prep = _Prepared(sc, include_qmud=True, kinds=(DetectorKind.SUD,))
         for t in range(200):
-            rec = run_single_trial(sc, prep, kinds, True, t, master_seed=2)
+            rec = run_single_trial(prep, t, master_seed=2)
             for k in range(sc.K):
                 bit = rec.qmud_decisions[k].kind.bit_value
                 if bit is not None:
@@ -108,13 +107,20 @@ class TestRunTrials:
         assert set(report.detector_bit_errors) == {DetectorKind.SUD}
         assert report.qmud is None
 
-    def test_trial_errors_carry_trial_context(self):
-        from qmud.errors import SingularMatrix
-        # Duplicated signatures make R singular inside the first trial.
-        sc = make_scenario(signatures=((0.5, 0.5, 0.5, 0.5),) * 2)
-        with pytest.raises(SingularMatrix, match="trial 0"):
-            run_trials(sc, detectors=(DetectorKind.DECORRELATOR,),
-                       include_qmud=False, trials=3, master_seed=0)
+    def test_trial_errors_carry_trial_context(self, monkeypatch):
+        real = harness.transmit
+        calls = []
+
+        def failing_at_trial_2(scenario, bits, rng):
+            calls.append(bits)
+            if len(calls) == 3:
+                raise SingularMatrix("injected")
+            return real(scenario, bits, rng)
+
+        monkeypatch.setattr(harness, "transmit", failing_at_trial_2)
+        with pytest.raises(SingularMatrix, match="trial 2: injected"):
+            run_trials(make_scenario(), detectors=(DetectorKind.DECORRELATOR,),
+                       include_qmud=False, trials=5, master_seed=0)
 
 
 class TestSweep:
@@ -142,12 +148,11 @@ class TestSweep:
 
     def test_common_random_numbers_across_points(self):
         sc = _nonorthogonal_noisy()
-        prep = _Prepared(sc, include_qmud=False)
-        low = sc.with_overrides(noise_sigma=0.0)
-        prep_low = _Prepared(low, include_qmud=False)
+        prep = _Prepared(sc, include_qmud=False, kinds=())
+        prep_low = _Prepared(sc.with_overrides(noise_sigma=0.0), include_qmud=False, kinds=())
         for t in range(20):
-            a = run_single_trial(sc, prep, (), False, t, master_seed=8)
-            b = run_single_trial(low, prep_low, (), False, t, master_seed=8)
+            a = run_single_trial(prep, t, master_seed=8)
+            b = run_single_trial(prep_low, t, master_seed=8)
             assert a.true_bits == b.true_bits
 
     def test_unknown_parameter(self, two_user_scenario):
@@ -247,6 +252,25 @@ class TestDegenerateScenarios:
                             trials=3, master_seed=0)
         assert len(builds) == 2 * 3
         assert report.qmud is not None
+
+    def test_singular_r_without_registers_fails_before_any_trial(self, monkeypatch):
+        transmits = []
+        monkeypatch.setattr(harness, "transmit", lambda *args: transmits.append(args))
+        with pytest.raises(SingularMatrix) as info:
+            run_trials(make_scenario(**self.SINGULAR), include_qmud=False, trials=3,
+                       master_seed=0)
+        assert transmits == []
+        assert "trial" not in str(info.value)
+
+    def test_too_many_users_for_optimal_fails_before_any_trial(self, monkeypatch):
+        transmits = []
+        monkeypatch.setattr(harness, "transmit", lambda *args: transmits.append(args))
+        sc = make_scenario(K=21, PG=1, signatures=((1.0,),) * 21, energies=(1.0,) * 21,
+                           gains=(1.0,) * 21)
+        with pytest.raises(KTooLarge):
+            run_trials(sc, detectors=(DetectorKind.OPTIMAL,), include_qmud=False,
+                       trials=3, master_seed=0)
+        assert transmits == []
 
     def test_detectors_without_inversion_run_on_singular_r(self):
         report = run_trials(make_scenario(**self.SINGULAR), detectors=(DetectorKind.SUD,),

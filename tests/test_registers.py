@@ -8,9 +8,8 @@ from hypothesis import strategies as st
 
 from conftest import make_scenario
 from qmud import (QuantizerSpec, QubitState, Scenario, SparseRegister, dump_register,
-                  enumerate_hypotheses, load_register, membership_amplitude,
-                  pack_basis, quantize_waveform, reduce_to_qubit, shift_variants,
-                  transmit)
+                  enumerate_hypotheses, load_register, pack_basis, quantize_waveform,
+                  reduce_to_qubit, shift_variants, transmit)
 from qmud.errors import (BudgetExceeded, CodeOutOfRange, DelayOutOfRange,
                          EmptyRegister, ValidationError)
 from qmud.registers import unpack_basis
@@ -316,17 +315,15 @@ class TestSparseRegisterApi:
 class TestSparseRegisterStates:
     def test_membership_amplitude(self):
         reg = SparseRegister(frozenset({5, 9, 12, 14}), n_q=4)
-        assert membership_amplitude(reg, 9) == 0.5
-        assert membership_amplitude(reg, 7) == 0.0
+        assert reduce_to_qubit(reg, 9).c1 == 0.5
+        assert reduce_to_qubit(reg, 7).c1 == 0.0
 
     def test_singleton_amplitude(self):
         reg = SparseRegister(frozenset({3}), n_q=2)
-        assert membership_amplitude(reg, 3) == 1.0
+        assert reduce_to_qubit(reg, 3).c1 == 1.0
 
     def test_empty_register_raises(self):
         reg = SparseRegister(frozenset(), n_q=2)
-        with pytest.raises(EmptyRegister):
-            membership_amplitude(reg, 0)
         with pytest.raises(EmptyRegister):
             reduce_to_qubit(reg, 0)
 
