@@ -96,8 +96,15 @@ def transmit(scenario: Scenario, bits, rng: SplitMix64) -> np.ndarray:
 
 
 def matched_filter(received, scenario: Scenario) -> np.ndarray:
-    """Matched-filter bank soft outputs b~_k = sqrt(E_k) a_k <r, s_k>."""
+    """Matched-filter bank soft outputs b~_k = sqrt(E_k) a_k <r, s_k>.
+
+    ``received`` has shape (..., PG), one waveform per row.  S is broadcast
+    into one matrix-vector product per row, so a row's outputs are
+    bit-identical to ``S @ r`` for that row alone, however many rows are
+    filtered at once; ``r @ S.T`` would differ in the last bit.
+    """
     received = np.asarray(received, dtype=float)
-    if received.shape != (scenario.PG,):
+    if received.shape[-1:] != (scenario.PG,):
         raise ValidationError(f"received: expected length {scenario.PG}, got {received.shape}")
-    return scenario.amplitude_vector() * (scenario.signature_matrix() @ received)
+    products = np.matmul(scenario.signature_matrix(), received[..., None])
+    return scenario.amplitude_vector() * products[..., 0]

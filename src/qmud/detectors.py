@@ -22,7 +22,13 @@ MAX_EXHAUSTIVE_USERS = 20
 # (duplicated or linearly dependent signatures).
 CONDITION_LIMIT = 1e12
 
+# Candidates scored per likelihood-metric evaluation.
 _ENUM_CHUNK = 1 << 16
+
+# Cap on the (trials, candidates, K) residual array that one metric
+# evaluation over many trials allocates; detect_rows splits its rows to
+# stay under it.
+RESIDUAL_BYTES = 1 << 20
 
 
 class DetectorKind(enum.Enum):
@@ -84,6 +90,16 @@ def mlse_objective(y, soft, R) -> float:
     return float(_likelihood_metric(y[None, :], np.asarray(soft, dtype=float), R)[0])
 
 
+def _candidate_chunks(K: int):
+    """{-1,+1}^K in lexicographic order (-1 < +1), _ENUM_CHUNK rows at a time."""
+    candidates = itertools.product((-1.0, 1.0), repeat=K)
+    while True:
+        chunk = np.array(list(itertools.islice(candidates, _ENUM_CHUNK)))
+        if chunk.size == 0:
+            return
+        yield chunk
+
+
 def optimal_detect(soft, R) -> np.ndarray:
     """Exhaustive argmin of the joint likelihood metric over {-1,+1}^K.
 
@@ -98,15 +114,62 @@ def optimal_detect(soft, R) -> np.ndarray:
 
     best_obj = np.inf
     best = None
-    candidates = itertools.product((-1.0, 1.0), repeat=K)
-    while True:
-        chunk = np.array(list(itertools.islice(candidates, _ENUM_CHUNK)))
-        if chunk.size == 0:
-            break
+    for chunk in _candidate_chunks(K):
         objs = _likelihood_metric(chunk, soft, R)
         i = int(np.argmin(objs))
         # Strict < keeps the earliest (lexicographically smallest) argmin.
         if objs[i] < best_obj:
             best_obj = objs[i]
             best = chunk[i]
+    return best.astype(int)
+
+
+def detect_rows(kinds, soft: np.ndarray, R: np.ndarray, noise_variance: float) -> dict:
+    """Decisions of each selected detector for every row of soft (T, K).
+
+    Row t gets exactly the bits the per-symbol detector returns for
+    soft[t].  The matrices are not checked here: callers run each
+    per-symbol detector once first, which raises SingularMatrix or
+    KTooLarge for a degenerate scenario.
+    """
+    # Every solve here takes one right-hand side per row, a (T, K, 1)
+    # stack: that gives each row the bits np.linalg.solve(M, soft[t])
+    # gives it alone, which a single (K, T) right-hand side does not.
+    out = {}
+    for kind in kinds:
+        if kind is DetectorKind.SUD:
+            out[kind] = _sign(soft)
+        elif kind is DetectorKind.DECORRELATOR:
+            out[kind] = _sign(np.linalg.solve(R, soft[..., None])[..., 0])
+        elif kind is DetectorKind.MMSE:
+            M = R + noise_variance * np.eye(len(R))
+            out[kind] = _sign(np.linalg.solve(M, soft[..., None])[..., 0])
+        else:
+            out[kind] = _optimal_rows(soft, R)
+    return out
+
+
+def _optimal_rows(soft: np.ndarray, R: np.ndarray) -> np.ndarray:
+    """optimal_detect for every row of soft, a slice of rows at a time.
+
+    Per candidate chunk, row t's residuals are _likelihood_metric's
+    soft[t] - chunk @ R.T and its metric is _likelihood_metric's solve and
+    einsum with a leading row axis; the strict < keeps the earliest argmin
+    across chunks.
+    """
+    T, K = soft.shape
+    step = max(1, RESIDUAL_BYTES // (8 * K * min(2 ** K, _ENUM_CHUNK)))
+    best_obj = np.full(T, np.inf)
+    best = np.empty((T, K))
+    for chunk in _candidate_chunks(K):
+        fitted = chunk @ R.T
+        for lo in range(0, T, step):
+            rows = np.arange(lo, min(lo + step, T))
+            d = soft[rows, None, :] - fitted
+            objs = np.einsum("tnk,tkn->tn", d, np.linalg.solve(R, d.transpose(0, 2, 1)))
+            i = np.argmin(objs, axis=1)
+            obj = objs[np.arange(rows.size), i]
+            better = obj < best_obj[rows]
+            best_obj[rows[better]] = obj[better]
+            best[rows[better]] = chunk[i[better]]
     return best.astype(int)

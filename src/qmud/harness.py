@@ -10,6 +10,14 @@ order is fixed (K bit uniforms, PG noise normals, then the users'
 measurement draws in ascending user order), so every aggregate is
 bit-reproducible.
 
+Trials run in blocks of BLOCK_TRIALS as numpy arrays with a leading trial
+axis.  SplitMix64 is counter-based, so ``rng.TrialStreams`` addresses each
+trial's n-th draw directly and every trial keeps its own stream and draw
+order: a block gives each trial exactly the bits, noise, decisions and
+measurement draws that trial gets when run alone.  The block's detectors
+skip the per-call condition check; the scenario's one check is the
+warm-up in ``_Prepared``.
+
 Sweeps reuse the same master seed at every parameter value: matching trial
 indices see identical bits and identical standard-normal noise (common
 random numbers), which makes monotonicity comparisons across values
@@ -22,19 +30,30 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .cdma import correlation_matrix, matched_filter, transmit
+from .cdma import correlation_matrix, matched_filter, noiseless_waveforms
 from .config import Scenario, scenario_digest
-from .detectors import (DetectorKind, decorrelate_detect, mmse_detect,
+from .detectors import (DetectorKind, decorrelate_detect, detect_rows, mmse_detect,
                         optimal_detect, sud_detect)
 from .errors import QmudError, UnknownParameter, ValidationError
-from .povm import Decision, UserDecision, detect_user
-from .registers import enumerate_hypotheses, pack_basis, quantize_waveform
-from .rng import SplitMix64, derive_seed
+from .povm import DECISIONS, Decision, UserDecision, detect_user_rows
+from .registers import enumerate_hypotheses, quantize_waveform
+from .rng import TrialStreams
+
+# benchmarks/traced_cli.py wraps these per-symbol functions on this
+# module, so they stay importable from it; the block engine calls none.
+from .cdma import transmit  # noqa: F401
+from .povm import detect_user  # noqa: F401
+from .registers import pack_basis  # noqa: F401
+from .rng import derive_seed  # noqa: F401
 
 ALL_DETECTORS = (DetectorKind.SUD, DetectorKind.DECORRELATOR,
                  DetectorKind.MMSE, DetectorKind.OPTIMAL)
 
 SWEEPABLE = ("noise_sigma", "reps_max", "gamma", "N_ch")
+
+# Trials per block.  A block's arrays grow with it: one 1000-trial block
+# of a K=4 scenario raised peak RSS by 2.1 MB, a 256-trial block by 0.3 MB.
+BLOCK_TRIALS = 256
 
 
 @dataclass(frozen=True)
@@ -143,28 +162,63 @@ def _run_detectors(soft, prep: _Prepared):
     return out
 
 
-def run_single_trial(prep: _Prepared, trial_index: int, master_seed: int) -> TrialRecord:
-    scenario = prep.scenario
-    rng = SplitMix64(derive_seed(master_seed, trial_index))
-    bits = tuple(1 if rng.uniform() < 0.5 else -1 for _ in range(scenario.K))
-    received = transmit(scenario, bits, rng)
-    soft = matched_filter(received, scenario)
-    decisions = _run_detectors(soft, prep)
+@dataclass(frozen=True)
+class _Block:
+    """Trials t0 .. t0 + T - 1 as arrays with a leading trial axis.
 
-    qmud_decisions = None
-    v = None
-    misses = None
-    reps = None
-    if prep.registers is not None:
-        v = pack_basis(quantize_waveform(received, scenario.quantizer), scenario.quantizer)
-        per_user = []
-        for k in range(scenario.K):
-            per_user.append(detect_user(prep.registers[(k, 1)], prep.registers[(k, -1)],
-                                        v, scenario.reps_max, rng))
-        qmud_decisions = tuple(per_user)
-        misses = tuple(v not in prep.registers[(k, bits[k])] for k in range(scenario.K))
-        reps = tuple(d.reps_used for d in per_user)
-    return TrialRecord(trial_index, bits, decisions, qmud_decisions, v, misses, reps)
+    ``decisions`` maps each detector kind to (T, K) bits; ``qmud`` codes
+    index povm.DECISIONS.  The receiver arrays are None without registers.
+    """
+
+    t0: int
+    bits: np.ndarray
+    decisions: dict
+    received_index: np.ndarray | None
+    qmud: np.ndarray | None
+    reps: np.ndarray | None
+    coverage_miss: np.ndarray | None
+
+    def record(self, i: int) -> TrialRecord:
+        """Row i as the TrialRecord of trial t0 + i."""
+        decisions = {kind: tuple(dec[i].tolist()) for kind, dec in self.decisions.items()}
+        bits = tuple(self.bits[i].tolist())
+        if self.qmud is None:
+            return TrialRecord(self.t0 + i, bits, decisions, None, None, None, None)
+        reps = tuple(self.reps[i].tolist())
+        qmud = tuple(UserDecision(DECISIONS[c], r) for c, r in zip(self.qmud[i].tolist(), reps))
+        return TrialRecord(self.t0 + i, bits, decisions, qmud, int(self.received_index[i]),
+                           tuple(self.coverage_miss[i].tolist()), reps)
+
+
+def _run_block(prep: _Prepared, master_seed: int, t0: int, count: int) -> _Block:
+    """Trials t0 .. t0 + count - 1, each with the draws and results of its own stream."""
+    scenario = prep.scenario
+    streams = TrialStreams(master_seed, t0, count)
+    bits = np.where(streams.uniforms(scenario.K) < 0.5, 1, -1)
+    clean = noiseless_waveforms(scenario.amplitude_vector(), scenario.signature_matrix(), bits)
+    received = clean + scenario.noise_sigma * streams.normals(scenario.PG)
+    soft = matched_filter(received, scenario)
+    decisions = detect_rows(prep.kinds, soft, prep.R, prep.noise_variance)
+    if prep.registers is None:
+        return _Block(t0, bits, decisions, None, None, None, None)
+
+    spec = scenario.quantizer
+    v = np.zeros(count, dtype=np.int64)
+    for code in quantize_waveform(received, spec).T:  # chip 0 most significant
+        v = (v << spec.n_ch) | code
+    codes = np.empty((count, scenario.K), dtype=np.int64)
+    reps = np.empty((count, scenario.K), dtype=np.int64)
+    misses = np.empty((count, scenario.K), dtype=bool)
+    for k in range(scenario.K):
+        reg1, reg0 = prep.registers[(k, 1)], prep.registers[(k, -1)]
+        codes[:, k], reps[:, k] = detect_user_rows(reg1, reg0, v, scenario.reps_max, streams)
+        misses[:, k] = ~np.where(bits[:, k] == 1, reg1.contains(v), reg0.contains(v))
+    return _Block(t0, bits, decisions, v, codes, reps, misses)
+
+
+def run_single_trial(prep: _Prepared, trial_index: int, master_seed: int) -> TrialRecord:
+    """One trial, as the one row of a one-trial block."""
+    return _run_block(prep, master_seed, trial_index, 1).record(0)
 
 
 def run_trials(scenario: Scenario, detectors=ALL_DETECTORS, include_qmud: bool = True,
@@ -172,6 +226,10 @@ def run_trials(scenario: Scenario, detectors=ALL_DETECTORS, include_qmud: bool =
     """Run the full pipeline for `trials` symbols and aggregate counts."""
     return _run_trials(scenario, detectors, include_qmud, trials, master_seed,
                        _RegisterCache())
+
+
+# Bit value of each povm.DECISIONS code; 0 for the codes that decide no bit.
+_DECIDED_BIT = np.array([d.bit_value or 0 for d in DECISIONS])
 
 
 def _run_trials(scenario: Scenario, detectors, include_qmud: bool, trials: int,
@@ -182,39 +240,30 @@ def _run_trials(scenario: Scenario, detectors, include_qmud: bool, trials: int,
     prep = _Prepared(scenario, include_qmud, kinds, cache)
 
     bit_errors = {k: 0 for k in kinds}
-    correct = false_dec = no_msg = ambiguous = inconclusive = miss_count = 0
-    reps_total = 0
-
-    for t in range(trials):
+    categories = np.zeros(len(DECISIONS), dtype=np.int64)
+    correct = false_dec = miss_count = reps_total = 0
+    for t0 in range(0, trials, BLOCK_TRIALS):
+        count = min(BLOCK_TRIALS, trials - t0)
         try:
-            rec = run_single_trial(prep, t, master_seed)
+            block = _run_block(prep, master_seed, t0, count)
         except QmudError as exc:
-            raise type(exc)(f"trial {t}: {exc}") from exc
+            raise type(exc)(f"trials {t0}–{t0 + count - 1}: {exc}") from exc
         for kind in kinds:
-            bit_errors[kind] += sum(
-                d != b for d, b in zip(rec.detector_decisions[kind], rec.true_bits))
+            bit_errors[kind] += int(np.count_nonzero(block.decisions[kind] != block.bits))
         if include_qmud:
-            reps_total += sum(rec.reps_used)
-            for k in range(scenario.K):
-                if rec.coverage_miss[k]:
-                    miss_count += 1
-                    continue
-                kind = rec.qmud_decisions[k].kind
-                if kind in (Decision.BIT_ONE, Decision.BIT_ZERO):
-                    if kind.bit_value == rec.true_bits[k]:
-                        correct += 1
-                    else:
-                        false_dec += 1
-                elif kind is Decision.NO_MESSAGE:
-                    no_msg += 1
-                elif kind is Decision.AMBIGUOUS:
-                    ambiguous += 1
-                else:
-                    inconclusive += 1
+            reps_total += int(block.reps.sum())
+            miss_count += int(block.coverage_miss.sum())
+            covered = ~block.coverage_miss
+            decided = _DECIDED_BIT[block.qmud]
+            correct += int(np.count_nonzero(covered & (decided == block.bits)))
+            false_dec += int(np.count_nonzero(covered & (decided == -block.bits)))
+            categories += np.bincount(block.qmud[covered], minlength=len(DECISIONS))
 
     qmud_stats = None
     if include_qmud:
-        qmud_stats = QmudStats(correct, false_dec, no_msg, ambiguous, inconclusive,
+        counts = dict(zip(DECISIONS, categories.tolist()))
+        qmud_stats = QmudStats(correct, false_dec, counts[Decision.NO_MESSAGE],
+                               counts[Decision.AMBIGUOUS], counts[Decision.INCONCLUSIVE],
                                miss_count, reps_total / (trials * scenario.K))
     return MetricsReport(scenario_digest(scenario), scenario.K, trials, master_seed,
                          bit_errors, qmud_stats)

@@ -22,6 +22,8 @@ banks up to a budget, and maps the pair of verdicts to a user decision.
 The operators are the model, sampled shot by shot by ``measurement_block``;
 ``detect_user`` reproduces its draws and verdicts by register membership
 plus one threshold compare per block, and the tests check it against them.
+``detect_user_rows`` runs ``detect_user`` for a block of trials at once,
+each on its own stream.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ import numpy as np
 
 from .errors import DomainError, InternalInconsistency, NotPositive, ValidationError
 from .registers import QubitState, SparseRegister, present_qubit_amplitudes, reduce_to_qubit
-from .rng import SplitMix64
+from .rng import SplitMix64, TrialStreams
 
 # Eigenvalue slack accepted before an operator is rejected as indefinite;
 # rank-deficient 2x2 matrices jitter at ~1e-16 but never near this.
@@ -256,6 +258,42 @@ def detect_user(reg1: SparseRegister, reg0: SparseRegister, v: int,
     verdicts = [MeasurementOutcome.E1 if stored else MeasurementOutcome.E2
                 for stored, _ in banks]
     return UserDecision(select_decision(*verdicts), max(reps))
+
+
+# detect_user_rows' decision codes: a conclusive user gets
+# 2 * (v in bit-1 register) + (v in bit-0 register), an inconclusive one 4.
+DECISIONS = (Decision.NO_MESSAGE, Decision.BIT_ZERO, Decision.BIT_ONE,
+             Decision.AMBIGUOUS, Decision.INCONCLUSIVE)
+
+
+def detect_user_rows(reg1: SparseRegister, reg0: SparseRegister, v: np.ndarray,
+                     reps_max: int, streams: TrialStreams) -> tuple[np.ndarray, np.ndarray]:
+    """detect_user for every row: index v[t] against row t of ``streams``.
+
+    Returns (decision code, reps_used) arrays; a code indexes DECISIONS.
+    Each round, every still-open bank of every row draws its confirm and
+    then its reject uniform, bank1 before bank0, so each row takes the
+    draws detect_user takes from its stream and reaches its decision.
+    """
+    if reps_max < 1:
+        raise ValidationError(f"reps_max must be >= 1, got {reps_max}")
+
+    banks = []
+    for reg in (reg1, reg0):
+        c1 = present_qubit_amplitudes(reg.n_s)[1]  # raises EmptyRegister for N_s = 0
+        banks.append((reg.contains(v), c1 * c1))
+    done = np.zeros((2, v.size), dtype=bool)
+    reps = np.zeros((2, v.size), dtype=np.int64)
+    for rep in range(1, reps_max + 1):
+        for b, (stored, threshold) in enumerate(banks):
+            rows = np.flatnonzero(~done[b])
+            u = streams.uniforms(2, rows)
+            done[b, rows] = np.where(stored[rows], u[:, 0], u[:, 1]) < threshold
+            reps[b, rows] = rep
+        if done.all():
+            break
+    codes = np.where(done.all(axis=0), 2 * banks[0][0] + banks[1][0], 4)
+    return codes, reps.max(axis=0)
 
 
 def povm_table_rows(n_s_values, betas) -> list[tuple]:

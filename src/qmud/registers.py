@@ -114,6 +114,14 @@ class SparseRegister:
         i = int(np.searchsorted(self.members, v))
         return i < self.members.size and bool(self.members[i] == v)
 
+    def contains(self, v) -> np.ndarray:
+        """``v in self`` for every index of an integer array, elementwise."""
+        v = np.asarray(v)
+        if self.members.size == 0:
+            return np.zeros(v.shape, dtype=bool)
+        i = np.searchsorted(self.members, v).clip(max=self.members.size - 1)
+        return self.members[i] == v
+
     def __eq__(self, other):
         if not isinstance(other, SparseRegister):
             return NotImplemented

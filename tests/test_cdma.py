@@ -138,6 +138,20 @@ class TestMatchedFilter:
         soft = matched_filter(np.zeros(4), two_user_scenario)
         assert np.array_equal(soft, np.zeros(2))
 
+    @given(st.integers(0, 10_000), st.integers(1, 5), st.integers(1, 8))
+    @settings(max_examples=30, deadline=None)
+    def test_rows_are_bit_identical_to_one_matvec_each(self, seed, K, PG):
+        # r @ S.T would differ from S @ r in the last bit on most rows.
+        sc = _random_scenario(seed, K, PG)
+        received = np.random.default_rng(seed).normal(size=(300, PG))
+        expected = [sc.amplitude_vector() * (sc.signature_matrix() @ r) for r in received]
+        assert matched_filter(received, sc).tolist() == np.array(expected).tolist()
+        assert matched_filter(received[0], sc).tolist() == expected[0].tolist()
+
+    def test_rejects_wrong_chip_count(self, two_user_scenario):
+        with pytest.raises(ValidationError):
+            matched_filter(np.zeros((3, 5)), two_user_scenario)
+
     def test_linearity(self, two_user_scenario):
         r1 = np.array([0.3, -0.2, 1.1, 0.4])
         r2 = np.array([-1.0, 0.5, 0.2, 0.9])

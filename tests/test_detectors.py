@@ -6,8 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_unit_signatures
-from qmud import (decorrelate_detect, mlse_objective, mmse_detect,
-                  optimal_detect, sud_detect)
+from qmud import (DetectorKind, decorrelate_detect, detectors, mlse_objective,
+                  mmse_detect, optimal_detect, sud_detect)
+from qmud.detectors import detect_rows
 from qmud.errors import KTooLarge, SingularMatrix
 
 R2 = np.array([[1.0, 0.5], [0.5, 1.0]])
@@ -148,3 +149,40 @@ class TestOptimalDetect:
     def test_degenerate_matrix_raises(self):
         with pytest.raises(SingularMatrix):
             optimal_detect(SOFT2, np.ones((2, 2)))
+
+
+class TestDetectRows:
+    """detect_rows gives every row the bits of the per-symbol detector."""
+
+    PER_SYMBOL = {
+        DetectorKind.SUD: lambda soft, R, var: sud_detect(soft),
+        DetectorKind.DECORRELATOR: lambda soft, R, var: decorrelate_detect(soft, R),
+        DetectorKind.MMSE: lambda soft, R, var: mmse_detect(soft, R, var),
+        DetectorKind.OPTIMAL: lambda soft, R, var: optimal_detect(soft, R),
+    }
+
+    def _check(self, soft, R, var):
+        rows = detect_rows(tuple(DetectorKind), soft, R, var)
+        for kind, detect in self.PER_SYMBOL.items():
+            assert rows[kind].tolist() == [detect(s, R, var).tolist() for s in soft]
+
+    @given(st.integers(0, 100_000), st.integers(1, 6), st.sampled_from([0.0, 0.01, 0.5, 2.0]))
+    @settings(max_examples=40, deadline=None)
+    def test_rows_match_per_symbol_detectors(self, seed, K, var):
+        rng = np.random.default_rng(seed)
+        R = _random_R(rng, K)
+        # Noisy rows, plus noiseless rows R b and all-zero rows, where every
+        # optimal candidate ties.
+        bits = rng.choice([-1.0, 1.0], size=(20, K))
+        soft = np.concatenate([rng.normal(size=(40, K)), bits @ R, np.zeros((3, K))])
+        self._check(soft, R, var)
+
+    def test_ties_and_slices_across_candidate_chunks(self, monkeypatch):
+        # Chunks of 4 candidates and slices of 3 rows run the chunked paths
+        # of both searches at K = 4.
+        monkeypatch.setattr(detectors, "_ENUM_CHUNK", 4)
+        monkeypatch.setattr(detectors, "RESIDUAL_BYTES", 3 * 8 * 4 * 4)
+        rng = np.random.default_rng(3)
+        soft = np.concatenate([rng.normal(size=(10, 4)), np.zeros((2, 4))])
+        self._check(soft, np.eye(4), 0.3)
+        self._check(soft, _random_R(rng, 4), 0.3)
