@@ -6,8 +6,8 @@ three-outcome unambiguous measurements -> per-user receiver decisions ->
 seeded Monte Carlo harness and CLI.
 """
 
-from .cdma import (correlation_matrix, is_diagonally_dominant, matched_filter,
-                   noiseless_waveforms, transmit, walsh_hadamard_signatures)
+from .cdma import (correlation_matrix, matched_filter, noiseless_waveforms, transmit,
+                   walsh_hadamard_signatures)
 from .config import QuantizerSpec, Scenario, default_amplitude, scenario_digest
 from .detectors import (DetectorKind, decorrelate_detect, mlse_objective,
                         mmse_detect, optimal_detect, sud_detect)

@@ -49,20 +49,6 @@ def correlation_matrix(scenario: Scenario) -> np.ndarray:
     return R
 
 
-def is_diagonally_dominant(R: np.ndarray) -> bool:
-    """Whether every diagonal entry exceeds all off-diagonals in its row.
-
-    Near-orthogonal signature sets satisfy this; it is reported, never
-    enforced.
-    """
-    R = np.asarray(R)
-    for k in range(len(R)):
-        off = np.abs(np.delete(R[k], k))
-        if off.size and R[k, k] <= off.max():
-            return False
-    return True
-
-
 def noiseless_waveforms(amplitudes, signatures, bits) -> np.ndarray:
     """Noiseless chip waveforms sum_k (amp_k b_k) s_k, one per row of bits.
 

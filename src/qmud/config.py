@@ -34,6 +34,14 @@ def _integer(name: str, value) -> int:
     raise ValidationError(f"{name} must be an integer, got {value!r}")
 
 
+def check_seed(seed) -> int:
+    """The seed as an int; raises ValidationError unless it lies in [0, 2**64)."""
+    seed = _integer("seed", seed)
+    if not 0 <= seed < 1 << 64:
+        raise ValidationError("seed must be an unsigned 64-bit integer")
+    return seed
+
+
 @dataclass(frozen=True)
 class QuantizerSpec:
     """Uniform mid-rise chip quantizer with saturation.
@@ -138,8 +146,7 @@ class Scenario:
             raise ValidationError(f"delays: each must lie in [0, {self.PG}), got {self.delays}")
         if self.reps_max < 1:
             raise ValidationError(f"reps_max must be >= 1, got {self.reps_max}")
-        if not 0 <= self.seed < (1 << 64):
-            raise ValidationError("seed must be an unsigned 64-bit integer")
+        check_seed(self.seed)
         n_q = self.quantizer.n_ch * self.PG
         if n_q > MAX_REGISTER_BITS:
             raise ValidationError(

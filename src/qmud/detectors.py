@@ -3,12 +3,14 @@
 Four baselines: the single-user sign detector, the decorrelator, linear
 MMSE, and the optimal joint detector found by exhaustive search over all
 bit vectors of the quadratic likelihood metric.
+
+Each detector is written once, for rows of soft outputs (``detect_rows``).
+The per-symbol functions check their matrix, then run that code on one row.
 """
 
 from __future__ import annotations
 
 import enum
-import itertools
 
 import numpy as np
 
@@ -59,7 +61,7 @@ def decorrelate_detect(soft, R) -> np.ndarray:
     """Sign of R^-1 b~; inverts the multiple-access interference exactly."""
     R = np.asarray(R, dtype=float)
     _check_condition(R)
-    return _sign(np.linalg.solve(R, np.asarray(soft, dtype=float)))
+    return _solve_sign(R, np.asarray(soft, dtype=float))
 
 
 def mmse_detect(soft, R, noise_variance: float) -> np.ndarray:
@@ -69,13 +71,7 @@ def mmse_detect(soft, R, noise_variance: float) -> np.ndarray:
     R = np.asarray(R, dtype=float)
     M = R + noise_variance * np.eye(len(R))
     _check_condition(M)
-    return _sign(np.linalg.solve(M, np.asarray(soft, dtype=float)))
-
-
-def _likelihood_metric(candidates: np.ndarray, soft: np.ndarray, R: np.ndarray) -> np.ndarray:
-    """(b~ - R y)^T R^-1 (b~ - R y) for every row y of ``candidates``."""
-    d = soft[None, :] - candidates @ R.T
-    return np.einsum("nk,kn->n", d, np.linalg.solve(R, d.T))
+    return _solve_sign(M, np.asarray(soft, dtype=float))
 
 
 def mlse_objective(y, soft, R) -> float:
@@ -86,18 +82,8 @@ def mlse_objective(y, soft, R) -> float:
     """
     R = np.asarray(R, dtype=float)
     _check_condition(R)
-    y = np.asarray(y, dtype=float)
-    return float(_likelihood_metric(y[None, :], np.asarray(soft, dtype=float), R)[0])
-
-
-def _candidate_chunks(K: int):
-    """{-1,+1}^K in lexicographic order (-1 < +1), _ENUM_CHUNK rows at a time."""
-    candidates = itertools.product((-1.0, 1.0), repeat=K)
-    while True:
-        chunk = np.array(list(itertools.islice(candidates, _ENUM_CHUNK)))
-        if chunk.size == 0:
-            return
-        yield chunk
+    fitted = np.asarray(y, dtype=float)[None, :] @ R.T
+    return float(_metric_rows(np.asarray(soft, dtype=float)[None, :], fitted, R)[0, 0])
 
 
 def optimal_detect(soft, R) -> np.ndarray:
@@ -111,51 +97,64 @@ def optimal_detect(soft, R) -> np.ndarray:
     if K > MAX_EXHAUSTIVE_USERS:
         raise KTooLarge(f"K={K} exceeds exhaustive-search cap {MAX_EXHAUSTIVE_USERS}")
     _check_condition(R)
-
-    best_obj = np.inf
-    best = None
-    for chunk in _candidate_chunks(K):
-        objs = _likelihood_metric(chunk, soft, R)
-        i = int(np.argmin(objs))
-        # Strict < keeps the earliest (lexicographically smallest) argmin.
-        if objs[i] < best_obj:
-            best_obj = objs[i]
-            best = chunk[i]
-    return best.astype(int)
+    return _optimal_rows(soft[None], R)[0]
 
 
 def detect_rows(kinds, soft: np.ndarray, R: np.ndarray, noise_variance: float) -> dict:
     """Decisions of each selected detector for every row of soft (T, K).
 
-    Row t gets exactly the bits the per-symbol detector returns for
-    soft[t].  The matrices are not checked here: callers run each
-    per-symbol detector once first, which raises SingularMatrix or
-    KTooLarge for a degenerate scenario.
+    The per-symbol detectors are this code on one row, after their checks.
+    The matrices are not checked here: callers run each per-symbol
+    detector once first, which raises SingularMatrix or KTooLarge for a
+    degenerate scenario.
     """
-    # Every solve here takes one right-hand side per row, a (T, K, 1)
-    # stack: that gives each row the bits np.linalg.solve(M, soft[t])
-    # gives it alone, which a single (K, T) right-hand side does not.
     out = {}
     for kind in kinds:
         if kind is DetectorKind.SUD:
             out[kind] = _sign(soft)
         elif kind is DetectorKind.DECORRELATOR:
-            out[kind] = _sign(np.linalg.solve(R, soft[..., None])[..., 0])
+            out[kind] = _solve_sign(R, soft)
         elif kind is DetectorKind.MMSE:
-            M = R + noise_variance * np.eye(len(R))
-            out[kind] = _sign(np.linalg.solve(M, soft[..., None])[..., 0])
+            out[kind] = _solve_sign(R + noise_variance * np.eye(len(R)), soft)
         else:
             out[kind] = _optimal_rows(soft, R)
     return out
 
 
-def _optimal_rows(soft: np.ndarray, R: np.ndarray) -> np.ndarray:
-    """optimal_detect for every row of soft, a slice of rows at a time.
+def _solve_sign(M: np.ndarray, soft: np.ndarray) -> np.ndarray:
+    """sign(M^-1 b~) for every row b~ of soft (..., K)."""
+    # One right-hand side per row, a (..., K, 1) stack: that gives each row
+    # the bits np.linalg.solve(M, soft[t]) gives it alone, which a single
+    # (K, T) right-hand side does not.
+    return _sign(np.linalg.solve(M, soft[..., None])[..., 0])
 
-    Per candidate chunk, row t's residuals are _likelihood_metric's
-    soft[t] - chunk @ R.T and its metric is _likelihood_metric's solve and
-    einsum with a leading row axis; the strict < keeps the earliest argmin
-    across chunks.
+
+def _metric_rows(soft: np.ndarray, fitted: np.ndarray, R: np.ndarray) -> np.ndarray:
+    """(b~_t - f_n)^T R^-1 (b~_t - f_n) for rows b~_t of soft (T, K) and f_n of fitted (N, K).
+
+    fitted holds R y for each candidate y; the result is (T, N).
+    """
+    d = soft[:, None, :] - fitted
+    return np.einsum("tnk,tkn->tn", d, np.linalg.solve(R, d.transpose(0, 2, 1)))
+
+
+def _candidate_chunks(K: int):
+    """{-1,+1}^K in lexicographic order (-1 < +1), _ENUM_CHUNK rows at a time.
+
+    Bit j of candidate i is (i >> (K - 1 - j)) & 1, read as -1 for 0 and
+    +1 for 1.
+    """
+    shifts = np.arange(K - 1, -1, -1)
+    for lo in range(0, 1 << K, _ENUM_CHUNK):
+        i = np.arange(lo, min(lo + _ENUM_CHUNK, 1 << K))
+        yield 2.0 * ((i[:, None] >> shifts) & 1) - 1.0
+
+
+def _optimal_rows(soft: np.ndarray, R: np.ndarray) -> np.ndarray:
+    """Exhaustive likelihood search for every row of soft, a slice of rows at a time.
+
+    Each candidate chunk's fitted values R y are computed once per call;
+    the strict < keeps the earliest argmin across chunks.
     """
     T, K = soft.shape
     step = max(1, RESIDUAL_BYTES // (8 * K * min(2 ** K, _ENUM_CHUNK)))
@@ -165,8 +164,7 @@ def _optimal_rows(soft: np.ndarray, R: np.ndarray) -> np.ndarray:
         fitted = chunk @ R.T
         for lo in range(0, T, step):
             rows = np.arange(lo, min(lo + step, T))
-            d = soft[rows, None, :] - fitted
-            objs = np.einsum("tnk,tkn->tn", d, np.linalg.solve(R, d.transpose(0, 2, 1)))
+            objs = _metric_rows(soft[rows], fitted, R)
             i = np.argmin(objs, axis=1)
             obj = objs[np.arange(rows.size), i]
             better = obj < best_obj[rows]

@@ -15,8 +15,9 @@ axis.  SplitMix64 is counter-based, so ``rng.TrialStreams`` addresses each
 trial's n-th draw directly and every trial keeps its own stream and draw
 order: a block gives each trial exactly the bits, noise, decisions and
 measurement draws that trial gets when run alone.  The block's detectors
-skip the per-call condition check; the scenario's one check is the
-warm-up in ``_Prepared``.
+are ``detect_rows``, the row code that the per-symbol detectors run on
+one row; they skip the per-call condition check, and the scenario's one
+check is the per-symbol warm-up in ``_Prepared``.
 
 Sweeps reuse the same master seed at every parameter value: matching trial
 indices see identical bits and identical standard-normal noise (common
@@ -31,19 +32,18 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .cdma import correlation_matrix, matched_filter, noiseless_waveforms
-from .config import Scenario, scenario_digest
+from .config import Scenario, check_seed, scenario_digest
 from .detectors import (DetectorKind, decorrelate_detect, detect_rows, mmse_detect,
                         optimal_detect, sud_detect)
 from .errors import QmudError, UnknownParameter, ValidationError
 from .povm import DECISIONS, Decision, UserDecision, detect_user_rows
-from .registers import enumerate_hypotheses, quantize_waveform
+from .registers import enumerate_hypotheses, pack_basis, quantize_waveform
 from .rng import TrialStreams
 
 # benchmarks/traced_cli.py wraps these per-symbol functions on this
 # module, so they stay importable from it; the block engine calls none.
 from .cdma import transmit  # noqa: F401
 from .povm import detect_user  # noqa: F401
-from .registers import pack_basis  # noqa: F401
 from .rng import derive_seed  # noqa: F401
 
 ALL_DETECTORS = (DetectorKind.SUD, DetectorKind.DECORRELATOR,
@@ -202,10 +202,7 @@ def _run_block(prep: _Prepared, master_seed: int, t0: int, count: int) -> _Block
     if prep.registers is None:
         return _Block(t0, bits, decisions, None, None, None, None)
 
-    spec = scenario.quantizer
-    v = np.zeros(count, dtype=np.int64)
-    for code in quantize_waveform(received, spec).T:  # chip 0 most significant
-        v = (v << spec.n_ch) | code
+    v = pack_basis(quantize_waveform(received, scenario.quantizer), scenario.quantizer)
     codes = np.empty((count, scenario.K), dtype=np.int64)
     reps = np.empty((count, scenario.K), dtype=np.int64)
     misses = np.empty((count, scenario.K), dtype=bool)
@@ -236,6 +233,7 @@ def _run_trials(scenario: Scenario, detectors, include_qmud: bool, trials: int,
                 master_seed: int, cache: _RegisterCache) -> MetricsReport:
     if trials < 1:
         raise ValidationError(f"trials must be >= 1, got {trials}")
+    master_seed = check_seed(master_seed)
     kinds = tuple(k for k in ALL_DETECTORS if k in set(detectors))
     prep = _Prepared(scenario, include_qmud, kinds, cache)
 

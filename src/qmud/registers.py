@@ -2,7 +2,8 @@
 
 Every candidate received waveform is quantized chip by chip, by one
 quantizer for arrays of any shape, and packed into a single basis index of
-an N_Q-bit register (N_Q = N_ch * PG).  A user's hypothesis register for
+an N_Q-bit register (N_Q = N_ch * PG); ``pack_basis`` packs one waveform's
+codes or an array of them.  A user's hypothesis register for
 bit b is the set of indices reachable from that bit: own-signature delay
 variants, every interferer bit pattern, and a bounded lattice of per-chip
 noise offsets.  Registers carry implicit uniform amplitudes 1/sqrt(N_s),
@@ -45,15 +46,20 @@ def quantize_waveform(chips, spec: QuantizerSpec) -> np.ndarray:
     return np.floor((x + spec.amplitude) / spec.step).clip(0, spec.levels - 1).astype(np.int64)
 
 
-def pack_basis(codes, spec: QuantizerSpec) -> int:
-    """Pack chip codes into one basis index, chip 0 in the most significant bits."""
-    index = 0
-    for code in codes:
-        code = int(code)
-        if not 0 <= code < spec.levels:
-            raise CodeOutOfRange(f"chip code {code} does not fit in {spec.n_ch} bits")
-        index = (index << spec.n_ch) | code
-    return index
+def pack_basis(codes, spec: QuantizerSpec):
+    """Pack chip codes (..., PG) into basis indices, chip 0 in the most significant bits.
+
+    Returns an int for one waveform's codes and an ``np.int64`` array of
+    shape (...) for an array of them.
+    """
+    codes = np.asarray(codes)
+    bad = codes[(codes < 0) | (codes >= spec.levels)]
+    if bad.size:
+        raise CodeOutOfRange(f"chip code {bad[0]} does not fit in {spec.n_ch} bits")
+    codes = codes.astype(np.int64, copy=False)
+    # Each code has its own n_ch-bit field, so the sum is the bitwise or.
+    index = (codes << spec.n_ch * np.arange(codes.shape[-1] - 1, -1, -1)).sum(axis=-1)
+    return int(index) if index.ndim == 0 else index
 
 
 def unpack_basis(index: int, spec: QuantizerSpec, pg: int) -> tuple[int, ...]:
@@ -111,16 +117,13 @@ class SparseRegister:
         object.__setattr__(self, "members", values)
 
     def __contains__(self, v) -> bool:
-        i = int(np.searchsorted(self.members, v))
-        return i < self.members.size and bool(self.members[i] == v)
+        return bool(self.contains(v))
 
     def contains(self, v) -> np.ndarray:
-        """``v in self`` for every index of an integer array, elementwise."""
-        v = np.asarray(v)
+        """Membership of every index of an integer array, elementwise (binary search)."""
         if self.members.size == 0:
-            return np.zeros(v.shape, dtype=bool)
-        i = np.searchsorted(self.members, v).clip(max=self.members.size - 1)
-        return self.members[i] == v
+            return np.zeros(np.shape(v), dtype=bool)
+        return self.members.take(np.searchsorted(self.members, v), mode="clip") == v
 
     def __eq__(self, other):
         if not isinstance(other, SparseRegister):

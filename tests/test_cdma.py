@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_orthogonal, make_scenario, random_unit_signatures
-from qmud import (correlation_matrix, is_diagonally_dominant, matched_filter,
-                  noiseless_waveforms, transmit, walsh_hadamard_signatures)
+from qmud import (correlation_matrix, matched_filter, noiseless_waveforms, transmit,
+                  walsh_hadamard_signatures)
 from qmud.errors import ValidationError
 from qmud.rng import SplitMix64
 
@@ -48,11 +48,6 @@ class TestCorrelationMatrix:
         R = correlation_matrix(sc)
         expected = np.array(sc.energies) * np.array(sc.gains) ** 2
         np.testing.assert_allclose(np.diag(R), expected, atol=1e-12)
-
-    def test_diagonal_dominance_report(self, two_user_scenario):
-        assert is_diagonally_dominant(correlation_matrix(two_user_scenario))
-        same = make_scenario(signatures=((0.5,) * 4, (0.5,) * 4))
-        assert not is_diagonally_dominant(correlation_matrix(same))
 
 
 class TestTransmit:

@@ -233,6 +233,34 @@ class TestMainExitCodes:
                      "--seed", "42", "--out", str(out)]) == 0
         assert out.read_text() == GOLDEN_CSV
 
+    SEED_COMMANDS = [["run"], ["sweep", "--param", "noise_sigma", "--values", "0,0.1"]]
+
+    @pytest.mark.parametrize("command", SEED_COMMANDS)
+    @pytest.mark.parametrize("seed", ["-1", "18446744073709551616"])
+    def test_out_of_range_seed_rejected(self, tmp_path, capsys, command, seed):
+        cfg = self._write_config(tmp_path, MINIMAL_ONE_USER)
+        out = tmp_path / "r.csv"
+        assert main([*command, "--config", cfg, "--trials", "2", "--seed", seed,
+                     "--out", str(out)]) == 1
+        assert "seed must be an unsigned 64-bit integer" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", SEED_COMMANDS)
+    @pytest.mark.parametrize("seed", ["0", "18446744073709551615"])
+    def test_seed_range_ends_accepted(self, tmp_path, command, seed):
+        # The override is the master seed only: the scenario id still
+        # hashes the JSON's seed.
+        cfg = self._write_config(tmp_path, dict(MINIMAL_ONE_USER, seed=5))
+        tables = []
+        for extra in (["--seed", seed], []):
+            out = tmp_path / "r.csv"
+            assert main([*command, "--config", cfg, "--trials", "2", *extra,
+                         "--out", str(out)]) == 0
+            with open(out, newline="") as fh:
+                tables.append(list(csv.DictReader(fh)))
+        assert [r["scenario_id"] for r in tables[0]] == [r["scenario_id"] for r in tables[1]]
+        assert {r["seed"] for r in tables[0]} == {seed}
+
     def test_sweep_writes_param_columns(self, tmp_path):
         cfg = self._write_config(tmp_path, MINIMAL_ONE_USER)
         out = tmp_path / "s.csv"

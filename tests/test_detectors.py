@@ -165,6 +165,15 @@ class TestDetectRows:
         rows = detect_rows(tuple(DetectorKind), soft, R, var)
         for kind, detect in self.PER_SYMBOL.items():
             assert rows[kind].tolist() == [detect(s, R, var).tolist() for s in soft]
+        # The per-symbol detectors run this same row code, so the rows are
+        # also checked against independent oracles: explicit inverses and
+        # the brute-force search.
+        for kind, M in ((DetectorKind.DECORRELATOR, R),
+                        (DetectorKind.MMSE, R + var * np.eye(len(R)))):
+            closed_form = soft @ np.linalg.inv(M).T
+            assert rows[kind].tolist() == np.where(closed_form >= 0, 1, -1).tolist()
+        assert rows[DetectorKind.OPTIMAL].tolist() == [
+            brute_force_oracle(s, R)[0].tolist() for s in soft]
 
     @given(st.integers(0, 100_000), st.integers(1, 6), st.sampled_from([0.0, 0.01, 0.5, 2.0]))
     @settings(max_examples=40, deadline=None)
@@ -186,3 +195,27 @@ class TestDetectRows:
         soft = np.concatenate([rng.normal(size=(10, 4)), np.zeros((2, 4))])
         self._check(soft, np.eye(4), 0.3)
         self._check(soft, _random_R(rng, 4), 0.3)
+
+    @pytest.mark.parametrize("var", [0.0, 0.3])
+    def test_near_singular_R(self, var):
+        # Eigenvalues 1, 0.3 and 2e-12 give cond(R) = 5e11, just under the
+        # limit.  Noiseless rows still have one clear optimum and all-zero
+        # rows tie each candidate with its negation.
+        Q, _ = np.linalg.qr(np.random.default_rng(11).normal(size=(3, 3)))
+        R = (Q * [1.0, 0.3, 2e-12]) @ Q.T
+        R = (R + R.T) / 2
+        assert 1e11 < np.linalg.cond(R) < detectors.CONDITION_LIMIT
+        bits = np.array(list(itertools.product((-1.0, 1.0), repeat=3)))
+        self._check(np.concatenate([bits @ R, np.zeros((2, 3))]), R, var)
+
+
+class TestCandidateChunks:
+    @pytest.mark.parametrize("chunk", [4, 5])
+    def test_lexicographic_order_in_chunks(self, monkeypatch, chunk):
+        # A chunk of 5 leaves an uneven last chunk for every K >= 3.
+        monkeypatch.setattr(detectors, "_ENUM_CHUNK", chunk)
+        for K in range(1, 13):
+            chunks = list(detectors._candidate_chunks(K))
+            assert all(len(c) == chunk for c in chunks[:-1])
+            assert np.concatenate(chunks).tolist() == [
+                list(y) for y in itertools.product((-1.0, 1.0), repeat=K)]

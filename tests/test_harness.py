@@ -56,6 +56,15 @@ class TestRunTrials:
         assert q.mean_reps == 1.0
         assert all(report.detector_bit_errors[k] == 0 for k in ALL_DETECTORS)
 
+    @pytest.mark.parametrize("seed", [-1, 1 << 64, 2.5])
+    def test_out_of_range_master_seed_rejected(self, monkeypatch, seed):
+        builds = _count_builds(monkeypatch)
+        with pytest.raises(ValidationError, match="seed"):
+            run_trials(make_orthogonal(K=1, PG=4), trials=1, master_seed=seed)
+        with pytest.raises(ValidationError, match="seed"):
+            sweep(make_orthogonal(K=1, PG=4), "noise_sigma", [0.0], 1, seed)
+        assert builds == []
+
     def test_category_accounting_partitions_all_slots(self):
         report = run_trials(_nonorthogonal_noisy(), trials=500, master_seed=3)
         q = report.qmud

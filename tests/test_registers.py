@@ -113,6 +113,24 @@ class TestPackBasis:
         with pytest.raises(CodeOutOfRange):
             pack_basis((4, 0), SPEC22)
 
+    def test_arrays_pack_row_by_row(self):
+        spec = QuantizerSpec(n_ch=3, amplitude=1.0)
+        codes = np.random.default_rng(5).integers(0, spec.levels, size=(2, 25, 4))
+        packed = pack_basis(codes, spec)
+        assert packed.dtype == np.int64 and packed.shape == (2, 25)
+        for row, index in zip(codes.reshape(-1, 4).tolist(), packed.ravel().tolist()):
+            expected = 0
+            for code in row:
+                expected = expected * spec.levels + code
+            assert index == expected == pack_basis(tuple(row), spec)
+
+    @pytest.mark.parametrize("bad", [-1, 4, 2**70])
+    def test_one_bad_code_anywhere_raises(self, bad):
+        codes = np.zeros((6, 3), dtype=object)
+        codes[4, 2] = bad
+        with pytest.raises(CodeOutOfRange):
+            pack_basis(codes, SPEC22)
+
     @pytest.mark.parametrize("pg,n_ch", [(3, 4), (6, 2), (12, 1)])
     def test_injective_over_all_code_tuples(self, pg, n_ch):
         spec = QuantizerSpec(n_ch=n_ch, amplitude=1.0)
@@ -276,6 +294,17 @@ class TestSparseRegisterApi:
         for v in range(-2, 70):
             assert (v in reg) == (v % 3 == 0 and 0 <= v < 64)
         assert 2**70 not in reg
+
+    @pytest.mark.parametrize("members", [range(0, 64, 3), []])
+    def test_membership_of_edge_values(self, members):
+        reg = SparseRegister(members, n_q=6)
+        stored = set(reg.sorted_members())
+        values = [-1, 0, 3, 5.0, 6.0, 6.5, np.int64(9), np.uint64(63), 2**24, 2**63 - 1,
+                  2**63, 2**70]
+        for v in values:
+            assert (v in reg) == (v in stored), v
+        ints = np.array([-1, 0, 3, 4, 63, 2**24, 2**63 - 1])
+        assert reg.contains(ints).tolist() == [int(v) in stored for v in ints]
 
     def test_members_are_read_only(self):
         source = np.array([4, 1], dtype=np.int64)
