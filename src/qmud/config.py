@@ -4,8 +4,8 @@ A ``Scenario`` bundles everything needed to synthesize, receive and detect
 one synchronous symbol: user signatures, energies, channel gains, chip
 noise level, the chip quantizer, the bounded noise lattice used when
 building hypothesis registers, candidate path delays, and the measurement
-repetition budget.  Instances are immutable and safe to share across
-concurrent trial workers.
+repetition budget.  Instances are immutable; each builds its signature
+matrix and amplitude vector once.
 """
 
 from __future__ import annotations

@@ -3,8 +3,11 @@
 Each trial draws uniform bits, synthesizes the received waveform, runs the
 classical detector bank on the matched-filter outputs, quantizes the
 waveform into a basis index, and runs the quantum receiver per user against
-hypothesis registers built once per scenario; a sweep builds them again
-only at points that change a field the registers depend on.  Trial t's
+the scenario's hypothesis registers.  All 2K registers are built at once as
+one ``registers.RegisterBank``, once per scenario; a sweep builds it again
+only at points that change a field the registers depend on.  A block looks
+its received indices up in the bank once, which gives every user's
+membership in both registers and every coverage miss.  Trial t's
 stream is seeded with derive_seed(master_seed, t); within a trial the draw
 order is fixed (K bit uniforms, PG noise normals, then the users'
 measurement draws in ascending user order), so every aggregate is
@@ -37,13 +40,14 @@ from .detectors import (DetectorKind, decorrelate_detect, detect_rows, mmse_dete
                         optimal_detect, sud_detect)
 from .errors import QmudError, UnknownParameter, ValidationError
 from .povm import DECISIONS, Decision, UserDecision, detect_user_rows
-from .registers import enumerate_hypotheses, pack_basis, quantize_waveform
+from .registers import RegisterBank, build_bank, pack_basis, quantize_waveform, register_bit
 from .rng import TrialStreams
 
-# benchmarks/traced_cli.py wraps these per-symbol functions on this
-# module, so they stay importable from it; the block engine calls none.
+# benchmarks/traced_cli.py wraps these functions on this module, so they
+# stay importable from it; the block engine calls none of them.
 from .cdma import transmit  # noqa: F401
 from .povm import detect_user  # noqa: F401
+from .registers import enumerate_hypotheses  # noqa: F401
 from .rng import derive_seed  # noqa: F401
 
 ALL_DETECTORS = (DetectorKind.SUD, DetectorKind.DECORRELATOR,
@@ -106,24 +110,23 @@ class MetricsReport:
 class _RegisterCache:
     """The register bank for the most recent register-defining fields.
 
-    The key holds every scenario field enumerate_hypotheses reads, so a
-    noise_sigma or reps_max sweep builds its bank once.  A new key drops
-    the old bank before building its own: two banks never coexist.
+    The key holds every scenario field build_bank reads, so a noise_sigma
+    or reps_max sweep builds its bank once.  A new key drops the old bank
+    before building its own: two banks never coexist.
     """
 
     def __init__(self):
         self._key = None
-        self._registers = None
+        self._bank = None
 
-    def registers(self, scenario: Scenario) -> dict:
+    def bank(self, scenario: Scenario) -> RegisterBank:
         key = (scenario.signatures, scenario.energies, scenario.gains,
                scenario.quantizer, scenario.gamma, scenario.delays)
         if key != self._key:
-            self._key = self._registers = None
-            self._registers = {(k, bit): enumerate_hypotheses(scenario, k, bit)
-                               for k in range(scenario.K) for bit in (1, -1)}
+            self._key = self._bank = None
+            self._bank = build_bank(scenario)
             self._key = key
-        return self._registers
+        return self._bank
 
 
 class _Prepared:
@@ -132,7 +135,7 @@ class _Prepared:
     Holds the scenario, the selected detector kinds, R and, with
     include_qmud, the register bank.  Each selected detector first runs
     once on a zero soft vector, so its own checks (SingularMatrix,
-    KTooLarge) reject a degenerate scenario before any register build and
+    KTooLarge) reject a degenerate scenario before the bank is built and
     before trial 0, with or without registers.
     """
 
@@ -143,8 +146,7 @@ class _Prepared:
         self.R = correlation_matrix(scenario)
         self.noise_variance = scenario.noise_sigma ** 2
         _run_detectors(np.zeros(scenario.K), self)
-        self.registers = ((cache or _RegisterCache()).registers(scenario)
-                          if include_qmud else None)
+        self.bank = (cache or _RegisterCache()).bank(scenario) if include_qmud else None
 
 
 def _run_detectors(soft, prep: _Prepared):
@@ -199,17 +201,20 @@ def _run_block(prep: _Prepared, master_seed: int, t0: int, count: int) -> _Block
     received = clean + scenario.noise_sigma * streams.normals(scenario.PG)
     soft = matched_filter(received, scenario)
     decisions = detect_rows(prep.kinds, soft, prep.R, prep.noise_variance)
-    if prep.registers is None:
+    bank = prep.bank
+    if bank is None:
         return _Block(t0, bits, decisions, None, None, None, None)
 
     v = pack_basis(quantize_waveform(received, scenario.quantizer), scenario.quantizer)
+    stored = bank.contains(v)
     codes = np.empty((count, scenario.K), dtype=np.int64)
     reps = np.empty((count, scenario.K), dtype=np.int64)
-    misses = np.empty((count, scenario.K), dtype=bool)
     for k in range(scenario.K):
-        reg1, reg0 = prep.registers[(k, 1)], prep.registers[(k, -1)]
-        codes[:, k], reps[:, k] = detect_user_rows(reg1, reg0, v, scenario.reps_max, streams)
-        misses[:, k] = ~np.where(bits[:, k] == 1, reg1.contains(v), reg0.contains(v))
+        one, zero = register_bit(k, 1), register_bit(k, -1)
+        codes[:, k], reps[:, k] = detect_user_rows(
+            stored[:, one], stored[:, zero], bank.n_s[one], bank.n_s[zero],
+            scenario.reps_max, streams)
+    misses = ~np.take_along_axis(stored, register_bit(np.arange(scenario.K), bits), axis=1)
     return _Block(t0, bits, decisions, v, codes, reps, misses)
 
 

@@ -23,7 +23,8 @@ The operators are the model, sampled shot by shot by ``measurement_block``;
 ``detect_user`` reproduces its draws and verdicts by register membership
 plus one threshold compare per block, and the tests check it against them.
 ``detect_user_rows`` runs ``detect_user`` for a block of trials at once,
-each on its own stream.
+each on its own stream, from the memberships and populations the harness
+reads from its register bank; it sees no register.
 """
 
 from __future__ import annotations
@@ -266,24 +267,27 @@ DECISIONS = (Decision.NO_MESSAGE, Decision.BIT_ZERO, Decision.BIT_ONE,
              Decision.AMBIGUOUS, Decision.INCONCLUSIVE)
 
 
-def detect_user_rows(reg1: SparseRegister, reg0: SparseRegister, v: np.ndarray,
+def detect_user_rows(stored1: np.ndarray, stored0: np.ndarray, n_s1: int, n_s0: int,
                      reps_max: int, streams: TrialStreams) -> tuple[np.ndarray, np.ndarray]:
-    """detect_user for every row: index v[t] against row t of ``streams``.
+    """detect_user for every row, given v[t]'s membership in both registers.
 
-    Returns (decision code, reps_used) arrays; a code indexes DECISIONS.
-    Each round, every still-open bank of every row draws its confirm and
-    then its reject uniform, bank1 before bank0, so each row takes the
-    draws detect_user takes from its stream and reaches its decision.
+    ``stored1[t]`` and ``stored0[t]`` say whether the bit-1 and the bit-0
+    register, of populations ``n_s1`` and ``n_s0``, store row t's received
+    index; row t draws from row t of ``streams``.  Returns (decision code,
+    reps_used) arrays; a code indexes DECISIONS.  Each round, every
+    still-open bank of every row draws its confirm and then its reject
+    uniform, bank1 before bank0, so each row takes the draws detect_user
+    takes from its stream and reaches its decision.
     """
     if reps_max < 1:
         raise ValidationError(f"reps_max must be >= 1, got {reps_max}")
 
     banks = []
-    for reg in (reg1, reg0):
-        c1 = present_qubit_amplitudes(reg.n_s)[1]  # raises EmptyRegister for N_s = 0
-        banks.append((reg.contains(v), c1 * c1))
-    done = np.zeros((2, v.size), dtype=bool)
-    reps = np.zeros((2, v.size), dtype=np.int64)
+    for stored, n_s in ((stored1, n_s1), (stored0, n_s0)):
+        c1 = present_qubit_amplitudes(n_s)[1]  # raises EmptyRegister for N_s = 0
+        banks.append((stored, c1 * c1))
+    done = np.zeros((2, stored1.size), dtype=bool)
+    reps = np.zeros((2, stored1.size), dtype=np.int64)
     for rep in range(1, reps_max + 1):
         for b, (stored, threshold) in enumerate(banks):
             rows = np.flatnonzero(~done[b])
@@ -292,7 +296,7 @@ def detect_user_rows(reg1: SparseRegister, reg0: SparseRegister, v: np.ndarray,
             reps[b, rows] = rep
         if done.all():
             break
-    codes = np.where(done.all(axis=0), 2 * banks[0][0] + banks[1][0], 4)
+    codes = np.where(done.all(axis=0), 2 * stored1 + stored0, 4)
     return codes, reps.max(axis=0)
 
 

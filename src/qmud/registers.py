@@ -9,13 +9,21 @@ variants, every interferer bit pattern, and a bounded lattice of per-chip
 noise offsets.  Registers carry implicit uniform amplitudes 1/sqrt(N_s),
 so membership alone fixes the state.
 
-A register stores its members as a read-only sorted ``np.int64`` array
-(8 bytes per index; N_Q <= 24 bits, so every index fits), and membership is
-one binary search.  ``enumerate_hypotheses`` computes every waveform of a
-register in numpy and collapses duplicates with one sort.  Registers
-depend only on the signatures, energies, gains, quantizer, gamma and
-delays, so ``harness.sweep`` builds them once for a ``noise_sigma`` or
-``reps_max`` sweep and anew at each point of a ``gamma`` or ``N_ch`` sweep.
+One enumerator, ``_pattern_boxes``, turns bit patterns into indices: a
+pattern's box is its noiseless waveform under every lattice offset,
+quantized and packed in numpy.  ``enumerate_hypotheses`` builds one
+register from the boxes of the patterns that fix the user's bit, as a
+``SparseRegister``: a read-only sorted ``np.int64`` array (N_Q <= 24 bits,
+so every index fits) with duplicates collapsed by one sort.
+``build_bank`` builds all 2K registers of a scenario at once as a
+``RegisterBank``: with delay 0, register (k, b) is the union of the boxes
+of the full patterns whose bit k is b, so the 2^K boxes are enumerated and
+sorted once, and each stored index carries a 2K-bit mask of the registers
+that hold it.  One binary search of a received index into the bank gives
+its membership in every register.  Registers depend only on the
+signatures, energies, gains, quantizer, gamma and delays, so
+``harness.sweep`` builds one bank for a ``noise_sigma`` or ``reps_max``
+sweep and a new one at each point of a ``gamma`` or ``N_ch`` sweep.
 """
 
 from __future__ import annotations
@@ -193,6 +201,35 @@ def hypothesis_budget(scenario: Scenario) -> int:
     return lattice * len(scenario.delays) * 2 ** (scenario.K - 1)
 
 
+def _check_budget(scenario: Scenario) -> None:
+    if hypothesis_budget(scenario) > ENUMERATION_BUDGET:
+        raise BudgetExceeded(
+            f"{hypothesis_budget(scenario)} hypotheses exceed budget {ENUMERATION_BUDGET}")
+
+
+def _pattern_boxes(scenario: Scenario, signatures: np.ndarray,
+                   patterns: np.ndarray) -> np.ndarray:
+    """Packed indices of each bit pattern's box, one row per row of ``patterns``.
+
+    Row p holds the quantized index of the noiseless waveform of pattern p
+    under ``signatures`` plus every combination of per-chip noise offsets
+    eps[n] in {-gamma*step, ..., 0, ..., +gamma*step}, so it has
+    (2*gamma + 1)**PG entries.  This is the one enumeration of waveforms
+    into indices; ``enumerate_hypotheses`` and ``build_bank`` both use it.
+    """
+    spec = scenario.quantizer
+    lattice = spec.step * np.arange(-scenario.gamma, scenario.gamma + 1, dtype=float)
+    base = noiseless_waveforms(scenario.amplitude_vector(), signatures, patterns)
+    # codes[p, n, j]: chip n of pattern p shifted by lattice offset j.
+    codes = quantize_waveform(base[:, :, None] + lattice, spec)
+    # Pack every combination of per-chip offsets, chip 0 most significant.
+    index = np.zeros((len(patterns), 1), dtype=np.int64)
+    for n in range(scenario.PG):
+        index = (index[:, :, None] * spec.levels + codes[:, n, None, :]).reshape(
+            len(patterns), -1)
+    return index
+
+
 def enumerate_hypotheses(scenario: Scenario, user: int, bit: int) -> SparseRegister:
     """Hypothesis register of `user` for transmitted `bit` (+1 or -1).
 
@@ -202,40 +239,137 @@ def enumerate_hypotheses(scenario: Scenario, user: int, bit: int) -> SparseRegis
 
     over own-signature delays d, all interferer bit patterns, and per-chip
     noise offsets eps[n] in {-gamma*step, ..., 0, ..., +gamma*step}.
-    Duplicate indices collapse.
+    Duplicate indices collapse.  ``build_bank`` builds all 2K registers of
+    a scenario at once; this builds one.
     """
     if not 0 <= user < scenario.K:
         raise ValidationError(f"user index {user} outside [0, {scenario.K})")
     if bit not in (-1, 1):
         raise ValidationError(f"bit must be +1 or -1, got {bit}")
-    if hypothesis_budget(scenario) > ENUMERATION_BUDGET:
-        raise BudgetExceeded(
-            f"{hypothesis_budget(scenario)} hypotheses exceed budget {ENUMERATION_BUDGET}")
+    _check_budget(scenario)
 
-    spec = scenario.quantizer
-    amp = scenario.amplitude_vector()
     # Row `user` is overwritten once per delay variant below.
     sig = scenario.signature_matrix().copy()
     # Every interferer bit pattern with the user's own bit fixed: (2**(K-1), K).
     patterns = np.array([p[:user] + (float(bit),) + p[user:]
                          for p in itertools.product((-1.0, 1.0), repeat=scenario.K - 1)])
-    lattice = spec.step * np.arange(-scenario.gamma, scenario.gamma + 1, dtype=float)
-
     # One chunk per own-signature delay variant; the budget check above
     # bounds all chunks together to ENUMERATION_BUDGET indices.
     chunks = []
     for own in shift_variants(sig[user], scenario.delays):
         sig[user] = own
-        base = noiseless_waveforms(amp, sig, patterns)
-        # codes[p, n, j]: chip n of pattern p shifted by lattice offset j.
-        codes = quantize_waveform(base[:, :, None] + lattice, spec)
-        # Pack every combination of per-chip offsets, chip 0 most significant.
-        index = np.zeros((len(patterns), 1), dtype=np.int64)
-        for n in range(scenario.PG):
-            index = (index[:, :, None] * spec.levels + codes[:, n, None, :]).reshape(
-                len(patterns), -1)
-        chunks.append(index.ravel())
+        chunks.append(_pattern_boxes(scenario, sig, patterns).ravel())
     return SparseRegister(np.concatenate(chunks), scenario.register_bits)
+
+
+def register_bit(user, bit):
+    """Mask bit of register (user, bit): 2*user for bit +1, 2*user + 1 for bit -1.
+
+    Works elementwise on integer arrays of users and bits.
+    """
+    return 2 * user + (bit == -1)
+
+
+@dataclass(frozen=True, eq=False)
+class RegisterBank:
+    """All 2K hypothesis registers of a scenario, stored as one sorted union.
+
+    ``members`` is the read-only, strictly increasing ``np.int64`` array of
+    every index that any register stores.  ``masks[i]`` has bit
+    ``register_bit(k, b)`` set when register (k, b) stores ``members[i]``,
+    and ``n_s[register_bit(k, b)]`` is that register's population N_s.
+    """
+
+    members: np.ndarray
+    masks: np.ndarray
+    n_s: tuple[int, ...]
+    n_q: int
+
+    def contains(self, v) -> np.ndarray:
+        """Membership of every index of an integer array in every register, by one binary search.
+
+        Returns bools of shape ``v.shape + (2K,)``; column ``register_bit(k, b)``
+        is the membership in register (k, b).
+        """
+        pos = np.searchsorted(self.members, v)
+        found = self.members.take(pos, mode="clip") == v
+        masks = np.where(found, self.masks.take(pos, mode="clip"), 0)
+        return (masks[..., None] >> np.arange(len(self.n_s))) & 1 == 1
+
+    def register(self, user: int, bit: int) -> SparseRegister:
+        """Register (user, bit) on its own."""
+        stored = (self.masks >> register_bit(user, bit)) & 1 == 1
+        return SparseRegister(self.members[stored], self.n_q)
+
+
+def _collapse(boxes: np.ndarray, pattern_masks: np.ndarray, K: int):
+    """(sorted unique indices, OR of the masks of the patterns whose box holds each).
+
+    ``boxes`` is a fresh (2**K, entries) array from ``_pattern_boxes``,
+    reused in place as the sort keys (index << K) | pattern id.  The budget
+    caps K at 20, so a key (24 index bits plus K) and a mask (2K bits) each
+    fit in an int64.
+    """
+    keys = boxes
+    keys <<= K
+    keys |= np.arange(len(keys))[:, None]
+    keys = keys.reshape(-1)
+    keys.sort()
+    index = keys >> K
+    starts = np.flatnonzero(np.concatenate(([True], index[1:] != index[:-1])))
+    members = index[starts]
+    del index  # free it before the mask gather allocates as much again
+    keys &= (1 << K) - 1
+    return members, np.bitwise_or.reduceat(pattern_masks[keys], starts)
+
+
+def _merge(members, masks, extra, extra_masks):
+    """Union of two (sorted unique indices, masks) pairs; a shared index ORs its masks."""
+    union = np.union1d(members, extra)
+    merged = np.zeros(union.size, dtype=np.int64)
+    merged[np.searchsorted(union, members)] = masks
+    merged[np.searchsorted(union, extra)] |= extra_masks
+    return union, merged
+
+
+def build_bank(scenario: Scenario) -> RegisterBank:
+    """Every (user, bit) register of ``scenario`` from one pass over its pattern boxes.
+
+    With delay 0 in ``delays``, register (k, b) holds the boxes of the full
+    bit patterns whose bit k is b, so the 2**K boxes are enumerated once
+    and each index takes the OR of its patterns' masks, each pattern
+    setting one bit per user.  Every other own-signature delay variant of
+    user k adds a box over all 2**K patterns that sets only bit (k, p_k).
+    Members equal those of ``enumerate_hypotheses`` register by register.
+    """
+    _check_budget(scenario)
+    K = scenario.K
+    # Bit k of pattern id p is 1 when user k sends -1.
+    flips = (np.arange(1 << K)[:, None] >> np.arange(K)) & 1
+    patterns = 1.0 - 2.0 * flips
+    # own_bits[p, k]: the mask bit pattern p sets for user k.
+    own_bits = np.int64(1) << register_bit(np.arange(K), patterns)
+    signatures = scenario.signature_matrix()
+
+    # One (signatures, mask each pattern sets) per box.
+    boxes = [(signatures, own_bits.sum(axis=1))] if 0 in scenario.delays else []
+    for k in range(K):
+        # With delay 0, the first variant is the unshifted signature: the
+        # shared box above covers it.
+        variants = shift_variants(signatures[k], scenario.delays)
+        for own in variants[1:] if 0 in scenario.delays else variants:
+            sig = signatures.copy()
+            sig[k] = own
+            boxes.append((sig, own_bits[:, k]))
+
+    members = masks = None
+    for sig, pattern_masks in boxes:
+        part = _collapse(_pattern_boxes(scenario, sig, patterns), pattern_masks, K)
+        members, masks = part if members is None else _merge(members, masks, *part)
+    members.setflags(write=False)
+    masks.setflags(write=False)
+    n_s = tuple(int(np.count_nonzero(masks & (1 << j))) for j in range(2 * K))
+    return RegisterBank(members, masks, n_s, scenario.register_bits)
 
 
 def dump_register(reg: SparseRegister) -> str:

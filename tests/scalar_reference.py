@@ -9,7 +9,8 @@ uses for the transmitter.
 ``reference_trial`` and ``reference_report`` are the per-trial loop that
 ``harness`` ran before it ran trials in blocks: one ``SplitMix64`` per
 trial, drawn through the per-symbol ``transmit``, detectors and
-``detect_user``.
+``detect_user``, against registers that ``reference_registers`` builds one
+by one with ``enumerate_hypotheses``, not read from the harness's bank.
 """
 
 import itertools
@@ -21,7 +22,7 @@ from qmud.cdma import matched_filter, transmit
 from qmud.config import scenario_digest
 from qmud.harness import MetricsReport, QmudStats, TrialRecord
 from qmud.povm import Decision, detect_user
-from qmud.registers import pack_basis, quantize_waveform, shift_variants
+from qmud.registers import enumerate_hypotheses, pack_basis, quantize_waveform, shift_variants
 from qmud.rng import SplitMix64, derive_seed
 
 
@@ -55,10 +56,18 @@ def reference_hypotheses(scenario, user: int, bit: int) -> set[int]:
     return members
 
 
-def reference_trial(prep, trial_index: int, master_seed: int) -> TrialRecord:
+def reference_registers(scenario) -> dict:
+    """Every (user, bit) register of the scenario, each enumerated on its own."""
+    return {(k, b): enumerate_hypotheses(scenario, k, b)
+            for k in range(scenario.K) for b in (1, -1)}
+
+
+def reference_trial(prep, registers, trial_index: int, master_seed: int) -> TrialRecord:
     """One trial on its own SplitMix64 stream through the per-symbol functions.
 
-    This is the per-trial body the block engine replaced, kept as its oracle.
+    ``registers`` is ``reference_registers(prep.scenario)``, or None to skip
+    the receiver.  This is the per-trial body the block engine replaced,
+    kept as its oracle.
     """
     scenario = prep.scenario
     rng = SplitMix64(derive_seed(master_seed, trial_index))
@@ -71,14 +80,14 @@ def reference_trial(prep, trial_index: int, master_seed: int) -> TrialRecord:
     v = None
     misses = None
     reps = None
-    if prep.registers is not None:
+    if registers is not None:
         v = pack_basis(quantize_waveform(received, scenario.quantizer), scenario.quantizer)
         per_user = []
         for k in range(scenario.K):
-            per_user.append(detect_user(prep.registers[(k, 1)], prep.registers[(k, -1)],
+            per_user.append(detect_user(registers[(k, 1)], registers[(k, -1)],
                                         v, scenario.reps_max, rng))
         qmud_decisions = tuple(per_user)
-        misses = tuple(v not in prep.registers[(k, bits[k])] for k in range(scenario.K))
+        misses = tuple(v not in registers[(k, bits[k])] for k in range(scenario.K))
         reps = tuple(d.reps_used for d in per_user)
     return TrialRecord(trial_index, bits, decisions, qmud_decisions, v, misses, reps)
 
@@ -86,13 +95,14 @@ def reference_trial(prep, trial_index: int, master_seed: int) -> TrialRecord:
 def reference_report(scenario, kinds, include_qmud: bool, trials: int,
                      master_seed: int) -> MetricsReport:
     """run_trials as the per-trial loop over reference_trial."""
-    prep = harness._Prepared(scenario, include_qmud, kinds)
+    prep = harness._Prepared(scenario, False, kinds)
+    registers = reference_registers(scenario) if include_qmud else None
     bit_errors = {k: 0 for k in kinds}
     correct = false_dec = no_msg = ambiguous = inconclusive = miss_count = 0
     reps_total = 0
 
     for t in range(trials):
-        rec = reference_trial(prep, t, master_seed)
+        rec = reference_trial(prep, registers, t, master_seed)
         for kind in kinds:
             bit_errors[kind] += sum(
                 d != b for d, b in zip(rec.detector_decisions[kind], rec.true_bits))

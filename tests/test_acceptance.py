@@ -22,9 +22,10 @@ from qmud import (DetectorKind, MeasurementOutcome, QubitState,
                   symmetric_gain, confirm_reject_pair, transmit)
 from qmud.cdma import correlation_matrix
 from qmud.cli import main, parse_config
-from qmud.harness import _Prepared, run_trials
+from qmud.harness import run_trials
 from qmud.registers import pack_basis, quantize_waveform
 from qmud.rng import SplitMix64
+from scalar_reference import reference_registers
 
 BETA_GRID = [round(0.1 * i, 1) for i in range(11)]
 NS_GRID = [1, 2, 4, 16, 256]
@@ -174,7 +175,7 @@ def test_criterion_7_optimal_detector_against_oracle():
 def _decode_all_patterns(scenario, reps_max, seed):
     """Run the pipeline over every bit pattern; return per-pattern results."""
     R = correlation_matrix(scenario)
-    prep = _Prepared(scenario, include_qmud=True)
+    registers = reference_registers(scenario)
     results = []
     rng = SplitMix64(seed)
     for bits in itertools.product((-1, 1), repeat=scenario.K):
@@ -187,8 +188,7 @@ def _decode_all_patterns(scenario, reps_max, seed):
             "optimal": tuple(optimal_detect(soft, R)),
         }
         v = pack_basis(quantize_waveform(chips, scenario.quantizer), scenario.quantizer)
-        qmud = [detect_user(prep.registers[(k, 1)], prep.registers[(k, -1)],
-                            v, reps_max, rng)
+        qmud = [detect_user(registers[(k, 1)], registers[(k, -1)], v, reps_max, rng)
                 for k in range(scenario.K)]
         results.append((bits, classical, qmud))
     return results

@@ -10,26 +10,27 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_orthogonal, make_scenario, random_unit_signatures
-from qmud import (Decision, DetectorKind, QuantizerSpec, harness, run_trials, sweep,
-                  walsh_hadamard_signatures)
+from qmud import (Decision, DetectorKind, QuantizerSpec, harness, registers, run_trials,
+                  sweep, walsh_hadamard_signatures)
 from qmud.config import default_amplitude
 from qmud.detectors import RESIDUAL_BYTES
-from qmud.errors import KTooLarge, SingularMatrix, UnknownParameter, ValidationError
+from qmud.errors import (BudgetExceeded, KTooLarge, SingularMatrix, UnknownParameter,
+                         ValidationError)
 from qmud.harness import (ALL_DETECTORS, BLOCK_TRIALS, _Prepared, _RegisterCache,
                           _run_block, run_single_trial)
-from scalar_reference import reference_report, reference_trial
+from scalar_reference import reference_registers, reference_report, reference_trial
 
 
 def _count_builds(monkeypatch) -> list:
-    """Record every register build the harness makes."""
+    """Record every register bank build the harness starts."""
     builds = []
-    real = harness.enumerate_hypotheses
+    real = harness.build_bank
 
-    def counting(scenario, user, bit):
-        builds.append((user, bit))
-        return real(scenario, user, bit)
+    def counting(scenario):
+        builds.append(scenario)
+        return real(scenario)
 
-    monkeypatch.setattr(harness, "enumerate_hypotheses", counting)
+    monkeypatch.setattr(harness, "build_bank", counting)
     return builds
 
 
@@ -82,12 +83,13 @@ class TestRunTrials:
         # the received index; no-message means neither register holds it.
         sc = _nonorthogonal_noisy()
         prep = _Prepared(sc, include_qmud=True, kinds=())
+        regs = reference_registers(sc)
         for t in range(300):
             rec = run_single_trial(prep, t, master_seed=11)
             for k in range(sc.K):
                 kind = rec.qmud_decisions[k].kind
-                in1 = rec.received_index in prep.registers[(k, 1)].members
-                in0 = rec.received_index in prep.registers[(k, -1)].members
+                in1 = rec.received_index in regs[(k, 1)].members
+                in0 = rec.received_index in regs[(k, -1)].members
                 if kind is Decision.BIT_ONE:
                     assert in1 and not in0
                 elif kind is Decision.BIT_ZERO:
@@ -188,20 +190,20 @@ class TestRegisterReuse:
     def test_register_neutral_sweep_builds_once(self, monkeypatch, param, values):
         builds = _count_builds(monkeypatch)
         sweep(_nonorthogonal_noisy(), param, values, trials=20, master_seed=1)
-        assert len(builds) == 2 * 2
+        assert len(builds) == 1
 
     @pytest.mark.parametrize("param,values", [("gamma", [0, 1, 2]), ("N_ch", [2, 3, 4])])
     def test_register_defining_sweep_rebuilds_every_point(self, monkeypatch, param, values):
         builds = _count_builds(monkeypatch)
         sweep(_nonorthogonal_noisy(), param, values, trials=20, master_seed=1)
-        assert len(builds) == 2 * 2 * len(values)
+        assert len(builds) == len(values)
 
     def test_run_trials_builds_its_own_bank(self, monkeypatch):
         builds = _count_builds(monkeypatch)
         sc = _nonorthogonal_noisy()
         run_trials(sc, trials=5, master_seed=0)
         run_trials(sc, trials=5, master_seed=0)
-        assert len(builds) == 2 * 2 * 2
+        assert len(builds) == 2
 
     @pytest.mark.parametrize("param,values", [("noise_sigma", [0.0, 0.1, 0.2]),
                                               ("reps_max", [1, 3, 6]),
@@ -221,18 +223,19 @@ class TestRegisterReuse:
 
     def test_new_key_frees_the_old_bank_before_building(self, monkeypatch):
         cache = _RegisterCache()
-        old = weakref.ref(cache.registers(_nonorthogonal_noisy(gamma=0))[(0, 1)])
+        old = weakref.ref(cache.bank(_nonorthogonal_noisy(gamma=0)))
         alive_at_build = []
-        real = harness.enumerate_hypotheses
+        real = harness.build_bank
 
-        def probing(scenario, user, bit):
+        def probing(scenario):
             gc.collect()
             alive_at_build.append(old() is not None)
-            return real(scenario, user, bit)
+            return real(scenario)
 
-        monkeypatch.setattr(harness, "enumerate_hypotheses", probing)
-        cache.registers(_nonorthogonal_noisy(gamma=1))
-        assert alive_at_build == [False] * 4
+        monkeypatch.setattr(harness, "build_bank", probing)
+        new = cache.bank(_nonorthogonal_noisy(gamma=1))
+        assert alive_at_build == [False]
+        assert cache.bank(_nonorthogonal_noisy(gamma=1, noise_sigma=0.0)) is new
 
 
 class TestDegenerateScenarios:
@@ -263,7 +266,7 @@ class TestDegenerateScenarios:
         # With noise, R + sigma^2 I is invertible and the run goes ahead.
         report = run_trials(sc.with_overrides(noise_sigma=0.1), detectors=(DetectorKind.MMSE,),
                             trials=3, master_seed=0)
-        assert len(builds) == 2 * 3
+        assert len(builds) == 1
         assert report.qmud is not None
 
     def test_singular_r_without_registers_fails_before_any_trial(self, monkeypatch):
@@ -284,6 +287,19 @@ class TestDegenerateScenarios:
             run_trials(sc, detectors=(DetectorKind.OPTIMAL,), include_qmud=False,
                        trials=3, master_seed=0)
         assert blocks == []
+
+    def test_over_budget_scenario_fails_before_any_box_and_trial_0(self, monkeypatch):
+        boxes, blocks = [], []
+        real = registers._pattern_boxes
+        monkeypatch.setattr(registers, "_pattern_boxes",
+                            lambda *args: boxes.append(args) or real(*args))
+        monkeypatch.setattr(harness, "_run_block", lambda *args: blocks.append(args))
+        sc = make_scenario(gamma=20)  # 41**4 * 2 hypotheses per register > 1e6
+        with pytest.raises(BudgetExceeded):
+            run_trials(sc, trials=3, master_seed=0)
+        with pytest.raises(BudgetExceeded):
+            sweep(sc, "noise_sigma", [0.0, 0.1], trials=3, master_seed=0)
+        assert boxes == [] and blocks == []
 
     def test_detectors_without_inversion_run_on_singular_r(self):
         report = run_trials(make_scenario(**self.SINGULAR), detectors=(DetectorKind.SUD,),
@@ -321,16 +337,18 @@ class TestBlockEngine:
     def test_blocks_equal_the_per_trial_loop(self, case):
         scenario, kinds, include_qmud, trials, t0, seed = case
         prep = _Prepared(scenario, include_qmud, kinds)
+        regs = reference_registers(scenario) if include_qmud else None
         block = _run_block(prep, seed, t0, trials)
         assert [block.record(i) for i in range(trials)] == [
-            reference_trial(prep, t0 + i, seed) for i in range(trials)]
+            reference_trial(prep, regs, t0 + i, seed) for i in range(trials)]
         assert run_trials(scenario, kinds, include_qmud, trials, seed) == reference_report(
             scenario, kinds, include_qmud, trials, seed)
 
     def test_run_single_trial_is_the_per_trial_loop(self):
         prep = _Prepared(_nonorthogonal_noisy(), include_qmud=True)
+        regs = reference_registers(prep.scenario)
         for t in (0, 1, 2**33):
-            assert run_single_trial(prep, t, 5) == reference_trial(prep, t, 5)
+            assert run_single_trial(prep, t, 5) == reference_trial(prep, regs, t, 5)
 
     def test_condition_checked_only_before_trial_0(self, monkeypatch):
         calls = []

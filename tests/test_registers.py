@@ -1,18 +1,20 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import make_scenario
+from conftest import make_orthogonal, make_scenario
 from qmud import (QuantizerSpec, QubitState, Scenario, SparseRegister, dump_register,
                   enumerate_hypotheses, load_register, pack_basis, quantize_waveform,
                   reduce_to_qubit, shift_variants, transmit)
+from qmud.config import default_amplitude
 from qmud.errors import (BudgetExceeded, CodeOutOfRange, DelayOutOfRange,
                          EmptyRegister, ValidationError)
-from qmud.registers import unpack_basis
+from qmud.registers import build_bank, register_bit, unpack_basis
 from qmud.rng import SplitMix64
 from scalar_reference import reference_hypotheses
 
@@ -269,6 +271,83 @@ class TestVectorizedEnumeration:
                        NEAR_FAR_EDGE.quantizer)
         for k in range(3):
             assert v in enumerate_hypotheses(NEAR_FAR_EDGE, k, -1)
+
+
+@st.composite
+def bank_scenarios(draw):
+    """Scenarios for the bank's differential test: K 1-5, PG 1-4, gamma 0-2,
+    N_ch 1-4, the delay sets {0}, {0,1}, {1} and {1,2}, near-far gains, and a
+    quantizer range down to a quarter of the peak noiseless chip.
+
+    Chips come from a coarse integer grid, so noiseless chips often land on
+    quantizer edges.  Below a range factor of 1 the peak chip saturates, and
+    since flipping every bit negates a waveform it does so at both rails.
+    """
+    K = draw(st.integers(1, 5))
+    PG = draw(st.integers(1, 4))
+    delays = draw(st.sampled_from([d for d in ((0,), (0, 1), (1,), (1, 2)) if max(d) < PG]))
+    signatures = []
+    for _ in range(K):
+        chips = draw(st.lists(st.integers(-2, 2), min_size=PG, max_size=PG).filter(any))
+        norm = math.sqrt(sum(c * c for c in chips))
+        signatures.append(tuple(c / norm for c in chips))
+    gains = tuple(draw(st.lists(st.sampled_from((1.0, 0.4, 0.2, 0.1, -0.7)),
+                                min_size=K, max_size=K)))
+    energies = (1.0,) * K
+    peak = default_amplitude(signatures, energies, gains) / 1.5
+    range_factor = draw(st.sampled_from((0.25, 0.6, 1.0, 1.5)))
+    return Scenario(K=K, PG=PG, signatures=tuple(signatures), energies=energies, gains=gains,
+                    noise_sigma=0.0,
+                    quantizer=QuantizerSpec(n_ch=draw(st.integers(1, 4)),
+                                            amplitude=range_factor * peak),
+                    gamma=draw(st.integers(0, 2)), delays=delays)
+
+
+class TestRegisterBank:
+    @given(bank_scenarios())
+    @example(make_scenario(K=2, PG=2, signatures=((1.0, 0.0), (0.6, 0.8)), gamma=1,
+                           delays=(1,), quantizer=QuantizerSpec(n_ch=2, amplitude=0.3)))
+    @example(NEAR_FAR_EDGE)
+    @settings(max_examples=80, deadline=None)
+    def test_every_register_equals_its_own_enumeration(self, sc):
+        bank = build_bank(sc)
+        regs = {}
+        for k in range(sc.K):
+            for bit in (1, -1):
+                reg = enumerate_hypotheses(sc, k, bit)
+                assert bank.register(k, bit) == reg
+                assert reg.sorted_members() == sorted(reference_hypotheses(sc, k, bit))
+                assert bank.n_s[register_bit(k, bit)] == reg.n_s
+                regs[register_bit(k, bit)] = reg
+        # Membership of every index of the register width, stored or not.
+        v = np.arange(1 << sc.register_bits)
+        contains = bank.contains(v)
+        assert contains.shape == (v.size, 2 * sc.K)
+        for j, reg in regs.items():
+            assert np.array_equal(contains[:, j], np.isin(v, reg.members))
+
+    def test_budget_exceeded(self):
+        with pytest.raises(BudgetExceeded):
+            build_bank(make_scenario(gamma=20))  # 41**4 * 2 > 1e6
+
+    def test_build_peak_is_below_the_per_register_builds(self):
+        # The K=8, PG=8, gamma=1 Walsh scenario of the dense_sweep benchmark
+        # workload: 16 registers of 2**7 * 3**8 raw indices each.
+        sc = make_orthogonal(K=8, PG=8, gamma=1)
+        peaks = []
+        for build in (lambda: [enumerate_hypotheses(sc, k, b)
+                               for k in range(sc.K) for b in (1, -1)],
+                      lambda: build_bank(sc)):
+            tracemalloc.start()
+            try:
+                built = build()
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            del built
+            peaks.append(peak)
+        per_register, bank = peaks
+        assert bank < per_register
 
 
 class TestSparseRegisterApi:
