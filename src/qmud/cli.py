@@ -163,9 +163,12 @@ def _load_scenario(path: str) -> Scenario:
 
 def _parse_number_list(raw: str, caster, flag: str):
     try:
-        return [caster(tok) for tok in raw.split(",") if tok.strip()]
+        values = [caster(tok) for tok in raw.split(",") if tok.strip()]
     except ValueError as exc:
         raise ValidationError(f"{flag}: expected a comma-separated number list") from exc
+    if not values:
+        raise ValidationError(f"{flag}: expected at least one number")
+    return values
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -13,14 +13,18 @@ One enumerator, ``_pattern_boxes``, turns bit patterns into indices: a
 pattern's box is its noiseless waveform under every lattice offset,
 quantized and packed in numpy.  ``enumerate_hypotheses`` builds one
 register from the boxes of the patterns that fix the user's bit, as a
-``SparseRegister``: a read-only sorted ``np.int64`` array (N_Q <= 24 bits,
-so every index fits) with duplicates collapsed by one sort.
-``build_bank`` builds all 2K registers of a scenario at once as a
-``RegisterBank``: with delay 0, register (k, b) is the union of the boxes
-of the full patterns whose bit k is b, so the 2^K boxes are enumerated and
-sorted once, and each stored index carries a 2K-bit mask of the registers
-that hold it.  One binary search of a received index into the bank gives
-its membership in every register.  Registers depend only on the
+``SparseRegister``: a read-only sorted ``np.int64`` array with duplicates
+collapsed by one sort.  ``build_bank`` builds all 2K registers of a
+scenario at once as a ``RegisterBank``: with delay 0, register (k, b) is
+the union of the boxes of the full patterns whose bit k is b, so the 2^K
+boxes are enumerated and sorted once, and each stored index carries a
+2K-bit mask of the registers that hold it.  One binary search of a
+received index into the bank gives its membership in every register.
+
+Widths follow from the scenario's sizes alone.  Boxes, bank sort keys
+(index << K) | pattern id and bank members are unsigned 32-bit when
+N_Q + K <= 32 bits, else ``np.int64``; bank masks are unsigned 32-bit when
+2K <= 32, else ``np.int64``.  Registers depend only on the
 signatures, energies, gains, quantizer, gamma and delays, so
 ``harness.sweep`` builds one bank for a ``noise_sigma`` or ``reps_max``
 sweep and a new one at each point of a ``gamma`` or ``N_ch`` sweep.
@@ -118,9 +122,9 @@ class SparseRegister:
         if values.size and (values[0] < 0 or values[-1] >= 1 << self.n_q):
             bad = values[0] if values[0] < 0 else values[-1]
             raise ValidationError(f"basis index {bad} outside [0, 2**{self.n_q})")
-        values = values.astype(np.int64, copy=False)
         if values.size:
             values = values[np.concatenate(([True], values[1:] != values[:-1]))]
+        values = values.astype(np.int64, copy=False)
         values.setflags(write=False)
         object.__setattr__(self, "members", values)
 
@@ -207,6 +211,11 @@ def _check_budget(scenario: Scenario) -> None:
             f"{hypothesis_budget(scenario)} hypotheses exceed budget {ENUMERATION_BUDGET}")
 
 
+def _key_dtype(scenario: Scenario) -> np.dtype:
+    """Width of the boxes and bank keys: uint32 when (index << K) | pattern id fits."""
+    return np.dtype(np.uint32 if scenario.register_bits + scenario.K <= 32 else np.int64)
+
+
 def _pattern_boxes(scenario: Scenario, signatures: np.ndarray,
                    patterns: np.ndarray) -> np.ndarray:
     """Packed indices of each bit pattern's box, one row per row of ``patterns``.
@@ -214,16 +223,18 @@ def _pattern_boxes(scenario: Scenario, signatures: np.ndarray,
     Row p holds the quantized index of the noiseless waveform of pattern p
     under ``signatures`` plus every combination of per-chip noise offsets
     eps[n] in {-gamma*step, ..., 0, ..., +gamma*step}, so it has
-    (2*gamma + 1)**PG entries.  This is the one enumeration of waveforms
-    into indices; ``enumerate_hypotheses`` and ``build_bank`` both use it.
+    (2*gamma + 1)**PG entries, in ``_key_dtype(scenario)``.  This is the one
+    enumeration of waveforms into indices; ``enumerate_hypotheses`` and
+    ``build_bank`` both use it.
     """
     spec = scenario.quantizer
+    dtype = _key_dtype(scenario)
     lattice = spec.step * np.arange(-scenario.gamma, scenario.gamma + 1, dtype=float)
     base = noiseless_waveforms(scenario.amplitude_vector(), signatures, patterns)
     # codes[p, n, j]: chip n of pattern p shifted by lattice offset j.
-    codes = quantize_waveform(base[:, :, None] + lattice, spec)
+    codes = quantize_waveform(base[:, :, None] + lattice, spec).astype(dtype)
     # Pack every combination of per-chip offsets, chip 0 most significant.
-    index = np.zeros((len(patterns), 1), dtype=np.int64)
+    index = np.zeros((len(patterns), 1), dtype=dtype)
     for n in range(scenario.PG):
         index = (index[:, :, None] * spec.levels + codes[:, n, None, :]).reshape(
             len(patterns), -1)
@@ -274,8 +285,9 @@ def register_bit(user, bit):
 class RegisterBank:
     """All 2K hypothesis registers of a scenario, stored as one sorted union.
 
-    ``members`` is the read-only, strictly increasing ``np.int64`` array of
-    every index that any register stores.  ``masks[i]`` has bit
+    ``members`` is the read-only, strictly increasing array of every index
+    that any register stores, in the scenario's key width.  ``masks[i]``,
+    in the mask width (see the module docstring), has bit
     ``register_bit(k, b)`` set when register (k, b) stores ``members[i]``,
     and ``n_s[register_bit(k, b)]`` is that register's population N_s.
     """
@@ -289,9 +301,14 @@ class RegisterBank:
         """Membership of every index of an integer array in every register, by one binary search.
 
         Returns bools of shape ``v.shape + (2K,)``; column ``register_bit(k, b)``
-        is the membership in register (k, b).
+        is the membership in register (k, b).  An index outside
+        [0, 2**n_q) is in no register.
         """
-        pos = np.searchsorted(self.members, v)
+        # Clipped, the cast to the members' width wraps no probe around, and
+        # numpy searches without widening a copy of the members.  Comparing
+        # with v itself rejects every probe outside [0, 2**n_q).
+        probe = np.asarray(np.clip(v, 0, (1 << self.n_q) - 1), dtype=self.members.dtype)
+        pos = np.searchsorted(self.members, probe)
         found = self.members.take(pos, mode="clip") == v
         masks = np.where(found, self.masks.take(pos, mode="clip"), 0)
         return (masks[..., None] >> np.arange(len(self.n_s))) & 1 == 1
@@ -306,30 +323,42 @@ def _collapse(boxes: np.ndarray, pattern_masks: np.ndarray, K: int):
     """(sorted unique indices, OR of the masks of the patterns whose box holds each).
 
     ``boxes`` is a fresh (2**K, entries) array from ``_pattern_boxes``,
-    reused in place as the sort keys (index << K) | pattern id.  The budget
-    caps K at 20, so a key (24 index bits plus K) and a mask (2K bits) each
-    fit in an int64.
+    reused in place as the sort keys (index << K) | pattern id, so every
+    pass runs in the key width; the masks keep the width of
+    ``pattern_masks``.
     """
-    keys = boxes
-    keys <<= K
-    keys |= np.arange(len(keys))[:, None]
-    keys = keys.reshape(-1)
+    boxes <<= K
+    boxes |= np.arange(len(boxes), dtype=boxes.dtype)[:, None]
+    keys = boxes.reshape(-1)
+    del boxes  # keys is a view, so ``del keys`` below frees the array
     keys.sort()
-    index = keys >> K
-    starts = np.flatnonzero(np.concatenate(([True], index[1:] != index[:-1])))
-    members = index[starts]
-    del index  # free it before the mask gather allocates as much again
+    # A run of one index starts where a key differs from its predecessor above bit K.
+    starts = np.flatnonzero(np.concatenate(([True], (keys[1:] ^ keys[:-1]) >= 1 << K)))
+    members = keys[starts]
+    members >>= K
     keys &= (1 << K) - 1
-    return members, np.bitwise_or.reduceat(pattern_masks[keys], starts)
+    gathered = pattern_masks[keys]
+    del keys  # free the keys before the reduction allocates its result
+    return members, np.bitwise_or.reduceat(gathered, starts)
 
 
 def _merge(members, masks, extra, extra_masks):
     """Union of two (sorted unique indices, masks) pairs; a shared index ORs its masks."""
     union = np.union1d(members, extra)
-    merged = np.zeros(union.size, dtype=np.int64)
+    merged = np.zeros(union.size, dtype=masks.dtype)
     merged[np.searchsorted(union, members)] = masks
     merged[np.searchsorted(union, extra)] |= extra_masks
     return union, merged
+
+
+def _bit_counts(masks: np.ndarray, n_bits: int) -> tuple[int, ...]:
+    """How many masks have bit j set, for j < n_bits, by one bincount per mask byte."""
+    as_bytes = masks.astype(masks.dtype.newbyteorder("<"), copy=False).view(np.uint8)
+    as_bytes = as_bytes.reshape(masks.size, masks.itemsize)
+    byte_bits = (np.arange(256)[:, None] >> np.arange(8)) & 1
+    counts = np.concatenate([np.bincount(as_bytes[:, j], minlength=256) @ byte_bits
+                             for j in range((n_bits + 7) // 8)])
+    return tuple(int(c) for c in counts[:n_bits])
 
 
 def build_bank(scenario: Scenario) -> RegisterBank:
@@ -348,11 +377,12 @@ def build_bank(scenario: Scenario) -> RegisterBank:
     flips = (np.arange(1 << K)[:, None] >> np.arange(K)) & 1
     patterns = 1.0 - 2.0 * flips
     # own_bits[p, k]: the mask bit pattern p sets for user k.
-    own_bits = np.int64(1) << register_bit(np.arange(K), patterns)
+    mask_dtype = np.dtype(np.uint32 if 2 * K <= 32 else np.int64)  # 2K register bits
+    own_bits = (np.int64(1) << register_bit(np.arange(K), patterns)).astype(mask_dtype)
     signatures = scenario.signature_matrix()
 
     # One (signatures, mask each pattern sets) per box.
-    boxes = [(signatures, own_bits.sum(axis=1))] if 0 in scenario.delays else []
+    boxes = [(signatures, own_bits.sum(axis=1, dtype=mask_dtype))] if 0 in scenario.delays else []
     for k in range(K):
         # With delay 0, the first variant is the unshifted signature: the
         # shared box above covers it.
@@ -368,8 +398,7 @@ def build_bank(scenario: Scenario) -> RegisterBank:
         members, masks = part if members is None else _merge(members, masks, *part)
     members.setflags(write=False)
     masks.setflags(write=False)
-    n_s = tuple(int(np.count_nonzero(masks & (1 << j))) for j in range(2 * K))
-    return RegisterBank(members, masks, n_s, scenario.register_bits)
+    return RegisterBank(members, masks, _bit_counts(masks, 2 * K), scenario.register_bits)
 
 
 def dump_register(reg: SparseRegister) -> str:

@@ -261,6 +261,19 @@ class TestMainExitCodes:
         assert [r["scenario_id"] for r in tables[0]] == [r["scenario_id"] for r in tables[1]]
         assert {r["seed"] for r in tables[0]} == {seed}
 
+    @pytest.mark.parametrize("command", [
+        ["sweep", "--param", "noise_sigma", "--values", ","],
+        ["sweep", "--param", "noise_sigma", "--values", " "],
+        ["povm-table", "--ns", ",", "--beta", "0"],
+        ["povm-table", "--ns", "2", "--beta", ","]])
+    def test_empty_number_list_rejected(self, tmp_path, capsys, command):
+        out = tmp_path / "s.csv"
+        extra = ["--config", self._write_config(tmp_path, MINIMAL_ONE_USER)] \
+            if command[0] == "sweep" else []
+        assert main([*command, *extra, "--out", str(out)]) == 1
+        assert "expected at least one number" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_sweep_writes_param_columns(self, tmp_path):
         cfg = self._write_config(tmp_path, MINIMAL_ONE_USER)
         out = tmp_path / "s.csv"

@@ -7,14 +7,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import make_orthogonal, make_scenario
+from conftest import make_orthogonal, make_scenario, random_unit_signatures
 from qmud import (QuantizerSpec, QubitState, Scenario, SparseRegister, dump_register,
                   enumerate_hypotheses, load_register, pack_basis, quantize_waveform,
                   reduce_to_qubit, shift_variants, transmit)
 from qmud.config import default_amplitude
 from qmud.errors import (BudgetExceeded, CodeOutOfRange, DelayOutOfRange,
                          EmptyRegister, ValidationError)
-from qmud.registers import build_bank, register_bit, unpack_basis
+from qmud.registers import _merge, build_bank, register_bit, unpack_basis
 from qmud.rng import SplitMix64
 from scalar_reference import reference_hypotheses
 
@@ -333,21 +333,100 @@ class TestRegisterBank:
     def test_build_peak_is_below_the_per_register_builds(self):
         # The K=8, PG=8, gamma=1 Walsh scenario of the dense_sweep benchmark
         # workload: 16 registers of 2**7 * 3**8 raw indices each.
+        # Its keys fill all 32 bits: 24 index bits plus K = 8.
         sc = make_orthogonal(K=8, PG=8, gamma=1)
-        peaks = []
-        for build in (lambda: [enumerate_hypotheses(sc, k, b)
-                               for k in range(sc.K) for b in (1, -1)],
+        peaks, built = [], []
+        for build in (lambda: {(k, b): enumerate_hypotheses(sc, k, b)
+                               for k in range(sc.K) for b in (1, -1)},
                       lambda: build_bank(sc)):
             tracemalloc.start()
             try:
-                built = build()
+                built.append(build())
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
-            del built
             peaks.append(peak)
         per_register, bank = peaks
         assert bank < per_register
+        assert bank < 28e6  # 20.7 MB with 32-bit keys and masks; 41.2 MB in int64
+        registers, bank = built
+        assert bank.members.dtype == np.uint32
+        for (k, b), reg in registers.items():
+            assert bank.register(k, b) == reg
+            assert bank.n_s[register_bit(k, b)] == reg.n_s
+
+    @pytest.mark.parametrize("sc, key_dtype, mask_dtype", [
+        # register_bits + K = 24 + 9 > 32: int64 keys.
+        (make_scenario(K=9, PG=3, signatures=random_unit_signatures(
+            np.random.default_rng(9), 9, 3), energies=(1.0,) * 9, gains=(1.0,) * 9,
+            quantizer=QuantizerSpec(n_ch=8, amplitude=3.0)), np.int64, np.uint32),
+        # 2K = 34 > 32: 64-bit masks, keys of 8 + 17 bits.
+        (make_scenario(K=17, PG=1, signatures=((1.0,),) * 17, energies=(1.0,) * 17,
+                       gains=tuple(0.7 ** np.arange(17)),
+                       quantizer=QuantizerSpec(n_ch=8, amplitude=3.5)), np.uint32, np.int64),
+        # register_bits + K = 24 + 8 = 32 exactly: the dense_sweep shape.
+        (make_orthogonal(K=8, PG=8), np.uint32, np.uint32),
+        # Delayed boxes merged into the delay-0 union, 32-bit throughout.
+        (make_scenario(gamma=1, delays=(0, 1, 3)), np.uint32, np.uint32),
+        # Delayed boxes merged into the delay-0 union, with int64 keys.
+        (make_scenario(K=9, PG=3, signatures=random_unit_signatures(
+            np.random.default_rng(3), 9, 3), energies=(1.0,) * 9, gains=(1.0,) * 9,
+            quantizer=QuantizerSpec(n_ch=8, amplitude=3.0), delays=(0, 2)),
+         np.int64, np.uint32),
+    ], ids=["int64-keys", "int64-masks", "32-bit-boundary", "merge-32", "merge-int64"])
+    def test_width_rule(self, sc, key_dtype, mask_dtype):
+        bank = build_bank(sc)
+        assert bank.members.dtype == key_dtype and bank.masks.dtype == mask_dtype
+        assert np.all(bank.members[1:] > bank.members[:-1])
+        assert bank.n_s == tuple(bank.register(k, b).n_s for k in range(sc.K) for b in (1, -1))
+        # At K = 17 the lowest and highest mask bits; the scalar reference
+        # takes about 1.5 s per register there.
+        users = range(sc.K) if sc.K < 10 else (0, 1, sc.K - 2, sc.K - 1)
+        reference = {}
+        for k in users:
+            for bit in (1, -1):
+                reg = enumerate_hypotheses(sc, k, bit)
+                assert reg.members.dtype == np.int64 and not reg.members.flags.writeable
+                assert bank.register(k, bit) == reg
+                if sc.K < 10 or (k, bit) == (sc.K - 1, -1):
+                    assert reg.sorted_members() == sorted(reference_hypotheses(sc, k, bit))
+                reference[register_bit(k, bit)] = reg
+        probes = np.concatenate([bank.members, bank.members + 1, [0, (1 << sc.register_bits) - 1]])
+        probes = probes[probes < 1 << sc.register_bits]
+        contains = bank.contains(probes)
+        for j, reg in reference.items():
+            assert np.array_equal(contains[:, j], reg.contains(probes))
+
+    def test_contains_reports_indices_outside_the_width_as_absent(self):
+        # 24-bit indices in uint32 members: a probe cast without a range
+        # check would wrap 2**32 + m onto the stored m.
+        sc = make_orthogonal(K=8, PG=8)
+        bank = build_bank(sc)
+        assert bank.n_q == 24 and bank.members.dtype == np.uint32
+        m = int(bank.members[5])
+        regs = {register_bit(k, b): bank.register(k, b) for k in range(sc.K) for b in (1, -1)}
+        values = [m, -1, -m, 1 << 24, (1 << 24) + m, (1 << 32) + m, (1 << 33) + m,
+                  2**63 - 1, -(2**63), np.int64(m), np.uint32(m), np.int32(-1),
+                  np.int64((1 << 32) + m), np.uint64((1 << 32) + m), np.uint64(2**64 - 1),
+                  (1 << 64) + m, 2**70, float(m), m + 0.5]
+        for v in values:
+            expected = [bool(regs[j].contains(v)) for j in range(2 * sc.K)]
+            assert bank.contains(v).tolist() == expected, v
+        assert bank.contains(m).any()
+        ints = np.array([m, -1, 1 << 24, (1 << 32) + m, 2**63 - 1, -(2**63) + m])
+        contains = bank.contains(ints)
+        for j, reg in regs.items():
+            assert contains[:, j].tolist() == reg.contains(ints).tolist()
+        assert not contains[1:].any()
+
+    def test_merge_keeps_the_mask_width(self):
+        members, extra = np.array([1, 5], dtype=np.uint32), np.array([5, 7], dtype=np.uint32)
+        masks = np.array([1 << 33, 1], dtype=np.int64)
+        extra_masks = np.array([1 << 32, 1 << 40], dtype=np.int64)
+        union, merged = _merge(members, masks, extra, extra_masks)
+        assert union.dtype == np.uint32 and merged.dtype == np.int64
+        assert union.tolist() == [1, 5, 7]
+        assert merged.tolist() == [1 << 33, (1 << 32) | 1, 1 << 40]
 
 
 class TestSparseRegisterApi:
