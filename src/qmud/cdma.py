@@ -53,16 +53,16 @@ def noiseless_waveforms(amplitudes, signatures, bits) -> np.ndarray:
     """Noiseless chip waveforms sum_k (amp_k b_k) s_k, one per row of bits.
 
     ``bits`` has shape (..., K) and ``signatures`` (K, PG).  Users are added
-    in ascending index order with elementwise operations only, never a BLAS
-    product, so a waveform is bit-identical however many rows are computed
-    at once.
+    one at a time into one (..., PG) array, in ascending index order, with
+    elementwise operations only, never a BLAS product, so a waveform is
+    bit-identical however many rows are computed at once.
     The transmitter and the register enumeration both build their waveforms
     here, so they agree on which side of a quantizer edge a chip falls.
     """
-    terms = (np.asarray(amplitudes) * np.asarray(bits, dtype=float))[..., None] * signatures
-    total = terms[..., 0, :]
-    for k in range(1, terms.shape[-2]):
-        total = total + terms[..., k, :]
+    coef = np.asarray(amplitudes) * np.asarray(bits, dtype=float)
+    total = coef[..., 0, None] * signatures[0]
+    for k in range(1, len(signatures)):
+        total += coef[..., k, None] * signatures[k]
     return total
 
 

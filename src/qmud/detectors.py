@@ -1,11 +1,15 @@
 """Classical multi-user detectors operating on matched-filter outputs.
 
 Four baselines: the single-user sign detector, the decorrelator, linear
-MMSE, and the optimal joint detector found by exhaustive search over all
-bit vectors of the quadratic likelihood metric.
+MMSE, and the optimal joint detector, the argmin of the quadratic
+likelihood metric over all bit vectors.
 
 Each detector is written once, for rows of soft outputs (``detect_rows``).
 The per-symbol functions check their matrix, then run that code on one row.
+The optimal search ranks every candidate of a slice of rows with one
+matrix product (Verdú's correlation form of the metric) and reruns the
+exhaustive search of the exact metric only for the rows where a second
+candidate comes within the float-error margin of the best.
 """
 
 from __future__ import annotations
@@ -27,10 +31,14 @@ CONDITION_LIMIT = 1e12
 # Candidates scored per likelihood-metric evaluation.
 _ENUM_CHUNK = 1 << 16
 
-# Cap on the (trials, candidates, K) residual array that one metric
-# evaluation over many trials allocates; detect_rows splits its rows to
-# stay under it.
+# Cap on the largest array one step of the optimal search allocates: the
+# filter's (rows, candidates) scores or the exact search's (rows,
+# candidates, K) residuals.  Both split their rows into slices to stay
+# under it.
 RESIDUAL_BYTES = 1 << 20
+
+# Safety factor on the filter's float-error margin (see _optimal_rows).
+_MARGIN_SAFETY = 1024.0
 
 
 class DetectorKind(enum.Enum):
@@ -40,11 +48,24 @@ class DetectorKind(enum.Enum):
     OPTIMAL = "optimal"
 
 
-def _check_condition(M: np.ndarray):
-    """Raise SingularMatrix for a non-finite or ill-conditioned matrix."""
-    if not np.all(np.isfinite(M)) or np.linalg.cond(M) > CONDITION_LIMIT:
+def _check_condition(M: np.ndarray) -> float:
+    """cond(M); raises SingularMatrix for a non-finite or ill-conditioned matrix."""
+    cond = np.linalg.cond(M) if np.all(np.isfinite(M)) else np.inf
+    if cond > CONDITION_LIMIT:
         raise SingularMatrix(
             f"matrix condition exceeds {CONDITION_LIMIT:g}; degenerate signature set")
+    return cond
+
+
+def check_optimal(R: np.ndarray) -> float:
+    """The optimal search's checks on R; returns cond(R), which its filter reads.
+
+    Raises KTooLarge above MAX_EXHAUSTIVE_USERS users and SingularMatrix
+    for a degenerate R.
+    """
+    if len(R) > MAX_EXHAUSTIVE_USERS:
+        raise KTooLarge(f"K={len(R)} exceeds exhaustive-search cap {MAX_EXHAUSTIVE_USERS}")
+    return _check_condition(R)
 
 
 def _sign(x: np.ndarray) -> np.ndarray:
@@ -90,23 +111,24 @@ def optimal_detect(soft, R) -> np.ndarray:
     """Exhaustive argmin of the joint likelihood metric over {-1,+1}^K.
 
     Ties go to the lexicographically smallest candidate with -1 < +1.
+    The decision is that of the exhaustive search of the metric as
+    ``mlse_objective`` computes it, bit for bit; a correlation-form filter
+    only spares that search the rows it cannot change.
     """
     soft = np.asarray(soft, dtype=float)
     R = np.asarray(R, dtype=float)
-    K = len(soft)
-    if K > MAX_EXHAUSTIVE_USERS:
-        raise KTooLarge(f"K={K} exceeds exhaustive-search cap {MAX_EXHAUSTIVE_USERS}")
-    _check_condition(R)
-    return _optimal_rows(soft[None], R)[0]
+    return _optimal_rows(soft[None], R, check_optimal(R))[0]
 
 
-def detect_rows(kinds, soft: np.ndarray, R: np.ndarray, noise_variance: float) -> dict:
+def detect_rows(kinds, soft: np.ndarray, R: np.ndarray, noise_variance: float,
+                cond_R: float | None) -> dict:
     """Decisions of each selected detector for every row of soft (T, K).
 
     The per-symbol detectors are this code on one row, after their checks.
-    The matrices are not checked here: callers run each per-symbol
-    detector once first, which raises SingularMatrix or KTooLarge for a
-    degenerate scenario.
+    The matrices are not checked here: callers run each selected
+    detector's checks once first, which raise SingularMatrix or KTooLarge
+    for a degenerate scenario.  ``cond_R`` is what ``check_optimal(R)``
+    returned; only the optimal search reads it.
     """
     out = {}
     for kind in kinds:
@@ -117,7 +139,7 @@ def detect_rows(kinds, soft: np.ndarray, R: np.ndarray, noise_variance: float) -
         elif kind is DetectorKind.MMSE:
             out[kind] = _solve_sign(R + noise_variance * np.eye(len(R)), soft)
         else:
-            out[kind] = _optimal_rows(soft, R)
+            out[kind] = _optimal_rows(soft, R, cond_R)
     return out
 
 
@@ -138,20 +160,80 @@ def _metric_rows(soft: np.ndarray, fitted: np.ndarray, R: np.ndarray) -> np.ndar
     return np.einsum("tnk,tkn->tn", d, np.linalg.solve(R, d.transpose(0, 2, 1)))
 
 
-def _candidate_chunks(K: int):
-    """{-1,+1}^K in lexicographic order (-1 < +1), _ENUM_CHUNK rows at a time.
+def _candidates(i: np.ndarray, K: int) -> np.ndarray:
+    """Candidates i of {-1,+1}^K in lexicographic order (-1 < +1), one row each.
 
     Bit j of candidate i is (i >> (K - 1 - j)) & 1, read as -1 for 0 and
     +1 for 1.
     """
-    shifts = np.arange(K - 1, -1, -1)
+    return 2.0 * ((i[:, None] >> np.arange(K - 1, -1, -1)) & 1) - 1.0
+
+
+def _candidate_chunks(K: int):
+    """{-1,+1}^K in lexicographic order, _ENUM_CHUNK rows at a time."""
     for lo in range(0, 1 << K, _ENUM_CHUNK):
-        i = np.arange(lo, min(lo + _ENUM_CHUNK, 1 << K))
-        yield 2.0 * ((i[:, None] >> shifts) & 1) - 1.0
+        yield _candidates(np.arange(lo, min(lo + _ENUM_CHUNK, 1 << K)), K)
 
 
-def _optimal_rows(soft: np.ndarray, R: np.ndarray) -> np.ndarray:
-    """Exhaustive likelihood search for every row of soft, a slice of rows at a time.
+def _optimal_rows(soft: np.ndarray, R: np.ndarray, cond_R: float) -> np.ndarray:
+    """The exact search's decision for every row of soft, found by a filter where it can be.
+
+    R is symmetric, so the metric (b~ - R y)^T R^-1 (b~ - R y) is
+    b~^T R^-1 b~ + s(y) with s(y) = y^T R y - 2 b~.y, and the first term is
+    the same for every candidate.  The filter scores s for a slice of rows
+    with one product into a buffer of at most RESIDUAL_BYTES and counts,
+    per row, the candidates within ``margin`` of the row's running minimum.
+
+    ``margin`` covers twice the float error of both forms, with u the
+    machine epsilon: about K u cond(R) M for the solved metric, where
+    M = cond(R) |b~|^2 / max R_kk + A bounds its value near the minimum,
+    and about K u A for s, where A = sum |R_kl| + 2 |b~|_1 bounds |s|.
+    _MARGIN_SAFETY covers the factor 2 and the constants of the solve, the
+    products and the sums up to MAX_EXHAUSTIVE_USERS users.  So the exact
+    search's winner is always counted: a row that counts one candidate
+    takes it, and every other row (ties, all-zero rows, ill-conditioned R)
+    reruns the exact search.  Across several candidate chunks a row's count
+    is kept while its minimum moves by less than the margin and restarts
+    when it moves further, so a count can come out too large, never too
+    small.
+    """
+    T, K = soft.shape
+    n = min(1 << K, _ENUM_CHUNK)
+    step = max(1, RESIDUAL_BYTES // (8 * n))
+    buf = np.empty(min(step, T) * n)
+    A = np.abs(R).sum() + 2 * np.abs(soft).sum(axis=1)
+    M = cond_R * np.einsum("tk,tk->t", soft, soft) / R.diagonal().max() + A
+    margin = _MARGIN_SAFETY * K * np.finfo(float).eps * (cond_R * M + A)
+    best = np.full(T, np.inf)
+    arg = np.zeros(T, dtype=np.int64)
+    count = np.zeros(T, dtype=np.int64)
+    for c0, chunk in zip(range(0, 1 << K, _ENUM_CHUNK), _candidate_chunks(K)):
+        quad = np.einsum("nk,nk->n", chunk @ R, chunk)
+        neg2c = -2.0 * chunk.T
+        for lo in range(0, T, step):
+            hi = min(lo + step, T)
+            s = np.matmul(soft[lo:hi], neg2c,
+                          out=buf[:(hi - lo) * len(chunk)].reshape(hi - lo, len(chunk)))
+            s += quad
+            i = s.argmin(axis=1)
+            low = s[np.arange(hi - lo), i]
+            row_best, row_margin, row_count = best[lo:hi], margin[lo:hi], count[lo:hi]
+            # A new minimum more than a margin below the old one leaves
+            # every candidate counted so far outside the margin.
+            row_count *= row_best <= low + row_margin
+            better = low < row_best
+            row_best[better] = low[better]
+            arg[lo:hi][better] = c0 + i[better]
+            row_count += np.count_nonzero(s <= (row_best + row_margin)[:, None], axis=1)
+    out = _candidates(arg, K).astype(int)
+    exact = np.flatnonzero(count != 1)
+    if exact.size:
+        out[exact] = _exact_rows(soft[exact], R)
+    return out
+
+
+def _exact_rows(soft: np.ndarray, R: np.ndarray) -> np.ndarray:
+    """Exhaustive search of the exact metric for every row of soft, a slice of rows at a time.
 
     Each candidate chunk's fitted values R y are computed once per call;
     the strict < keeps the earliest argmin across chunks.

@@ -20,7 +20,9 @@ order: a block gives each trial exactly the bits, noise, decisions and
 measurement draws that trial gets when run alone.  The block's detectors
 are ``detect_rows``, the row code that the per-symbol detectors run on
 one row; they skip the per-call condition check, and the scenario's one
-check is the per-symbol warm-up in ``_Prepared``.
+check runs in ``_Prepared``, which keeps cond(R) for the optimal search's
+filter.  That filter ranks a block's candidates with one matrix product
+per slice of rows, so a block's memory stays small at any K.
 
 Sweeps reuse the same master seed at every parameter value: matching trial
 indices see identical bits and identical standard-normal noise (common
@@ -36,8 +38,8 @@ import numpy as np
 
 from .cdma import correlation_matrix, matched_filter, noiseless_waveforms
 from .config import Scenario, check_seed, scenario_digest
-from .detectors import (DetectorKind, decorrelate_detect, detect_rows, mmse_detect,
-                        optimal_detect, sud_detect)
+from .detectors import (DetectorKind, check_optimal, decorrelate_detect, detect_rows,
+                        mmse_detect)
 from .errors import QmudError, UnknownParameter, ValidationError
 from .povm import DECISIONS, Decision, UserDecision, detect_user_rows
 from .registers import RegisterBank, build_bank, pack_basis, quantize_waveform, register_bit
@@ -46,6 +48,7 @@ from .rng import TrialStreams
 # benchmarks/traced_cli.py wraps these functions on this module, so they
 # stay importable from it; the block engine calls none of them.
 from .cdma import transmit  # noqa: F401
+from .detectors import optimal_detect, sud_detect  # noqa: F401
 from .povm import detect_user  # noqa: F401
 from .registers import enumerate_hypotheses  # noqa: F401
 from .rng import derive_seed  # noqa: F401
@@ -55,9 +58,10 @@ ALL_DETECTORS = (DetectorKind.SUD, DetectorKind.DECORRELATOR,
 
 SWEEPABLE = ("noise_sigma", "reps_max", "gamma", "N_ch")
 
-# Trials per block.  A block's arrays grow with it: one 1000-trial block
-# of a K=4 scenario raised peak RSS by 2.1 MB, a 256-trial block by 0.3 MB.
-BLOCK_TRIALS = 256
+# Trials per block.  A block's arrays grow with it: one 1024-trial block
+# peaks at 0.53 MB under tracemalloc for the K=4 nearfar_reps scenario and
+# at 1.7 MB for the K=8 dense_sweep one (256 trials: 0.15 and 0.8 MB).
+BLOCK_TRIALS = 1024
 
 
 @dataclass(frozen=True)
@@ -132,11 +136,11 @@ class _RegisterCache:
 class _Prepared:
     """Everything a trial reads, built once per scenario.
 
-    Holds the scenario, the selected detector kinds, R and, with
-    include_qmud, the register bank.  Each selected detector first runs
-    once on a zero soft vector, so its own checks (SingularMatrix,
-    KTooLarge) reject a degenerate scenario before the bank is built and
-    before trial 0, with or without registers.
+    Holds the scenario, the selected detector kinds, R, cond(R) for the
+    optimal search and, with include_qmud, the register bank.  Each
+    selected detector's own checks (SingularMatrix, KTooLarge) run first,
+    in detector order, so they reject a degenerate scenario before the
+    bank is built and before trial 0, with or without registers.
     """
 
     def __init__(self, scenario: Scenario, include_qmud: bool, kinds=ALL_DETECTORS,
@@ -145,23 +149,16 @@ class _Prepared:
         self.kinds = kinds
         self.R = correlation_matrix(scenario)
         self.noise_variance = scenario.noise_sigma ** 2
-        _run_detectors(np.zeros(scenario.K), self)
+        self.cond_R = None
+        zero = np.zeros(scenario.K)
+        for kind in kinds:
+            if kind is DetectorKind.DECORRELATOR:
+                decorrelate_detect(zero, self.R)
+            elif kind is DetectorKind.MMSE:
+                mmse_detect(zero, self.R, self.noise_variance)
+            elif kind is DetectorKind.OPTIMAL:
+                self.cond_R = check_optimal(self.R)
         self.bank = (cache or _RegisterCache()).bank(scenario) if include_qmud else None
-
-
-def _run_detectors(soft, prep: _Prepared):
-    out = {}
-    for kind in prep.kinds:
-        if kind is DetectorKind.SUD:
-            dec = sud_detect(soft)
-        elif kind is DetectorKind.DECORRELATOR:
-            dec = decorrelate_detect(soft, prep.R)
-        elif kind is DetectorKind.MMSE:
-            dec = mmse_detect(soft, prep.R, prep.noise_variance)
-        else:
-            dec = optimal_detect(soft, prep.R)
-        out[kind] = tuple(int(b) for b in dec)
-    return out
 
 
 @dataclass(frozen=True)
@@ -200,7 +197,7 @@ def _run_block(prep: _Prepared, master_seed: int, t0: int, count: int) -> _Block
     clean = noiseless_waveforms(scenario.amplitude_vector(), scenario.signature_matrix(), bits)
     received = clean + scenario.noise_sigma * streams.normals(scenario.PG)
     soft = matched_filter(received, scenario)
-    decisions = detect_rows(prep.kinds, soft, prep.R, prep.noise_variance)
+    decisions = detect_rows(prep.kinds, soft, prep.R, prep.noise_variance, prep.cond_R)
     bank = prep.bank
     if bank is None:
         return _Block(t0, bits, decisions, None, None, None, None)

@@ -20,6 +20,8 @@ import numpy as np
 from qmud import harness
 from qmud.cdma import matched_filter, transmit
 from qmud.config import scenario_digest
+from qmud.detectors import (DetectorKind, decorrelate_detect, mmse_detect, optimal_detect,
+                            sud_detect)
 from qmud.harness import MetricsReport, QmudStats, TrialRecord
 from qmud.povm import Decision, detect_user
 from qmud.registers import enumerate_hypotheses, pack_basis, quantize_waveform, shift_variants
@@ -62,6 +64,22 @@ def reference_registers(scenario) -> dict:
             for k in range(scenario.K) for b in (1, -1)}
 
 
+def reference_detectors(soft, prep) -> dict:
+    """Each selected per-symbol detector on one soft vector, with its checks."""
+    out = {}
+    for kind in prep.kinds:
+        if kind is DetectorKind.SUD:
+            dec = sud_detect(soft)
+        elif kind is DetectorKind.DECORRELATOR:
+            dec = decorrelate_detect(soft, prep.R)
+        elif kind is DetectorKind.MMSE:
+            dec = mmse_detect(soft, prep.R, prep.noise_variance)
+        else:
+            dec = optimal_detect(soft, prep.R)
+        out[kind] = tuple(int(b) for b in dec)
+    return out
+
+
 def reference_trial(prep, registers, trial_index: int, master_seed: int) -> TrialRecord:
     """One trial on its own SplitMix64 stream through the per-symbol functions.
 
@@ -74,7 +92,7 @@ def reference_trial(prep, registers, trial_index: int, master_seed: int) -> Tria
     bits = tuple(1 if rng.uniform() < 0.5 else -1 for _ in range(scenario.K))
     received = transmit(scenario, bits, rng)
     soft = matched_filter(received, scenario)
-    decisions = harness._run_detectors(soft, prep)
+    decisions = reference_detectors(soft, prep)
 
     qmud_decisions = None
     v = None

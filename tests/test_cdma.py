@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -105,6 +106,22 @@ class TestNoiselessWaveforms:
         sig = np.ones((3, 1))
         # ((1 + 1e-17) - 1) loses the middle term; another order would keep it.
         assert noiseless_waveforms(amp, sig, [1, 1, 1])[0] == 0.0
+
+    def test_block_of_waveforms_holds_no_per_user_terms(self):
+        # A (1024, 12, 16) array of per-user terms would take 12 outputs;
+        # adding users one at a time holds the output, one term and the
+        # (1024, 12) coefficients.
+        amp = np.linspace(0.5, 1.5, 12)
+        sig = np.array(walsh_hadamard_signatures(12, 16))
+        bits = np.where(np.random.default_rng(0).random((1024, 12)) < 0.5, 1, -1)
+        tracemalloc.start()
+        try:
+            out = noiseless_waveforms(amp, sig, bits)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert out.shape == (1024, 16)
+        assert peak < 5 * out.nbytes
 
     def test_noiseless_transmit_is_the_waveform(self):
         sc = _random_scenario(5, 3, 4)

@@ -1,4 +1,5 @@
 import itertools
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,7 +8,8 @@ from hypothesis import strategies as st
 
 from conftest import random_unit_signatures
 from qmud import (DetectorKind, decorrelate_detect, detectors, mlse_objective,
-                  mmse_detect, optimal_detect, sud_detect)
+                  mmse_detect, optimal_detect, run_trials, sud_detect)
+from qmud.cli import parse_config
 from qmud.detectors import detect_rows
 from qmud.errors import KTooLarge, SingularMatrix
 
@@ -30,6 +32,45 @@ def brute_force_oracle(soft, R):
 def _random_R(rng, K):
     sig = np.array(random_unit_signatures(rng, K, K + 3))
     return sig @ sig.T
+
+
+def _dyadic_R(K):
+    """Unit diagonal, off-diagonals +-2^-4, +-2^-5, ...: every product with +-1 bits is exact.
+
+    Distinct powers of two make y^T R y differ between candidates that are
+    not each other's negation, so the only ties are exact ones.
+    """
+    R = np.eye(K)
+    for p, (k, l) in enumerate(itertools.combinations(range(K), 2)):
+        R[k, l] = R[l, k] = (-1) ** p * 2.0 ** -(4 + p)
+    return R
+
+
+def _tie_rows(rng, R, count):
+    """Midpoints R (y1 + y2) / 2 of candidates one bit apart, and all-zero rows.
+
+    Every such row's best metric is tied between a candidate and its
+    mirror image through the midpoint.  With the dyadic R those are y1 and
+    y2, and both the soft rows and the residuals are exact.
+    """
+    K = len(R)
+    y1 = rng.choice([-1.0, 1.0], size=(count, K))
+    y2 = y1.copy()
+    y2[np.arange(count), rng.integers(0, K, count)] *= -1
+    return np.concatenate([(y1 + y2) / 2 @ R, np.zeros((2, K))])
+
+
+def _spy_exact_search(monkeypatch) -> list:
+    """Record every row the optimal search hands to its exact search."""
+    seen = []
+    real = detectors._exact_rows
+
+    def spy(soft, R):
+        seen.extend(map(tuple, soft.tolist()))
+        return real(soft, R)
+
+    monkeypatch.setattr(detectors, "_exact_rows", spy)
+    return seen
 
 
 class TestSud:
@@ -162,7 +203,7 @@ class TestDetectRows:
     }
 
     def _check(self, soft, R, var):
-        rows = detect_rows(tuple(DetectorKind), soft, R, var)
+        rows = detect_rows(tuple(DetectorKind), soft, R, var, np.linalg.cond(R))
         for kind, detect in self.PER_SYMBOL.items():
             assert rows[kind].tolist() == [detect(s, R, var).tolist() for s in soft]
         # The per-symbol detectors run this same row code, so the rows are
@@ -172,8 +213,13 @@ class TestDetectRows:
                         (DetectorKind.MMSE, R + var * np.eye(len(R)))):
             closed_form = soft @ np.linalg.inv(M).T
             assert rows[kind].tolist() == np.where(closed_form >= 0, 1, -1).tolist()
-        assert rows[DetectorKind.OPTIMAL].tolist() == [
-            brute_force_oracle(s, R)[0].tolist() for s in soft]
+        self._check_optimal(soft, R, rows[DetectorKind.OPTIMAL])
+
+    @staticmethod
+    def _check_optimal(soft, R, decisions):
+        assert decisions.tolist() == [brute_force_oracle(s, R)[0].tolist() for s in soft]
+        # The filter's decisions are the exact search's, row for row.
+        assert decisions.tolist() == detectors._exact_rows(soft, R).tolist()
 
     @given(st.integers(0, 100_000), st.integers(1, 6), st.sampled_from([0.0, 0.01, 0.5, 2.0]))
     @settings(max_examples=40, deadline=None)
@@ -207,6 +253,65 @@ class TestDetectRows:
         assert 1e11 < np.linalg.cond(R) < detectors.CONDITION_LIMIT
         bits = np.array(list(itertools.product((-1.0, 1.0), repeat=3)))
         self._check(np.concatenate([bits @ R, np.zeros((2, 3))]), R, var)
+
+    def _filter_check(self, monkeypatch, soft, ties, R):
+        """Exactly the tie rows of soft reach the exact search; every row is right."""
+        seen = _spy_exact_search(monkeypatch)
+        rows = detect_rows((DetectorKind.OPTIMAL,), soft, R, 0.0, np.linalg.cond(R))
+        assert sorted(seen) == sorted(map(tuple, ties.tolist()))
+        decisions = rows[DetectorKind.OPTIMAL]
+        assert decisions.tolist() == [optimal_detect(s, R).tolist() for s in soft]
+        self._check_optimal(soft, R, decisions)
+
+    def test_ties_take_the_exact_search(self, monkeypatch):
+        rng = np.random.default_rng(4)
+        R = _dyadic_R(4)
+        ties = _tie_rows(rng, R, 12)
+        bits = rng.choice([-1.0, 1.0], size=(8, 4))
+        soft = np.concatenate([rng.normal(size=(20, 4)), ties[:6], bits @ R, ties[6:]])
+        self._filter_check(monkeypatch, soft, ties, R)
+
+    def test_rounded_ties_take_the_exact_search(self, monkeypatch):
+        # With a random R the two tied candidates' scores differ by
+        # rounding, in either form, so the winner is whichever the exact
+        # search's floats favour; the filter must not pick one itself.
+        rng = np.random.default_rng(8)
+        R = _random_R(rng, 5)
+        ties = _tie_rows(rng, R, 40)
+        soft = np.concatenate([rng.normal(size=(20, 5)), ties])
+        seen = _spy_exact_search(monkeypatch)
+        decisions = detect_rows((DetectorKind.OPTIMAL,), soft, R, 0.0, np.linalg.cond(R))
+        assert sorted(seen) == sorted(map(tuple, ties.tolist()))
+        assert decisions[DetectorKind.OPTIMAL].tolist() == detectors._exact_rows(soft, R).tolist()
+
+    def test_running_minimum_across_chunks_and_slices(self, monkeypatch):
+        # At K = 6, chunks of 4 candidates and filter slices of 3 rows: a
+        # row's minimum moves across 16 chunks, and its count is kept or
+        # restarted as it moves.
+        monkeypatch.setattr(detectors, "_ENUM_CHUNK", 4)
+        monkeypatch.setattr(detectors, "RESIDUAL_BYTES", 3 * 8 * 4)
+        rng = np.random.default_rng(6)
+        R = _dyadic_R(6)
+        ties = _tie_rows(rng, R, 5)
+        bits = rng.choice([-1.0, 1.0], size=(5, 6))
+        soft = np.concatenate([rng.normal(size=(10, 6)), ties[:3], bits @ R, ties[3:]])
+        self._filter_check(monkeypatch, soft, ties, R)
+
+    @pytest.mark.parametrize("name,param,values", [
+        ("two_user", None, (None,)),
+        ("nearfar_reps", None, (None,)),
+        ("dense_sweep", "noise_sigma", (0.05, 0.1, 0.15)),
+    ])
+    def test_benchmark_rows_never_reach_the_exact_search(self, monkeypatch, name, param,
+                                                         values):
+        path = Path(__file__).resolve().parent.parent / "benchmarks" / "scenarios"
+        scenario = parse_config((path / f"{name}.json").read_text())
+        seen = _spy_exact_search(monkeypatch)
+        for value in values:
+            sc = scenario if param is None else scenario.with_overrides(**{param: value})
+            run_trials(sc, (DetectorKind.OPTIMAL,), include_qmud=False, trials=2000,
+                       master_seed=1)
+        assert seen == []
 
 
 class TestCandidateChunks:

@@ -18,7 +18,8 @@ from qmud.errors import (BudgetExceeded, KTooLarge, SingularMatrix, UnknownParam
                          ValidationError)
 from qmud.harness import (ALL_DETECTORS, BLOCK_TRIALS, _Prepared, _RegisterCache,
                           _run_block, run_single_trial)
-from scalar_reference import reference_registers, reference_report, reference_trial
+from scalar_reference import (reference_hypotheses, reference_registers, reference_report,
+                              reference_trial)
 
 
 def _count_builds(monkeypatch) -> list:
@@ -136,6 +137,27 @@ class TestRunTrials:
         with pytest.raises(SingularMatrix, match="trials 0–4: injected"):
             run_trials(make_scenario(), detectors=(DetectorKind.DECORRELATOR,),
                        include_qmud=False, trials=5, master_seed=0)
+
+
+class TestReceiverClosedForm:
+    def test_inconclusive_counts_match_the_closed_form(self):
+        # Noiseless, so every received index lies in its true-bit register.
+        # Each round, an open bank concludes with probability 1/N_s whether
+        # or not it stores the index, so within reps_max rounds it concludes
+        # with q = 1 - (1 - 1/N_s)^reps_max, and a user is inconclusive with
+        # probability 1 - q1 q0.  N_s comes from the scalar enumeration.
+        sc = make_orthogonal(K=2, PG=2, gamma=1,
+                             quantizer=QuantizerSpec(n_ch=3, amplitude=1.5 * math.sqrt(2)))
+        n_s = {(k, b): len(reference_hypotheses(sc, k, b)) for k in range(2) for b in (1, -1)}
+        trials = 2 * BLOCK_TRIALS + 1
+        values = (1, 2, 4, 8, 16)
+        for reps_max, report in zip(values, sweep(sc, "reps_max", values, trials, 3,
+                                                  detectors=())):
+            p = np.array([1 - np.prod([1 - (1 - 1 / n_s[k, b]) ** reps_max for b in (1, -1)])
+                          for k in range(2)])
+            mean, sd = trials * p.sum(), math.sqrt(trials * (p * (1 - p)).sum())
+            assert report.qmud.coverage_miss == 0
+            assert abs(report.qmud.inconclusive - mean) <= 5 * sd, (reps_max, mean, sd)
 
 
 class TestSweep:
