@@ -11,8 +11,7 @@ from .cdma import (correlation_matrix, matched_filter, noiseless_waveforms, tran
 from .config import QuantizerSpec, Scenario, default_amplitude, scenario_digest
 from .detectors import (DetectorKind, decorrelate_detect, mlse_objective,
                         mmse_detect, optimal_detect, sud_detect)
-from .harness import (ALL_DETECTORS, MetricsReport, QmudStats, TrialRecord,
-                      run_trials, sweep)
+from .harness import ALL_DETECTORS, MetricsReport, QmudStats, run_trials, sweep
 from .povm import (Decision, MeasurementOutcome, PovmTriple, UserDecision,
                    build_povm, detect_user, measurement_block,
                    outcome_probabilities, sample_outcome, solve_alpha_for_beta,

@@ -17,7 +17,7 @@ import math
 import sys
 import warnings
 
-from .config import QuantizerSpec, Scenario, default_amplitude
+from .config import QuantizerSpec, Scenario, _real, default_amplitude
 from .errors import (DomainError, IoError, ParseError, QmudError,
                      UnknownParameter, ValidationError)
 from .harness import ALL_DETECTORS, MetricsReport, run_trials, sweep
@@ -56,15 +56,13 @@ def parse_config(text: str) -> Scenario:
         raise ValidationError("signatures: expected a list of chip sequences")
     normalized = []
     for k, sig in enumerate(signatures):
-        if not (isinstance(sig, list) and all(
-                isinstance(c, (int, float)) and not isinstance(c, bool) for c in sig)):
-            raise ValidationError(f"signatures[{k}]: expected a list of numeric chips")
-        norm = math.sqrt(sum(float(c) ** 2 for c in sig))
+        sig = _real(f"signatures[{k}]", sig, sequence=True)
+        norm = math.sqrt(sum(c ** 2 for c in sig))
         if norm == 0:
             raise ValidationError(f"signatures[{k}]: zero vector cannot be normalized")
         if abs(norm - 1.0) > 1e-6:
             warnings.warn(f"signatures[{k}]: norm {norm:.6g} re-normalized to 1")
-        normalized.append(tuple(float(c) / norm for c in sig))
+        normalized.append(tuple(c / norm for c in sig))
 
     # Counts, ranges and integrality are Scenario's and QuantizerSpec's to check;
     # a missing amplitude_A is derived only from lengths Scenario has accepted.
@@ -74,8 +72,8 @@ def parse_config(text: str) -> Scenario:
             K=doc["K"],
             PG=doc["PG"],
             signatures=tuple(normalized),
-            energies=tuple(doc["energies"]),
-            gains=tuple(doc["gains"]),
+            energies=doc["energies"],
+            gains=doc["gains"],
             noise_sigma=doc["noise_sigma"],
             quantizer=QuantizerSpec(doc["N_ch"], 1.0 if amplitude is None else amplitude),
             gamma=doc["gamma"],

@@ -34,6 +34,17 @@ def _integer(name: str, value) -> int:
     raise ValidationError(f"{name} must be an integer, got {value!r}")
 
 
+def _real(name: str, value, sequence: bool = False):
+    """value as a float, or with ``sequence`` as a tuple of floats; never coerces a bool or str."""
+    if not sequence:
+        if isinstance(value, numbers.Real) and not isinstance(value, bool):
+            return float(value)
+        raise ValidationError(f"{name} must be a real number, got {value!r}")
+    if isinstance(value, (str, bytes)) or not hasattr(value, "__len__"):
+        raise ValidationError(f"{name}: expected a list of numbers, got {value!r}")
+    return tuple(_real(f"{name}[{i}]", v) for i, v in enumerate(value))
+
+
 def check_seed(seed) -> int:
     """The seed as an int; raises ValidationError unless it lies in [0, 2**64)."""
     seed = _integer("seed", seed)
@@ -55,7 +66,7 @@ class QuantizerSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "n_ch", _integer("N_ch", self.n_ch))
-        object.__setattr__(self, "amplitude", float(self.amplitude))
+        object.__setattr__(self, "amplitude", _real("amplitude_A", self.amplitude))
         if not 1 <= self.n_ch <= 8:
             raise ValidationError(f"N_ch must be in 1..8, got {self.n_ch}")
         if not (self.amplitude > 0 and math.isfinite(self.amplitude)):
@@ -95,11 +106,12 @@ class Scenario:
     def __post_init__(self):
         for name in ("K", "PG", "gamma", "reps_max", "seed"):
             object.__setattr__(self, name, _integer(name, getattr(self, name)))
-        object.__setattr__(self, "signatures",
-                           tuple(tuple(float(c) for c in sig) for sig in self.signatures))
-        object.__setattr__(self, "energies", tuple(float(e) for e in self.energies))
-        object.__setattr__(self, "gains", tuple(float(a) for a in self.gains))
-        object.__setattr__(self, "noise_sigma", float(self.noise_sigma))
+        object.__setattr__(self, "signatures", tuple(
+            _real(f"signatures[{k}]", sig, sequence=True)
+            for k, sig in enumerate(self.signatures)))
+        for name in ("energies", "gains"):
+            object.__setattr__(self, name, _real(name, getattr(self, name), sequence=True))
+        object.__setattr__(self, "noise_sigma", _real("noise_sigma", self.noise_sigma))
         object.__setattr__(self, "delays",
                            tuple(sorted(set(_integer("delays", d) for d in self.delays))))
         self._validate()

@@ -6,10 +6,12 @@ likelihood metric over all bit vectors.
 
 Each detector is written once, for rows of soft outputs (``detect_rows``).
 The per-symbol functions check their matrix, then run that code on one row.
-The optimal search ranks every candidate of a slice of rows with one
-matrix product (Verdú's correlation form of the metric) and reruns the
+The optimal search ranks a chunk of candidates for a slice of rows with
+one matrix product (Verdú's correlation form of the metric) and reruns the
 exhaustive search of the exact metric only for the rows where a second
-candidate comes within the float-error margin of the best.
+candidate comes within the float-error margin of the best.  It reads
+nothing but R and the rows, and no step of it allocates more than
+RESIDUAL_BYTES.
 """
 
 from __future__ import annotations
@@ -28,13 +30,11 @@ MAX_EXHAUSTIVE_USERS = 20
 # (duplicated or linearly dependent signatures).
 CONDITION_LIMIT = 1e12
 
-# Candidates scored per likelihood-metric evaluation.
-_ENUM_CHUNK = 1 << 16
-
-# Cap on the largest array one step of the optimal search allocates: the
-# filter's (rows, candidates) scores or the exact search's (rows,
-# candidates, K) residuals.  Both split their rows into slices to stay
-# under it.
+# Cap on the largest array one step of the optimal search allocates: a
+# chunk's (candidates, K) floats, the filter's (rows, candidates) scores or
+# the exact search's (rows, candidates, K) residuals.  Candidates come in
+# chunks of min(2^K, RESIDUAL_BYTES // 8K), and both searches split their
+# rows into slices to stay under it.
 RESIDUAL_BYTES = 1 << 20
 
 # Safety factor on the filter's float-error margin (see _optimal_rows).
@@ -48,24 +48,23 @@ class DetectorKind(enum.Enum):
     OPTIMAL = "optimal"
 
 
-def _check_condition(M: np.ndarray) -> float:
-    """cond(M); raises SingularMatrix for a non-finite or ill-conditioned matrix."""
+def _check_condition(M: np.ndarray) -> None:
+    """Raises SingularMatrix for a non-finite or ill-conditioned matrix."""
     cond = np.linalg.cond(M) if np.all(np.isfinite(M)) else np.inf
     if cond > CONDITION_LIMIT:
         raise SingularMatrix(
             f"matrix condition exceeds {CONDITION_LIMIT:g}; degenerate signature set")
-    return cond
 
 
-def check_optimal(R: np.ndarray) -> float:
-    """The optimal search's checks on R; returns cond(R), which its filter reads.
+def check_optimal(R: np.ndarray) -> None:
+    """The optimal search's checks on R.
 
     Raises KTooLarge above MAX_EXHAUSTIVE_USERS users and SingularMatrix
     for a degenerate R.
     """
     if len(R) > MAX_EXHAUSTIVE_USERS:
         raise KTooLarge(f"K={len(R)} exceeds exhaustive-search cap {MAX_EXHAUSTIVE_USERS}")
-    return _check_condition(R)
+    _check_condition(R)
 
 
 def _sign(x: np.ndarray) -> np.ndarray:
@@ -117,18 +116,17 @@ def optimal_detect(soft, R) -> np.ndarray:
     """
     soft = np.asarray(soft, dtype=float)
     R = np.asarray(R, dtype=float)
-    return _optimal_rows(soft[None], R, check_optimal(R))[0]
+    check_optimal(R)
+    return _optimal_rows(soft[None], R)[0]
 
 
-def detect_rows(kinds, soft: np.ndarray, R: np.ndarray, noise_variance: float,
-                cond_R: float | None) -> dict:
+def detect_rows(kinds, soft: np.ndarray, R: np.ndarray, noise_variance: float) -> dict:
     """Decisions of each selected detector for every row of soft (T, K).
 
     The per-symbol detectors are this code on one row, after their checks.
     The matrices are not checked here: callers run each selected
     detector's checks once first, which raise SingularMatrix or KTooLarge
-    for a degenerate scenario.  ``cond_R`` is what ``check_optimal(R)``
-    returned; only the optimal search reads it.
+    for a degenerate scenario.
     """
     out = {}
     for kind in kinds:
@@ -139,7 +137,7 @@ def detect_rows(kinds, soft: np.ndarray, R: np.ndarray, noise_variance: float,
         elif kind is DetectorKind.MMSE:
             out[kind] = _solve_sign(R + noise_variance * np.eye(len(R)), soft)
         else:
-            out[kind] = _optimal_rows(soft, R, cond_R)
+            out[kind] = _optimal_rows(soft, R)
     return out
 
 
@@ -169,13 +167,19 @@ def _candidates(i: np.ndarray, K: int) -> np.ndarray:
     return 2.0 * ((i[:, None] >> np.arange(K - 1, -1, -1)) & 1) - 1.0
 
 
+def _chunk_size(K: int) -> int:
+    """Candidates per chunk: 2^K, or as many as keep a chunk's (n, K) floats in RESIDUAL_BYTES."""
+    return min(1 << K, RESIDUAL_BYTES // (8 * K))
+
+
 def _candidate_chunks(K: int):
-    """{-1,+1}^K in lexicographic order, _ENUM_CHUNK rows at a time."""
-    for lo in range(0, 1 << K, _ENUM_CHUNK):
-        yield _candidates(np.arange(lo, min(lo + _ENUM_CHUNK, 1 << K)), K)
+    """(index of the first, candidates) for {-1,+1}^K in lexicographic order, a chunk at a time."""
+    n = _chunk_size(K)
+    for lo in range(0, 1 << K, n):
+        yield lo, _candidates(np.arange(lo, min(lo + n, 1 << K)), K)
 
 
-def _optimal_rows(soft: np.ndarray, R: np.ndarray, cond_R: float) -> np.ndarray:
+def _optimal_rows(soft: np.ndarray, R: np.ndarray) -> np.ndarray:
     """The exact search's decision for every row of soft, found by a filter where it can be.
 
     R is symmetric, so the metric (b~ - R y)^T R^-1 (b~ - R y) is
@@ -185,29 +189,32 @@ def _optimal_rows(soft: np.ndarray, R: np.ndarray, cond_R: float) -> np.ndarray:
     per row, the candidates within ``margin`` of the row's running minimum.
 
     ``margin`` covers twice the float error of both forms, with u the
-    machine epsilon: about K u cond(R) M for the solved metric, where
-    M = cond(R) |b~|^2 / max R_kk + A bounds its value near the minimum,
-    and about K u A for s, where A = sum |R_kl| + 2 |b~|_1 bounds |s|.
+    machine epsilon.  The solved metric is d.x with d = b~ - R y and
+    x = R^-1 d; a solve with backward error dR, |dR| <~ K u |R|, errs in it
+    by about x^T dR x, and x = R^-1 b~ - y, so that error is at most about
+    K u sum |R_kl| (|R^-1 b~| + sqrt(K))^2, whatever cond(R) is.  s errs by
+    about K u A, where A = sum |R_kl| + 2 |b~|_1 bounds |s|.
     _MARGIN_SAFETY covers the factor 2 and the constants of the solve, the
     products and the sums up to MAX_EXHAUSTIVE_USERS users.  So the exact
     search's winner is always counted: a row that counts one candidate
-    takes it, and every other row (ties, all-zero rows, ill-conditioned R)
-    reruns the exact search.  Across several candidate chunks a row's count
-    is kept while its minimum moves by less than the margin and restarts
-    when it moves further, so a count can come out too large, never too
-    small.
+    takes it, and every other row (ties, all-zero rows, near-ties within
+    the margin) reruns the exact search.  Across several candidate
+    chunks a row's count is kept while its minimum moves by less than the
+    margin and restarts when it moves further, so a count can come out too
+    large, never too small.
     """
     T, K = soft.shape
-    n = min(1 << K, _ENUM_CHUNK)
+    n = _chunk_size(K)
     step = max(1, RESIDUAL_BYTES // (8 * n))
     buf = np.empty(min(step, T) * n)
-    A = np.abs(R).sum() + 2 * np.abs(soft).sum(axis=1)
-    M = cond_R * np.einsum("tk,tk->t", soft, soft) / R.diagonal().max() + A
-    margin = _MARGIN_SAFETY * K * np.finfo(float).eps * (cond_R * M + A)
+    size = np.abs(R).sum()
+    A = size + 2 * np.abs(soft).sum(axis=1)
+    x = np.linalg.norm(soft @ np.linalg.inv(R).T, axis=1) + np.sqrt(K)
+    margin = _MARGIN_SAFETY * K * np.finfo(float).eps * (size * x * x + A)
     best = np.full(T, np.inf)
     arg = np.zeros(T, dtype=np.int64)
     count = np.zeros(T, dtype=np.int64)
-    for c0, chunk in zip(range(0, 1 << K, _ENUM_CHUNK), _candidate_chunks(K)):
+    for c0, chunk in _candidate_chunks(K):
         quad = np.einsum("nk,nk->n", chunk @ R, chunk)
         neg2c = -2.0 * chunk.T
         for lo in range(0, T, step):
@@ -239,10 +246,10 @@ def _exact_rows(soft: np.ndarray, R: np.ndarray) -> np.ndarray:
     the strict < keeps the earliest argmin across chunks.
     """
     T, K = soft.shape
-    step = max(1, RESIDUAL_BYTES // (8 * K * min(2 ** K, _ENUM_CHUNK)))
+    step = max(1, RESIDUAL_BYTES // (8 * K * _chunk_size(K)))
     best_obj = np.full(T, np.inf)
     best = np.empty((T, K))
-    for chunk in _candidate_chunks(K):
+    for _, chunk in _candidate_chunks(K):
         fitted = chunk @ R.T
         for lo in range(0, T, step):
             rows = np.arange(lo, min(lo + step, T))

@@ -20,9 +20,10 @@ order: a block gives each trial exactly the bits, noise, decisions and
 measurement draws that trial gets when run alone.  The block's detectors
 are ``detect_rows``, the row code that the per-symbol detectors run on
 one row; they skip the per-call condition check, and the scenario's one
-check runs in ``_Prepared``, which keeps cond(R) for the optimal search's
-filter.  That filter ranks a block's candidates with one matrix product
-per slice of rows, so a block's memory stays small at any K.
+check runs in ``_Prepared``.  The optimal search reads only R and the
+rows: its filter ranks a block's candidates with one matrix product per
+slice of rows and chunk of candidates, so a block's memory stays small at
+any K.
 
 Sweeps reuse the same master seed at every parameter value: matching trial
 indices see identical bits and identical standard-normal noise (common
@@ -41,7 +42,7 @@ from .config import Scenario, check_seed, scenario_digest
 from .detectors import (DetectorKind, check_optimal, decorrelate_detect, detect_rows,
                         mmse_detect)
 from .errors import QmudError, UnknownParameter, ValidationError
-from .povm import DECISIONS, Decision, UserDecision, detect_user_rows
+from .povm import DECISIONS, Decision, detect_user_rows
 from .registers import RegisterBank, build_bank, pack_basis, quantize_waveform, register_bit
 from .rng import TrialStreams
 
@@ -62,19 +63,6 @@ SWEEPABLE = ("noise_sigma", "reps_max", "gamma", "N_ch")
 # peaks at 0.53 MB under tracemalloc for the K=4 nearfar_reps scenario and
 # at 1.7 MB for the K=8 dense_sweep one (256 trials: 0.15 and 0.8 MB).
 BLOCK_TRIALS = 1024
-
-
-@dataclass(frozen=True)
-class TrialRecord:
-    """Everything observed in one trial; kept for audits and tests."""
-
-    trial_index: int
-    true_bits: tuple[int, ...]
-    detector_decisions: dict
-    qmud_decisions: tuple[UserDecision, ...] | None
-    received_index: int | None
-    coverage_miss: tuple[bool, ...] | None
-    reps_used: tuple[int, ...] | None
 
 
 @dataclass(frozen=True)
@@ -136,11 +124,11 @@ class _RegisterCache:
 class _Prepared:
     """Everything a trial reads, built once per scenario.
 
-    Holds the scenario, the selected detector kinds, R, cond(R) for the
-    optimal search and, with include_qmud, the register bank.  Each
-    selected detector's own checks (SingularMatrix, KTooLarge) run first,
-    in detector order, so they reject a degenerate scenario before the
-    bank is built and before trial 0, with or without registers.
+    Holds the scenario, the selected detector kinds, R and, with
+    include_qmud, the register bank.  Each selected detector's own checks
+    (SingularMatrix, KTooLarge) run first, in detector order, so they
+    reject a degenerate scenario before the bank is built and before
+    trial 0, with or without registers.
     """
 
     def __init__(self, scenario: Scenario, include_qmud: bool, kinds=ALL_DETECTORS,
@@ -149,7 +137,6 @@ class _Prepared:
         self.kinds = kinds
         self.R = correlation_matrix(scenario)
         self.noise_variance = scenario.noise_sigma ** 2
-        self.cond_R = None
         zero = np.zeros(scenario.K)
         for kind in kinds:
             if kind is DetectorKind.DECORRELATOR:
@@ -157,36 +144,24 @@ class _Prepared:
             elif kind is DetectorKind.MMSE:
                 mmse_detect(zero, self.R, self.noise_variance)
             elif kind is DetectorKind.OPTIMAL:
-                self.cond_R = check_optimal(self.R)
+                check_optimal(self.R)
         self.bank = (cache or _RegisterCache()).bank(scenario) if include_qmud else None
 
 
 @dataclass(frozen=True)
 class _Block:
-    """Trials t0 .. t0 + T - 1 as arrays with a leading trial axis.
+    """A block's T trials as arrays with a leading trial axis.
 
     ``decisions`` maps each detector kind to (T, K) bits; ``qmud`` codes
     index povm.DECISIONS.  The receiver arrays are None without registers.
     """
 
-    t0: int
     bits: np.ndarray
     decisions: dict
     received_index: np.ndarray | None
     qmud: np.ndarray | None
     reps: np.ndarray | None
     coverage_miss: np.ndarray | None
-
-    def record(self, i: int) -> TrialRecord:
-        """Row i as the TrialRecord of trial t0 + i."""
-        decisions = {kind: tuple(dec[i].tolist()) for kind, dec in self.decisions.items()}
-        bits = tuple(self.bits[i].tolist())
-        if self.qmud is None:
-            return TrialRecord(self.t0 + i, bits, decisions, None, None, None, None)
-        reps = tuple(self.reps[i].tolist())
-        qmud = tuple(UserDecision(DECISIONS[c], r) for c, r in zip(self.qmud[i].tolist(), reps))
-        return TrialRecord(self.t0 + i, bits, decisions, qmud, int(self.received_index[i]),
-                           tuple(self.coverage_miss[i].tolist()), reps)
 
 
 def _run_block(prep: _Prepared, master_seed: int, t0: int, count: int) -> _Block:
@@ -197,10 +172,10 @@ def _run_block(prep: _Prepared, master_seed: int, t0: int, count: int) -> _Block
     clean = noiseless_waveforms(scenario.amplitude_vector(), scenario.signature_matrix(), bits)
     received = clean + scenario.noise_sigma * streams.normals(scenario.PG)
     soft = matched_filter(received, scenario)
-    decisions = detect_rows(prep.kinds, soft, prep.R, prep.noise_variance, prep.cond_R)
+    decisions = detect_rows(prep.kinds, soft, prep.R, prep.noise_variance)
     bank = prep.bank
     if bank is None:
-        return _Block(t0, bits, decisions, None, None, None, None)
+        return _Block(bits, decisions, None, None, None, None)
 
     v = pack_basis(quantize_waveform(received, scenario.quantizer), scenario.quantizer)
     stored = bank.contains(v)
@@ -212,12 +187,7 @@ def _run_block(prep: _Prepared, master_seed: int, t0: int, count: int) -> _Block
             stored[:, one], stored[:, zero], bank.n_s[one], bank.n_s[zero],
             scenario.reps_max, streams)
     misses = ~np.take_along_axis(stored, register_bit(np.arange(scenario.K), bits), axis=1)
-    return _Block(t0, bits, decisions, v, codes, reps, misses)
-
-
-def run_single_trial(prep: _Prepared, trial_index: int, master_seed: int) -> TrialRecord:
-    """One trial, as the one row of a one-trial block."""
-    return _run_block(prep, master_seed, trial_index, 1).record(0)
+    return _Block(bits, decisions, v, codes, reps, misses)
 
 
 def run_trials(scenario: Scenario, detectors=ALL_DETECTORS, include_qmud: bool = True,

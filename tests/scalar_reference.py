@@ -6,14 +6,18 @@ each pattern's noiseless waveform adds the users in ascending index order
 (the own term at its own index), the order ``cdma.noiseless_waveforms``
 uses for the transmitter.
 
-``reference_trial`` and ``reference_report`` are the per-trial loop that
-``harness`` ran before it ran trials in blocks: one ``SplitMix64`` per
-trial, drawn through the per-symbol ``transmit``, detectors and
-``detect_user``, against registers that ``reference_registers`` builds one
-by one with ``enumerate_hypotheses``, not read from the harness's bank.
+``reference_trial``, ``reference_block`` and ``reference_report`` are the
+per-trial loop that ``harness`` ran before it ran trials in blocks: one
+``SplitMix64`` per trial, drawn through the per-symbol ``transmit``,
+detectors and ``detect_user``, against registers that
+``reference_registers`` builds one by one with ``enumerate_hypotheses``,
+not read from the harness's bank.  A trial comes out as a one-row
+``harness._Block``, so the engine's arrays are compared with
+``block_lists`` field by field.
 """
 
 import itertools
+from dataclasses import fields
 
 import numpy as np
 
@@ -22,8 +26,8 @@ from qmud.cdma import matched_filter, transmit
 from qmud.config import scenario_digest
 from qmud.detectors import (DetectorKind, decorrelate_detect, mmse_detect, optimal_detect,
                             sud_detect)
-from qmud.harness import MetricsReport, QmudStats, TrialRecord
-from qmud.povm import Decision, detect_user
+from qmud.harness import MetricsReport, QmudStats
+from qmud.povm import DECISIONS, Decision, detect_user
 from qmud.registers import enumerate_hypotheses, pack_basis, quantize_waveform, shift_variants
 from qmud.rng import SplitMix64, derive_seed
 
@@ -80,34 +84,52 @@ def reference_detectors(soft, prep) -> dict:
     return out
 
 
-def reference_trial(prep, registers, trial_index: int, master_seed: int) -> TrialRecord:
+def reference_trial(prep, registers, trial_index: int, master_seed: int) -> harness._Block:
     """One trial on its own SplitMix64 stream through the per-symbol functions.
 
     ``registers`` is ``reference_registers(prep.scenario)``, or None to skip
     the receiver.  This is the per-trial body the block engine replaced,
-    kept as its oracle.
+    kept as its oracle; it returns the trial as a one-row block.
     """
     scenario = prep.scenario
     rng = SplitMix64(derive_seed(master_seed, trial_index))
     bits = tuple(1 if rng.uniform() < 0.5 else -1 for _ in range(scenario.K))
     received = transmit(scenario, bits, rng)
     soft = matched_filter(received, scenario)
-    decisions = reference_detectors(soft, prep)
+    decisions = {kind: np.array([dec]) for kind, dec in reference_detectors(soft, prep).items()}
+    if registers is None:
+        return harness._Block(np.array([bits]), decisions, None, None, None, None)
 
-    qmud_decisions = None
-    v = None
-    misses = None
-    reps = None
-    if registers is not None:
-        v = pack_basis(quantize_waveform(received, scenario.quantizer), scenario.quantizer)
-        per_user = []
-        for k in range(scenario.K):
-            per_user.append(detect_user(registers[(k, 1)], registers[(k, -1)],
-                                        v, scenario.reps_max, rng))
-        qmud_decisions = tuple(per_user)
-        misses = tuple(v not in registers[(k, bits[k])] for k in range(scenario.K))
-        reps = tuple(d.reps_used for d in per_user)
-    return TrialRecord(trial_index, bits, decisions, qmud_decisions, v, misses, reps)
+    v = pack_basis(quantize_waveform(received, scenario.quantizer), scenario.quantizer)
+    per_user = [detect_user(registers[(k, 1)], registers[(k, -1)], v, scenario.reps_max, rng)
+                for k in range(scenario.K)]
+    codes = [DECISIONS.index(d.kind) for d in per_user]
+    reps = [d.reps_used for d in per_user]
+    misses = [v not in registers[(k, bits[k])] for k in range(scenario.K)]
+    return harness._Block(np.array([bits]), decisions, np.array([v]), np.array([codes]),
+                          np.array([reps]), np.array([misses]))
+
+
+def reference_block(prep, registers, t0: int, count: int, master_seed: int) -> harness._Block:
+    """Trials t0 .. t0 + count - 1, each through reference_trial, stacked into one block."""
+    rows = [reference_trial(prep, registers, t, master_seed) for t in range(t0, t0 + count)]
+    stacked = {}
+    for field in fields(harness._Block):
+        column = [getattr(row, field.name) for row in rows]
+        if field.name == "decisions":
+            stacked["decisions"] = {kind: np.concatenate([d[kind] for d in column])
+                                    for kind in column[0]}
+        else:
+            stacked[field.name] = None if column[0] is None else np.concatenate(column)
+    return harness._Block(**stacked)
+
+
+def block_lists(block: harness._Block) -> dict:
+    """Every array of a block as nested lists, for exact comparison."""
+    out = {f.name: getattr(block, f.name) for f in fields(block)}
+    out["decisions"] = {kind: dec.tolist() for kind, dec in block.decisions.items()}
+    return {name: value.tolist() if isinstance(value, np.ndarray) else value
+            for name, value in out.items()}
 
 
 def reference_report(scenario, kinds, include_qmud: bool, trials: int,
@@ -121,18 +143,18 @@ def reference_report(scenario, kinds, include_qmud: bool, trials: int,
 
     for t in range(trials):
         rec = reference_trial(prep, registers, t, master_seed)
+        bits = rec.bits[0].tolist()
         for kind in kinds:
-            bit_errors[kind] += sum(
-                d != b for d, b in zip(rec.detector_decisions[kind], rec.true_bits))
+            bit_errors[kind] += sum(d != b for d, b in zip(rec.decisions[kind][0].tolist(), bits))
         if include_qmud:
-            reps_total += sum(rec.reps_used)
+            reps_total += int(rec.reps.sum())
             for k in range(scenario.K):
-                if rec.coverage_miss[k]:
+                if rec.coverage_miss[0, k]:
                     miss_count += 1
                     continue
-                kind = rec.qmud_decisions[k].kind
+                kind = DECISIONS[rec.qmud[0, k]]
                 if kind in (Decision.BIT_ONE, Decision.BIT_ZERO):
-                    if kind.bit_value == rec.true_bits[k]:
+                    if kind.bit_value == bits[k]:
                         correct += 1
                     else:
                         false_dec += 1

@@ -214,6 +214,20 @@ class TestMainExitCodes:
         assert main(["run", "--config", cfg, "--trials", "1",
                      "--out", str(tmp_path / "r.csv")]) == 1
 
+    @pytest.mark.parametrize("field,override", [
+        ("energies", {"energies": "11"}),
+        ("noise_sigma", {"noise_sigma": "0.1"}),
+        ("noise_sigma", {"noise_sigma": True}),
+        ("gains", {"gains": [True, 1]}),
+        ("amplitude_A", {"amplitude_A": "2.0"}),
+        ("energies", {"energies": 1.0}),
+    ])
+    def test_non_real_values_rejected(self, tmp_path, capsys, field, override):
+        cfg = self._write_config(tmp_path, dict(GOLDEN_CONFIG, **override))
+        assert main(["run", "--config", cfg, "--trials", "1",
+                     "--out", str(tmp_path / "r.csv")]) == 1
+        assert field in capsys.readouterr().err
+
     def test_unknown_sweep_parameter(self, tmp_path):
         cfg = self._write_config(tmp_path, MINIMAL_ONE_USER)
         assert main(["sweep", "--config", cfg, "--param", "bogus",

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -203,7 +204,7 @@ class TestDetectRows:
     }
 
     def _check(self, soft, R, var):
-        rows = detect_rows(tuple(DetectorKind), soft, R, var, np.linalg.cond(R))
+        rows = detect_rows(tuple(DetectorKind), soft, R, var)
         for kind, detect in self.PER_SYMBOL.items():
             assert rows[kind].tolist() == [detect(s, R, var).tolist() for s in soft]
         # The per-symbol detectors run this same row code, so the rows are
@@ -233,10 +234,10 @@ class TestDetectRows:
         self._check(soft, R, var)
 
     def test_ties_and_slices_across_candidate_chunks(self, monkeypatch):
-        # Chunks of 4 candidates and slices of 3 rows run the chunked paths
-        # of both searches at K = 4.
-        monkeypatch.setattr(detectors, "_ENUM_CHUNK", 4)
-        monkeypatch.setattr(detectors, "RESIDUAL_BYTES", 3 * 8 * 4 * 4)
+        # 128 bytes give chunks of 4 candidates, filter slices of 4 rows and
+        # exact-search slices of 1 row: the chunked paths of both searches
+        # at K = 4.
+        monkeypatch.setattr(detectors, "RESIDUAL_BYTES", 8 * 4 * 4)
         rng = np.random.default_rng(3)
         soft = np.concatenate([rng.normal(size=(10, 4)), np.zeros((2, 4))])
         self._check(soft, np.eye(4), 0.3)
@@ -257,7 +258,7 @@ class TestDetectRows:
     def _filter_check(self, monkeypatch, soft, ties, R):
         """Exactly the tie rows of soft reach the exact search; every row is right."""
         seen = _spy_exact_search(monkeypatch)
-        rows = detect_rows((DetectorKind.OPTIMAL,), soft, R, 0.0, np.linalg.cond(R))
+        rows = detect_rows((DetectorKind.OPTIMAL,), soft, R, 0.0)
         assert sorted(seen) == sorted(map(tuple, ties.tolist()))
         decisions = rows[DetectorKind.OPTIMAL]
         assert decisions.tolist() == [optimal_detect(s, R).tolist() for s in soft]
@@ -280,22 +281,74 @@ class TestDetectRows:
         ties = _tie_rows(rng, R, 40)
         soft = np.concatenate([rng.normal(size=(20, 5)), ties])
         seen = _spy_exact_search(monkeypatch)
-        decisions = detect_rows((DetectorKind.OPTIMAL,), soft, R, 0.0, np.linalg.cond(R))
+        decisions = detect_rows((DetectorKind.OPTIMAL,), soft, R, 0.0)
         assert sorted(seen) == sorted(map(tuple, ties.tolist()))
         assert decisions[DetectorKind.OPTIMAL].tolist() == detectors._exact_rows(soft, R).tolist()
 
     def test_running_minimum_across_chunks_and_slices(self, monkeypatch):
-        # At K = 6, chunks of 4 candidates and filter slices of 3 rows: a
-        # row's minimum moves across 16 chunks, and its count is kept or
-        # restarted as it moves.
-        monkeypatch.setattr(detectors, "_ENUM_CHUNK", 4)
-        monkeypatch.setattr(detectors, "RESIDUAL_BYTES", 3 * 8 * 4)
+        # At K = 6, 192 bytes give chunks of 4 candidates and filter slices
+        # of 6 rows: a row's minimum moves across 16 chunks, and its count is
+        # kept or restarted as it moves.
+        monkeypatch.setattr(detectors, "RESIDUAL_BYTES", 8 * 6 * 4)
         rng = np.random.default_rng(6)
         R = _dyadic_R(6)
         ties = _tie_rows(rng, R, 5)
         bits = rng.choice([-1.0, 1.0], size=(5, 6))
         soft = np.concatenate([rng.normal(size=(10, 6)), ties[:3], bits @ R, ties[3:]])
         self._filter_check(monkeypatch, soft, ties, R)
+
+    def test_ill_conditioned_rows_seldom_reach_the_exact_search(self, monkeypatch):
+        # cond(R) = 1e5 at K = 6.  The margin grows with |R^-1 b~|^2, not
+        # with cond(R)^2, so few noisy rows rerun the exhaustive search (34
+        # of these 2000).
+        rng = np.random.default_rng(5)
+        Q, _ = np.linalg.qr(rng.normal(size=(6, 6)))
+        R = (Q * np.logspace(0, -5, 6)) @ Q.T
+        R = (R + R.T) / 2
+        soft = rng.choice([-1.0, 1.0], size=(2000, 6)) @ R + 0.3 * rng.normal(size=(2000, 6))
+        exact = detectors._exact_rows(soft, R)
+        seen = _spy_exact_search(monkeypatch)
+        decisions = detect_rows((DetectorKind.OPTIMAL,), soft, R, 0.0)[DetectorKind.OPTIMAL]
+        assert len(seen) <= 0.03 * len(soft)
+        assert decisions.tolist() == exact.tolist()
+
+    def test_ties_across_uneven_chunks_at_k14(self, monkeypatch):
+        # At K = 14 the candidates come in chunks of 9362 and 7022.  Each
+        # tie row's two candidates differ in the first bit, 8192 apart, so
+        # most pairs straddle the chunk boundary.
+        K = 14
+        assert [len(c) for _, c in detectors._candidate_chunks(K)] == [9362, 7022]
+        rng = np.random.default_rng(14)
+        R = _random_R(rng, K)
+        y1 = rng.choice([-1.0, 1.0], size=(12, K))
+        y1[:, 0] = -1.0
+        y2 = y1.copy()
+        y2[:, 0] = 1.0
+        ties = np.concatenate([(y1 + y2) / 2 @ R, np.zeros((2, K))])
+        soft = np.concatenate([rng.normal(size=(8, K)), ties])
+        exact = detectors._exact_rows(soft, R)
+        seen = _spy_exact_search(monkeypatch)
+        decisions = detect_rows((DetectorKind.OPTIMAL,), soft, R, 0.0)[DetectorKind.OPTIMAL]
+        assert set(map(tuple, ties.tolist())) <= set(seen)
+        assert decisions.tolist() == exact.tolist()
+
+    def test_k16_search_stays_within_its_byte_cap(self):
+        # All 2^16 candidates in one chunk would take 8 MiB; chunks of
+        # RESIDUAL_BYTES // 8K candidates keep every step under the cap,
+        # the exact search of the all-zero row, a tie, too.
+        K = 16
+        rng = np.random.default_rng(16)
+        R = _random_R(rng, K)
+        soft = np.concatenate([rng.choice([-1.0, 1.0], size=(63, K)) @ R
+                               + 0.3 * rng.normal(size=(63, K)), np.zeros((1, K))])
+        tracemalloc.start()
+        try:
+            decisions = detectors._optimal_rows(soft, R)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * detectors.RESIDUAL_BYTES
+        assert decisions[-1:].tolist() == detectors._exact_rows(soft[-1:], R).tolist()
 
     @pytest.mark.parametrize("name,param,values", [
         ("two_user", None, (None,)),
@@ -318,9 +371,10 @@ class TestCandidateChunks:
     @pytest.mark.parametrize("chunk", [4, 5])
     def test_lexicographic_order_in_chunks(self, monkeypatch, chunk):
         # A chunk of 5 leaves an uneven last chunk for every K >= 3.
-        monkeypatch.setattr(detectors, "_ENUM_CHUNK", chunk)
         for K in range(1, 13):
-            chunks = list(detectors._candidate_chunks(K))
-            assert all(len(c) == chunk for c in chunks[:-1])
+            monkeypatch.setattr(detectors, "RESIDUAL_BYTES", 8 * K * chunk)
+            starts, chunks = zip(*detectors._candidate_chunks(K))
+            assert all(len(c) == min(chunk, 2 ** K) for c in chunks[:-1])
+            assert list(starts) == list(range(0, 2 ** K, min(chunk, 2 ** K)))
             assert np.concatenate(chunks).tolist() == [
                 list(y) for y in itertools.product((-1.0, 1.0), repeat=K)]

@@ -16,10 +16,10 @@ from qmud.config import default_amplitude
 from qmud.detectors import RESIDUAL_BYTES
 from qmud.errors import (BudgetExceeded, KTooLarge, SingularMatrix, UnknownParameter,
                          ValidationError)
-from qmud.harness import (ALL_DETECTORS, BLOCK_TRIALS, _Prepared, _RegisterCache,
-                          _run_block, run_single_trial)
-from scalar_reference import (reference_hypotheses, reference_registers, reference_report,
-                              reference_trial)
+from qmud.harness import ALL_DETECTORS, BLOCK_TRIALS, _Prepared, _RegisterCache, _run_block
+from qmud.povm import DECISIONS
+from scalar_reference import (block_lists, reference_block, reference_hypotheses,
+                              reference_registers, reference_report)
 
 
 def _count_builds(monkeypatch) -> list:
@@ -85,12 +85,12 @@ class TestRunTrials:
         sc = _nonorthogonal_noisy()
         prep = _Prepared(sc, include_qmud=True, kinds=())
         regs = reference_registers(sc)
-        for t in range(300):
-            rec = run_single_trial(prep, t, master_seed=11)
+        block = _run_block(prep, 11, 0, 300)
+        for v, codes in zip(block.received_index.tolist(), block.qmud.tolist()):
             for k in range(sc.K):
-                kind = rec.qmud_decisions[k].kind
-                in1 = rec.received_index in regs[(k, 1)].members
-                in0 = rec.received_index in regs[(k, -1)].members
+                kind = DECISIONS[codes[k]]
+                in1 = v in regs[(k, 1)].members
+                in0 = v in regs[(k, -1)].members
                 if kind is Decision.BIT_ONE:
                     assert in1 and not in0
                 elif kind is Decision.BIT_ZERO:
@@ -103,13 +103,15 @@ class TestRunTrials:
     def test_conclusive_decisions_match_sud_in_trivial_regime(self):
         sc = make_orthogonal(K=2, PG=4, reps_max=32)
         prep = _Prepared(sc, include_qmud=True, kinds=(DetectorKind.SUD,))
-        for t in range(200):
-            rec = run_single_trial(prep, t, master_seed=2)
+        block = _run_block(prep, 2, 0, 200)
+        for codes, sud, bits in zip(block.qmud.tolist(),
+                                    block.decisions[DetectorKind.SUD].tolist(),
+                                    block.bits.tolist()):
             for k in range(sc.K):
-                bit = rec.qmud_decisions[k].kind.bit_value
+                bit = DECISIONS[codes[k]].bit_value
                 if bit is not None:
-                    assert bit == rec.detector_decisions[DetectorKind.SUD][k]
-                    assert bit == rec.true_bits[k]
+                    assert bit == sud[k]
+                    assert bit == bits[k]
 
     def test_zero_trials_rejected(self, two_user_scenario):
         with pytest.raises(ValidationError):
@@ -137,6 +139,24 @@ class TestRunTrials:
         with pytest.raises(SingularMatrix, match="trials 0–4: injected"):
             run_trials(make_scenario(), detectors=(DetectorKind.DECORRELATOR,),
                        include_qmud=False, trials=5, master_seed=0)
+
+    def test_errors_name_the_failing_block(self, monkeypatch):
+        # A failure in the second block names that block's trials.
+        blocks = []
+        real = harness.noiseless_waveforms
+
+        def failing_second(*args):
+            blocks.append(len(args[2]))
+            if len(blocks) == 2:
+                raise SingularMatrix("injected")
+            return real(*args)
+
+        monkeypatch.setattr(harness, "noiseless_waveforms", failing_second)
+        with pytest.raises(SingularMatrix,
+                           match=f"trials {BLOCK_TRIALS}–{2 * BLOCK_TRIALS - 1}: injected"):
+            run_trials(make_scenario(), detectors=(DetectorKind.DECORRELATOR,),
+                       include_qmud=False, trials=2 * BLOCK_TRIALS + 5, master_seed=0)
+        assert blocks == [BLOCK_TRIALS, BLOCK_TRIALS]
 
 
 class TestReceiverClosedForm:
@@ -187,10 +207,9 @@ class TestSweep:
         sc = _nonorthogonal_noisy()
         prep = _Prepared(sc, include_qmud=False, kinds=())
         prep_low = _Prepared(sc.with_overrides(noise_sigma=0.0), include_qmud=False, kinds=())
-        for t in range(20):
-            a = run_single_trial(prep, t, master_seed=8)
-            b = run_single_trial(prep_low, t, master_seed=8)
-            assert a.true_bits == b.true_bits
+        a = _run_block(prep, 8, 0, 20)
+        b = _run_block(prep_low, 8, 0, 20)
+        assert a.bits.tolist() == b.bits.tolist()
 
     def test_unknown_parameter(self, two_user_scenario):
         with pytest.raises(UnknownParameter):
@@ -360,17 +379,17 @@ class TestBlockEngine:
         scenario, kinds, include_qmud, trials, t0, seed = case
         prep = _Prepared(scenario, include_qmud, kinds)
         regs = reference_registers(scenario) if include_qmud else None
-        block = _run_block(prep, seed, t0, trials)
-        assert [block.record(i) for i in range(trials)] == [
-            reference_trial(prep, regs, t0 + i, seed) for i in range(trials)]
+        assert block_lists(_run_block(prep, seed, t0, trials)) == block_lists(
+            reference_block(prep, regs, t0, trials, seed))
         assert run_trials(scenario, kinds, include_qmud, trials, seed) == reference_report(
             scenario, kinds, include_qmud, trials, seed)
 
-    def test_run_single_trial_is_the_per_trial_loop(self):
+    def test_one_trial_block_is_the_per_trial_loop(self):
         prep = _Prepared(_nonorthogonal_noisy(), include_qmud=True)
         regs = reference_registers(prep.scenario)
         for t in (0, 1, 2**33):
-            assert run_single_trial(prep, t, 5) == reference_trial(prep, regs, t, 5)
+            assert block_lists(_run_block(prep, 5, t, 1)) == block_lists(
+                reference_block(prep, regs, t, 1, 5))
 
     def test_condition_checked_only_before_trial_0(self, monkeypatch):
         calls = []
