@@ -1,9 +1,11 @@
 """Byte-for-byte CLI output against frozen golden CSVs.
 
 Each case runs one ``qmud`` command on a scenario stored next to its CSV
-in ``tests/golden/``.  Together they cover a long ``run``, a sweep over
-every sweepable parameter, own-signature delays with a noise lattice, and
-the noiseless near-far ``reps_max`` sweep.  Any change to draws, quantized
+in ``tests/golden/``.  Together they cover a long ``run``, a ``run`` one
+trial past a 1024-trial block, a sweep over every sweepable parameter,
+own-signature delays with a noise lattice, the noiseless near-far
+``reps_max`` sweep, and the K=8 Walsh scenario whose bank keys fill all
+32 bits (N_Q + K = 24 + 8).  Any change to draws, quantized
 indices, registers, detectors or CSV formatting shows up here.
 """
 
@@ -18,6 +20,7 @@ GOLDEN = Path(__file__).parent / "golden"
 # name -> (scenario JSON in GOLDEN, CLI arguments without --config/--out)
 CASES = {
     "two_user_run": ("two_user.json", ["run", "--trials", "2000", "--seed", "7"]),
+    "two_user_run_1025": ("two_user.json", ["run", "--trials", "1025", "--seed", "7"]),
     "two_user_noise_sigma": ("two_user.json", [
         "sweep", "--param", "noise_sigma", "--values", "0.1,0.2,0.3",
         "--trials", "800", "--seed", "7"]),
@@ -34,6 +37,9 @@ CASES = {
     "nearfar_reps_max": ("nearfar_reps.json", [
         "sweep", "--param", "reps_max", "--values", "1,2,4,8,16",
         "--trials", "300", "--seed", "11"]),
+    "dense_sweep_noise_sigma": ("dense_sweep.json", [
+        "sweep", "--param", "noise_sigma", "--values", "0.05,0.1,0.15",
+        "--trials", "200", "--seed", "7"]),
 }
 
 
