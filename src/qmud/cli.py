@@ -77,7 +77,7 @@ def parse_config(text: str) -> Scenario:
             noise_sigma=doc["noise_sigma"],
             quantizer=QuantizerSpec(doc["N_ch"], 1.0 if amplitude is None else amplitude),
             gamma=doc["gamma"],
-            delays=tuple(doc.get("delays", [0])),
+            delays=doc.get("delays", [0]),
             reps_max=doc["reps_max"],
             seed=doc["seed"],
         )

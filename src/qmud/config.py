@@ -34,15 +34,20 @@ def _integer(name: str, value) -> int:
     raise ValidationError(f"{name} must be an integer, got {value!r}")
 
 
+def _sequence(name: str, value) -> tuple:
+    """value as a tuple; rejects a scalar, and a str or bytes that would split into characters."""
+    if isinstance(value, (str, bytes)) or not hasattr(value, "__len__"):
+        raise ValidationError(f"{name}: expected a list of numbers, got {value!r}")
+    return tuple(value)
+
+
 def _real(name: str, value, sequence: bool = False):
     """value as a float, or with ``sequence`` as a tuple of floats; never coerces a bool or str."""
     if not sequence:
         if isinstance(value, numbers.Real) and not isinstance(value, bool):
             return float(value)
         raise ValidationError(f"{name} must be a real number, got {value!r}")
-    if isinstance(value, (str, bytes)) or not hasattr(value, "__len__"):
-        raise ValidationError(f"{name}: expected a list of numbers, got {value!r}")
-    return tuple(_real(f"{name}[{i}]", v) for i, v in enumerate(value))
+    return tuple(_real(f"{name}[{i}]", v) for i, v in enumerate(_sequence(name, value)))
 
 
 def check_seed(seed) -> int:
@@ -112,8 +117,8 @@ class Scenario:
         for name in ("energies", "gains"):
             object.__setattr__(self, name, _real(name, getattr(self, name), sequence=True))
         object.__setattr__(self, "noise_sigma", _real("noise_sigma", self.noise_sigma))
-        object.__setattr__(self, "delays",
-                           tuple(sorted(set(_integer("delays", d) for d in self.delays))))
+        object.__setattr__(self, "delays", tuple(sorted(set(
+            _integer(f"delays[{i}]", d) for i, d in enumerate(_sequence("delays", self.delays))))))
         self._validate()
         sig = np.array(self.signatures, dtype=float)
         amp = np.sqrt(np.array(self.energies)) * np.array(self.gains)

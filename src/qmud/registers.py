@@ -9,17 +9,32 @@ variants, every interferer bit pattern, and a bounded lattice of per-chip
 noise offsets.  Registers carry implicit uniform amplitudes 1/sqrt(N_s),
 so membership alone fixes the state.
 
-One enumerator, ``_pattern_boxes``, turns bit patterns into indices: a
-pattern's box is its noiseless waveform under every lattice offset,
-quantized and packed in numpy.  ``enumerate_hypotheses`` builds one
-register from the boxes of the patterns that fix the user's bit, as a
-``SparseRegister``: a read-only sorted ``np.int64`` array with duplicates
-collapsed by one sort.  ``build_bank`` builds all 2K registers of a
-scenario at once as a ``RegisterBank``: with delay 0, register (k, b) is
-the union of the boxes of the full patterns whose bit k is b, so the 2^K
-boxes are enumerated and sorted once, and each stored index carries a
-2K-bit mask of the registers that hold it.  One binary search of a
-received index into the bank gives its membership in every register.
+One quantizer of boxes, ``_chip_codes``, turns bit patterns into chip
+codes: a pattern's box is its noiseless waveform under every lattice
+offset, and ``_pack_offsets`` packs the box into sorted indices, chip 0
+most significant.  ``enumerate_hypotheses`` builds one register from the
+boxes of the patterns that fix the user's bit, as a ``SparseRegister``: a
+read-only sorted ``np.int64`` array with duplicates collapsed by one sort.
+``build_bank`` builds all 2K registers of a scenario at once as a
+``RegisterBank``: with delay 0, register (k, b) is the union of the boxes
+of the full patterns whose bit k is b, so the 2^K boxes are quantized
+once, and each stored index carries a 2K-bit mask of the registers that
+hold it.  One binary search of a received index into the bank gives its
+membership in every register.
+
+The bank is built in slices.  A row of a box is one pattern under one
+code of the h leading chips: the (2*gamma + 1)^(PG - h) indices that share
+both.  Leading chips are an index's most significant digits, so runs of
+leading codes are runs of indices that never overlap: each slice, a run of
+leading codes with about ``SLICE_BYTES`` of sort keys, is sorted and
+collapsed on its own, and the bank is the slices in order.  Delay-variant
+boxes are collapsed in the same slices and merged slice by slice.  h
+follows from the sizes alone: the fewest leading chips for which the rows
+of one leading code in one box, at most 2^K * (2*gamma + 1)^(PG - h) keys,
+fit in ``SLICE_BYTES``.  Small scenarios take h = 0 and one slice; the
+K=8, PG=8, gamma=1 ``dense_sweep`` scenario takes h = 2 and 7 slices, and
+its build peaks at 7.9 MB under ``tracemalloc`` for a 5.0 MB bank, against
+21.0 MB as one slice.
 
 Widths follow from the scenario's sizes alone.  Boxes, bank sort keys
 (index << K) | pattern id and bank members are unsigned 32-bit when
@@ -46,6 +61,10 @@ from .errors import (BudgetExceeded, CodeOutOfRange, DelayOutOfRange,
 
 # Cap on delays x interferer patterns x noise-lattice points per register.
 ENUMERATION_BUDGET = 10**6
+
+# Bytes of sort keys per slice of the bank build (see _slicing); a bank
+# with fewer keys is built as one slice.
+SLICE_BYTES = 1 << 20
 
 
 def quantize_waveform(chips, spec: QuantizerSpec) -> np.ndarray:
@@ -211,33 +230,58 @@ def _check_budget(scenario: Scenario) -> None:
             f"{hypothesis_budget(scenario)} hypotheses exceed budget {ENUMERATION_BUDGET}")
 
 
+def _slicing(scenario: Scenario) -> tuple[int, int]:
+    """(h, rows per slice) of the bank build; see the module docstring.
+
+    h is the fewest leading chips for which the rows of one leading code in
+    one box, at most 2**K rows of (2*gamma + 1)**(PG - h) keys, fit in
+    SLICE_BYTES, or PG when none do.  A slice takes about SLICE_BYTES of rows.
+    """
+    key_bytes = _key_dtype(scenario).itemsize
+    lattice = 2 * scenario.gamma + 1
+    h = next((h for h in range(scenario.PG)
+              if (1 << scenario.K) * key_bytes * lattice ** (scenario.PG - h) <= SLICE_BYTES),
+             scenario.PG)
+    return h, max(1, SLICE_BYTES // (key_bytes * lattice ** (scenario.PG - h)))
+
+
 def _key_dtype(scenario: Scenario) -> np.dtype:
     """Width of the boxes and bank keys: uint32 when (index << K) | pattern id fits."""
     return np.dtype(np.uint32 if scenario.register_bits + scenario.K <= 32 else np.int64)
 
 
-def _pattern_boxes(scenario: Scenario, signatures: np.ndarray,
-                   patterns: np.ndarray) -> np.ndarray:
-    """Packed indices of each bit pattern's box, one row per row of ``patterns``.
+def _chip_codes(scenario: Scenario, signatures: np.ndarray, patterns: np.ndarray) -> np.ndarray:
+    """Chip codes of each bit pattern's box: codes[p, n, j], in ``_key_dtype(scenario)``.
 
-    Row p holds the quantized index of the noiseless waveform of pattern p
-    under ``signatures`` plus every combination of per-chip noise offsets
-    eps[n] in {-gamma*step, ..., 0, ..., +gamma*step}, so it has
-    (2*gamma + 1)**PG entries, in ``_key_dtype(scenario)``.  This is the one
-    enumeration of waveforms into indices; ``enumerate_hypotheses`` and
-    ``build_bank`` both use it.
+    Entry (p, n, j) is chip n of the noiseless waveform of pattern p under
+    ``signatures``, shifted by lattice offset eps_j = (j - gamma)*step and
+    quantized, so it rises with j.  This is the one quantization of
+    waveforms into box codes; ``enumerate_hypotheses`` and ``build_bank``
+    both use it.
     """
     spec = scenario.quantizer
-    dtype = _key_dtype(scenario)
     lattice = spec.step * np.arange(-scenario.gamma, scenario.gamma + 1, dtype=float)
     base = noiseless_waveforms(scenario.amplitude_vector(), signatures, patterns)
-    # codes[p, n, j]: chip n of pattern p shifted by lattice offset j.
-    codes = quantize_waveform(base[:, :, None] + lattice, spec).astype(dtype)
-    # Pack every combination of per-chip offsets, chip 0 most significant.
-    index = np.zeros((len(patterns), 1), dtype=dtype)
-    for n in range(scenario.PG):
-        index = (index[:, :, None] * spec.levels + codes[:, n, None, :]).reshape(
-            len(patterns), -1)
+    return quantize_waveform(base[:, :, None] + lattice, spec).astype(_key_dtype(scenario))
+
+
+def _pack_offsets(codes: np.ndarray, levels: int, head=None, unit: int = 1) -> np.ndarray:
+    """Packed indices of every combination of per-chip offsets, one row per row of ``codes``.
+
+    Row r of the result holds, for ``codes`` of shape (rows, chips, L), the
+    L**chips values head[r] + unit * index, in the dtype of ``codes``, where
+    index packs one code per chip, chip 0 most significant, and ``head``
+    is a (rows, 1) array or None for zeros.  Codes rise with the offset, so
+    each row is sorted.
+    """
+    rows, chips, _ = codes.shape
+    index = np.zeros((rows, 1), dtype=codes.dtype) if head is None else head
+    # Chips are prepended from the last, so every broadcast add runs along
+    # the long trailing axis.
+    scale = unit
+    for n in range(chips - 1, -1, -1):
+        index = (codes[:, n, :, None] * scale + index[:, None, :]).reshape(rows, -1)
+        scale *= levels
     return index
 
 
@@ -269,7 +313,8 @@ def enumerate_hypotheses(scenario: Scenario, user: int, bit: int) -> SparseRegis
     chunks = []
     for own in shift_variants(sig[user], scenario.delays):
         sig[user] = own
-        chunks.append(_pattern_boxes(scenario, sig, patterns).ravel())
+        codes = _chip_codes(scenario, sig, patterns)
+        chunks.append(_pack_offsets(codes, scenario.quantizer.levels).ravel())
     return SparseRegister(np.concatenate(chunks), scenario.register_bits)
 
 
@@ -319,18 +364,34 @@ class RegisterBank:
         return SparseRegister(self.members[stored], self.n_q)
 
 
-def _collapse(boxes: np.ndarray, pattern_masks: np.ndarray, K: int):
+def _distinct(values: np.ndarray) -> np.ndarray:
+    """The distinct values of a sorted array, in order."""
+    return values[np.concatenate(([True], values[1:] != values[:-1]))]
+
+
+def _lead_rows(codes: np.ndarray, h: int, levels: int, K: int):
+    """(leading codes, pattern ids) of a box's rows, sorted by leading code.
+
+    A row is one pattern under one packed code of its h leading chips: the
+    (2*gamma + 1)**(PG - h) indices that pattern reaches with those leading
+    codes.  Each (leading code, pattern) pair is one row.  Both arrays are
+    in the dtype of ``codes``, which holds (leading code << K) | pattern id.
+    """
+    ids = np.arange(len(codes), dtype=codes.dtype)[:, None]
+    rows = _pack_offsets(codes[:, :h], levels, ids, 1 << K).reshape(-1)
+    rows.sort()
+    rows = _distinct(rows)
+    return rows >> K, rows & (1 << K) - 1
+
+
+def _collapse(keys: np.ndarray, pattern_masks: np.ndarray, K: int):
     """(sorted unique indices, OR of the masks of the patterns whose box holds each).
 
-    ``boxes`` is a fresh (2**K, entries) array from ``_pattern_boxes``,
-    reused in place as the sort keys (index << K) | pattern id, so every
-    pass runs in the key width; the masks keep the width of
-    ``pattern_masks``.
+    ``keys`` is a fresh array of sort keys (index << K) | pattern id, sorted
+    in place, so every pass runs in the key width; the masks keep the width
+    of ``pattern_masks``.
     """
-    boxes <<= K
-    boxes |= np.arange(len(boxes), dtype=boxes.dtype)[:, None]
-    keys = boxes.reshape(-1)
-    del boxes  # keys is a view, so ``del keys`` below frees the array
+    keys = keys.reshape(-1)
     keys.sort()
     # A run of one index starts where a key differs from its predecessor above bit K.
     starts = np.flatnonzero(np.concatenate(([True], (keys[1:] ^ keys[:-1]) >= 1 << K)))
@@ -351,25 +412,27 @@ def _merge(members, masks, extra, extra_masks):
     return union, merged
 
 
-def _bit_counts(masks: np.ndarray, n_bits: int) -> tuple[int, ...]:
+def _bit_counts(masks: np.ndarray, n_bits: int) -> np.ndarray:
     """How many masks have bit j set, for j < n_bits, by one bincount per mask byte."""
     as_bytes = masks.astype(masks.dtype.newbyteorder("<"), copy=False).view(np.uint8)
     as_bytes = as_bytes.reshape(masks.size, masks.itemsize)
     byte_bits = (np.arange(256)[:, None] >> np.arange(8)) & 1
     counts = np.concatenate([np.bincount(as_bytes[:, j], minlength=256) @ byte_bits
                              for j in range((n_bits + 7) // 8)])
-    return tuple(int(c) for c in counts[:n_bits])
+    return counts[:n_bits]
 
 
 def build_bank(scenario: Scenario) -> RegisterBank:
     """Every (user, bit) register of ``scenario`` from one pass over its pattern boxes.
 
     With delay 0 in ``delays``, register (k, b) holds the boxes of the full
-    bit patterns whose bit k is b, so the 2**K boxes are enumerated once
+    bit patterns whose bit k is b, so the 2**K boxes are quantized once
     and each index takes the OR of its patterns' masks, each pattern
     setting one bit per user.  Every other own-signature delay variant of
     user k adds a box over all 2**K patterns that sets only bit (k, p_k).
-    Members equal those of ``enumerate_hypotheses`` register by register.
+    The bank is built one slice of leading chip codes at a time (see the
+    module docstring).  Members equal those of ``enumerate_hypotheses``
+    register by register.
     """
     _check_budget(scenario)
     K = scenario.K
@@ -381,8 +444,11 @@ def build_bank(scenario: Scenario) -> RegisterBank:
     own_bits = (np.int64(1) << register_bit(np.arange(K), patterns)).astype(mask_dtype)
     signatures = scenario.signature_matrix()
 
-    # One (signatures, mask each pattern sets) per box.
-    boxes = [(signatures, own_bits.sum(axis=1, dtype=mask_dtype))] if 0 in scenario.delays else []
+    # One (chip codes, mask each pattern sets) per box.
+    boxes = []
+    if 0 in scenario.delays:
+        boxes.append((_chip_codes(scenario, signatures, patterns),
+                      own_bits.sum(axis=1, dtype=mask_dtype)))
     for k in range(K):
         # With delay 0, the first variant is the unshifted signature: the
         # shared box above covers it.
@@ -390,15 +456,43 @@ def build_bank(scenario: Scenario) -> RegisterBank:
         for own in variants[1:] if 0 in scenario.delays else variants:
             sig = signatures.copy()
             sig[k] = own
-            boxes.append((sig, own_bits[:, k]))
+            boxes.append((_chip_codes(scenario, sig, patterns), own_bits[:, k]))
 
-    members = masks = None
-    for sig, pattern_masks in boxes:
-        part = _collapse(_pattern_boxes(scenario, sig, patterns), pattern_masks, K)
-        members, masks = part if members is None else _merge(members, masks, *part)
+    # Leading codes are the most significant digits of an index, so a run
+    # of them is a run of indices: each slice, the rows of a run of leading
+    # codes with about SLICE_BYTES of keys over all boxes, is collapsed on
+    # its own, and the bank is the slices in order.
+    spec = scenario.quantizer
+    h, rows_per_slice = _slicing(scenario)
+    rows = [_lead_rows(codes, h, spec.levels, K) for codes, _ in boxes]
+    starts = _distinct(np.sort(np.concatenate([leads for leads, _ in rows]))[::rows_per_slice])
+    cuts = [np.concatenate((np.searchsorted(leads, starts), [len(leads)])) for leads, _ in rows]
+    tail = spec.levels ** (scenario.PG - h)
+    member_parts, mask_parts = [], []
+    n_s = np.zeros(2 * K, dtype=np.int64)
+    for i in range(len(starts)):
+        members = masks = None
+        for (codes, pattern_masks), (leads, ids), cut in zip(boxes, rows, cuts):
+            lo, hi = cut[i], cut[i + 1]
+            if lo == hi:
+                continue
+            # Keys (index << K) | pattern id, the leading codes above the trailing chips'.
+            head = ((leads[lo:hi] * tail) << K | ids[lo:hi])[:, None]
+            part = _collapse(_pack_offsets(codes[ids[lo:hi], h:], spec.levels, head, 1 << K),
+                             pattern_masks, K)
+            members, masks = part if members is None else _merge(members, masks, *part)
+        member_parts.append(members)
+        mask_parts.append(masks)
+        # Counted per slice: bincount widens its input to 64 bits.
+        n_s += _bit_counts(masks, 2 * K)
+    # The member parts are freed before the masks are joined.
+    members = np.concatenate(member_parts)
+    del member_parts
+    masks = np.concatenate(mask_parts)
+    del mask_parts
     members.setflags(write=False)
     masks.setflags(write=False)
-    return RegisterBank(members, masks, _bit_counts(masks, 2 * K), scenario.register_bits)
+    return RegisterBank(members, masks, tuple(n_s.tolist()), scenario.register_bits)
 
 
 def dump_register(reg: SparseRegister) -> str:

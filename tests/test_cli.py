@@ -221,6 +221,8 @@ class TestMainExitCodes:
         ("gains", {"gains": [True, 1]}),
         ("amplitude_A", {"amplitude_A": "2.0"}),
         ("energies", {"energies": 1.0}),
+        ("delays", {"delays": 0}),
+        ("delays", {"delays": "1"}),
     ])
     def test_non_real_values_rejected(self, tmp_path, capsys, field, override):
         cfg = self._write_config(tmp_path, dict(GOLDEN_CONFIG, **override))

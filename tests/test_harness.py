@@ -331,8 +331,8 @@ class TestDegenerateScenarios:
 
     def test_over_budget_scenario_fails_before_any_box_and_trial_0(self, monkeypatch):
         boxes, blocks = [], []
-        real = registers._pattern_boxes
-        monkeypatch.setattr(registers, "_pattern_boxes",
+        real = registers._chip_codes
+        monkeypatch.setattr(registers, "_chip_codes",
                             lambda *args: boxes.append(args) or real(*args))
         monkeypatch.setattr(harness, "_run_block", lambda *args: blocks.append(args))
         sc = make_scenario(gamma=20)  # 41**4 * 2 hypotheses per register > 1e6

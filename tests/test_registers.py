@@ -1,6 +1,7 @@
 import itertools
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,10 +12,11 @@ from conftest import make_orthogonal, make_scenario, random_unit_signatures
 from qmud import (QuantizerSpec, QubitState, Scenario, SparseRegister, dump_register,
                   enumerate_hypotheses, load_register, pack_basis, quantize_waveform,
                   reduce_to_qubit, shift_variants, transmit)
+from qmud import registers
 from qmud.config import default_amplitude
 from qmud.errors import (BudgetExceeded, CodeOutOfRange, DelayOutOfRange,
                          EmptyRegister, ValidationError)
-from qmud.registers import _merge, build_bank, register_bit, unpack_basis
+from qmud.registers import _merge, _slicing, build_bank, register_bit, unpack_basis
 from qmud.rng import SplitMix64
 from scalar_reference import reference_hypotheses
 
@@ -303,14 +305,46 @@ def bank_scenarios(draw):
                     gamma=draw(st.integers(0, 2)), delays=delays)
 
 
+# Bank width cases: (scenario, key dtype, mask dtype).
+WIDTH_CASES = {
+    # register_bits + K = 24 + 9 > 32: int64 keys.
+    "int64-keys": (make_scenario(K=9, PG=3, signatures=random_unit_signatures(
+        np.random.default_rng(9), 9, 3), energies=(1.0,) * 9, gains=(1.0,) * 9,
+        quantizer=QuantizerSpec(n_ch=8, amplitude=3.0)), np.int64, np.uint32),
+    # 2K = 34 > 32: 64-bit masks, keys of 8 + 17 bits.
+    "int64-masks": (make_scenario(K=17, PG=1, signatures=((1.0,),) * 17, energies=(1.0,) * 17,
+                                  gains=tuple(0.7 ** np.arange(17)),
+                                  quantizer=QuantizerSpec(n_ch=8, amplitude=3.5)),
+                    np.uint32, np.int64),
+    # register_bits + K = 24 + 8 = 32 exactly: the dense_sweep shape.
+    "32-bit-boundary": (make_orthogonal(K=8, PG=8), np.uint32, np.uint32),
+    # Delayed boxes merged into the delay-0 union, 32-bit throughout.
+    "merge-32": (make_scenario(gamma=1, delays=(0, 1, 3)), np.uint32, np.uint32),
+    # Delayed boxes merged into the delay-0 union, with int64 keys.
+    "merge-int64": (make_scenario(K=9, PG=3, signatures=random_unit_signatures(
+        np.random.default_rng(3), 9, 3), energies=(1.0,) * 9, gains=(1.0,) * 9,
+        quantizer=QuantizerSpec(n_ch=8, amplitude=3.0), delays=(0, 2)), np.int64, np.uint32),
+}
+
+
+def build_bank_in_slices(sc, slice_bytes):
+    """build_bank with the slice cap set to ``slice_bytes``; 1 makes every chip a leading chip."""
+    with mock.patch.object(registers, "SLICE_BYTES", slice_bytes):
+        assert slice_bytes > 1 or _slicing(sc) == (sc.PG, 1)
+        return build_bank(sc)
+
+
 class TestRegisterBank:
-    @given(bank_scenarios())
+    @given(bank_scenarios(), st.sampled_from((registers.SLICE_BYTES, 1)))
     @example(make_scenario(K=2, PG=2, signatures=((1.0, 0.0), (0.6, 0.8)), gamma=1,
-                           delays=(1,), quantizer=QuantizerSpec(n_ch=2, amplitude=0.3)))
-    @example(NEAR_FAR_EDGE)
-    @settings(max_examples=80, deadline=None)
-    def test_every_register_equals_its_own_enumeration(self, sc):
-        bank = build_bank(sc)
+                           delays=(1,), quantizer=QuantizerSpec(n_ch=2, amplitude=0.3)), 1)
+    @example(NEAR_FAR_EDGE, registers.SLICE_BYTES)
+    @example(make_scenario(gamma=2, delays=(0, 1, 3)), 1)
+    @settings(max_examples=120, deadline=None)
+    def test_every_register_equals_its_own_enumeration(self, sc, slice_bytes):
+        # A slice cap of 1 byte splits even these small banks into one slice
+        # per distinct index, delay-variant boxes included.
+        bank = build_bank_in_slices(sc, slice_bytes)
         regs = {}
         for k in range(sc.K):
             for bit in (1, -1):
@@ -348,33 +382,18 @@ class TestRegisterBank:
             peaks.append(peak)
         per_register, bank = peaks
         assert bank < per_register
-        assert bank < 28e6  # 20.7 MB with 32-bit keys and masks; 41.2 MB in int64
-        registers, bank = built
+        # 7.4 MB built in slices of 2 leading chips; 20.7 MB as one slice,
+        # 41.2 MB as one slice in int64.
+        assert bank < 10e6
+        one_by_one, bank = built
         assert bank.members.dtype == np.uint32
-        for (k, b), reg in registers.items():
+        for (k, b), reg in one_by_one.items():
             assert bank.register(k, b) == reg
             assert bank.n_s[register_bit(k, b)] == reg.n_s
 
-    @pytest.mark.parametrize("sc, key_dtype, mask_dtype", [
-        # register_bits + K = 24 + 9 > 32: int64 keys.
-        (make_scenario(K=9, PG=3, signatures=random_unit_signatures(
-            np.random.default_rng(9), 9, 3), energies=(1.0,) * 9, gains=(1.0,) * 9,
-            quantizer=QuantizerSpec(n_ch=8, amplitude=3.0)), np.int64, np.uint32),
-        # 2K = 34 > 32: 64-bit masks, keys of 8 + 17 bits.
-        (make_scenario(K=17, PG=1, signatures=((1.0,),) * 17, energies=(1.0,) * 17,
-                       gains=tuple(0.7 ** np.arange(17)),
-                       quantizer=QuantizerSpec(n_ch=8, amplitude=3.5)), np.uint32, np.int64),
-        # register_bits + K = 24 + 8 = 32 exactly: the dense_sweep shape.
-        (make_orthogonal(K=8, PG=8), np.uint32, np.uint32),
-        # Delayed boxes merged into the delay-0 union, 32-bit throughout.
-        (make_scenario(gamma=1, delays=(0, 1, 3)), np.uint32, np.uint32),
-        # Delayed boxes merged into the delay-0 union, with int64 keys.
-        (make_scenario(K=9, PG=3, signatures=random_unit_signatures(
-            np.random.default_rng(3), 9, 3), energies=(1.0,) * 9, gains=(1.0,) * 9,
-            quantizer=QuantizerSpec(n_ch=8, amplitude=3.0), delays=(0, 2)),
-         np.int64, np.uint32),
-    ], ids=["int64-keys", "int64-masks", "32-bit-boundary", "merge-32", "merge-int64"])
-    def test_width_rule(self, sc, key_dtype, mask_dtype):
+    @pytest.mark.parametrize("case", WIDTH_CASES)
+    def test_width_rule(self, case):
+        sc, key_dtype, mask_dtype = WIDTH_CASES[case]
         bank = build_bank(sc)
         assert bank.members.dtype == key_dtype and bank.masks.dtype == mask_dtype
         assert np.all(bank.members[1:] > bank.members[:-1])
@@ -396,6 +415,25 @@ class TestRegisterBank:
         contains = bank.contains(probes)
         for j, reg in reference.items():
             assert np.array_equal(contains[:, j], reg.contains(probes))
+
+    @pytest.mark.parametrize("case", WIDTH_CASES)
+    def test_slices_join_to_the_one_slice_bank(self, case):
+        sc = WIDTH_CASES[case][0]
+        whole = build_bank_in_slices(sc, 1 << 62)
+        for slice_bytes in (registers.SLICE_BYTES, 1):
+            bank = build_bank_in_slices(sc, slice_bytes)
+            assert bank.n_s == whole.n_s
+            for got, want in ((bank.members, whole.members), (bank.masks, whole.masks)):
+                assert got.dtype == want.dtype and np.array_equal(got, want)
+                assert not got.flags.writeable
+
+    def test_slice_rule(self, two_user_scenario):
+        # 2**8 patterns x 3**(8 - h) uint32 keys fit in 1 MiB from h = 2 on,
+        # and 1 MiB holds 359 rows of 3**6 keys.
+        assert _slicing(make_orthogonal(K=8, PG=8, gamma=1)) == (2, 359)
+        assert _slicing(two_user_scenario)[0] == 0
+        with mock.patch.object(registers, "SLICE_BYTES", 1):
+            assert _slicing(two_user_scenario) == (two_user_scenario.PG, 1)
 
     def test_contains_reports_indices_outside_the_width_as_absent(self):
         # 24-bit indices in uint32 members: a probe cast without a range
