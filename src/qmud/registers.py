@@ -33,7 +33,7 @@ follows from the sizes alone: the fewest leading chips for which the rows
 of one leading code in one box, at most 2^K * (2*gamma + 1)^(PG - h) keys,
 fit in ``SLICE_BYTES``.  Small scenarios take h = 0 and one slice; the
 K=8, PG=8, gamma=1 ``dense_sweep`` scenario takes h = 2 and 7 slices, and
-its build peaks at 7.9 MB under ``tracemalloc`` for a 5.0 MB bank, against
+its build peaks at 7.8 MB under ``tracemalloc`` for a 5.0 MB bank, against
 21.0 MB as one slice.
 
 Widths follow from the scenario's sizes alone.  Boxes, bank sort keys
@@ -255,7 +255,7 @@ def _chip_codes(scenario: Scenario, signatures: np.ndarray, patterns: np.ndarray
 
     Entry (p, n, j) is chip n of the noiseless waveform of pattern p under
     ``signatures``, shifted by lattice offset eps_j = (j - gamma)*step and
-    quantized, so it rises with j.  This is the one quantization of
+    quantized.  This is the one quantization of
     waveforms into box codes; ``enumerate_hypotheses`` and ``build_bank``
     both use it.
     """
@@ -271,8 +271,7 @@ def _pack_offsets(codes: np.ndarray, levels: int, head=None, unit: int = 1) -> n
     Row r of the result holds, for ``codes`` of shape (rows, chips, L), the
     L**chips values head[r] + unit * index, in the dtype of ``codes``, where
     index packs one code per chip, chip 0 most significant, and ``head``
-    is a (rows, 1) array or None for zeros.  Codes rise with the offset, so
-    each row is sorted.
+    is a (rows, 1) array or None for zeros.
     """
     rows, chips, _ = codes.shape
     index = np.zeros((rows, 1), dtype=codes.dtype) if head is None else head
