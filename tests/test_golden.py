@@ -4,9 +4,10 @@ Each case runs one ``qmud`` command on a scenario stored next to its CSV
 in ``tests/golden/``.  Together they cover a long ``run``, a ``run`` one
 trial past a 1024-trial block, a sweep over every sweepable parameter,
 own-signature delays with a noise lattice, the noiseless near-far
-``reps_max`` sweep, and the K=8 Walsh scenario whose bank keys fill all
-32 bits (N_Q + K = 24 + 8).  Any change to draws, quantized
-indices, registers, detectors or CSV formatting shows up here.
+``reps_max`` sweep with and without a delay-2 own-signature box, and the
+K=8 Walsh scenario whose bank keys fill all 32 bits (N_Q + K = 24 + 8).
+Any change to draws, quantized indices, registers, detectors or CSV
+formatting shows up here.
 """
 
 from pathlib import Path
@@ -37,6 +38,9 @@ CASES = {
     "nearfar_reps_max": ("nearfar_reps.json", [
         "sweep", "--param", "reps_max", "--values", "1,2,4,8,16",
         "--trials", "300", "--seed", "11"]),
+    "nearfar_delays_reps_max": ("nearfar_delays.json", [
+        "sweep", "--param", "reps_max", "--values", "1,4,16",
+        "--trials", "300", "--seed", "5"]),
     "dense_sweep_noise_sigma": ("dense_sweep.json", [
         "sweep", "--param", "noise_sigma", "--values", "0.05,0.1,0.15",
         "--trials", "200", "--seed", "7"]),
