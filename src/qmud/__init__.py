@@ -16,8 +16,7 @@ from .povm import (Decision, MeasurementOutcome, PovmTriple, UserDecision,
                    build_povm, detect_user, measurement_block,
                    outcome_probabilities, sample_outcome, solve_alpha_for_beta,
                    symmetric_gain, confirm_reject_pair)
-from .registers import (QubitState, SparseRegister, dump_register,
-                        enumerate_hypotheses, load_register, pack_basis,
+from .registers import (QubitState, SparseRegister, enumerate_hypotheses, pack_basis,
                         quantize_waveform, reduce_to_qubit, shift_variants)
 from .rng import SplitMix64, derive_seed
 

@@ -39,8 +39,7 @@ import numpy as np
 
 from .cdma import correlation_matrix, matched_filter, noiseless_waveforms
 from .config import Scenario, check_seed, scenario_digest
-from .detectors import (DetectorKind, check_optimal, decorrelate_detect, detect_rows,
-                        mmse_detect)
+from .detectors import DetectorKind, _check_condition, check_optimal, detect_rows
 from .errors import QmudError, UnknownParameter, ValidationError
 from .povm import DECISIONS, Decision, detect_user_rows
 from .registers import RegisterBank, build_bank, pack_basis, quantize_waveform, register_bit
@@ -49,7 +48,7 @@ from .rng import TrialStreams
 # benchmarks/traced_cli.py wraps these functions on this module, so they
 # stay importable from it; the block engine calls none of them.
 from .cdma import transmit  # noqa: F401
-from .detectors import optimal_detect, sud_detect  # noqa: F401
+from .detectors import decorrelate_detect, mmse_detect, optimal_detect, sud_detect  # noqa: F401
 from .povm import detect_user  # noqa: F401
 from .registers import enumerate_hypotheses  # noqa: F401
 from .rng import derive_seed  # noqa: F401
@@ -137,12 +136,11 @@ class _Prepared:
         self.kinds = kinds
         self.R = correlation_matrix(scenario)
         self.noise_variance = scenario.noise_sigma ** 2
-        zero = np.zeros(scenario.K)
         for kind in kinds:
             if kind is DetectorKind.DECORRELATOR:
-                decorrelate_detect(zero, self.R)
+                _check_condition(self.R)
             elif kind is DetectorKind.MMSE:
-                mmse_detect(zero, self.R, self.noise_variance)
+                _check_condition(self.R + self.noise_variance * np.eye(scenario.K))
             elif kind is DetectorKind.OPTIMAL:
                 check_optimal(self.R)
         self.bank = (cache or _RegisterCache()).bank(scenario) if include_qmud else None

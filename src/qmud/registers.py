@@ -22,24 +22,25 @@ once, and each stored index carries a 2K-bit mask of the registers that
 hold it.  One binary search of a received index into the bank gives its
 membership in every register.
 
-The bank is built in slices.  A row of a box is one pattern under one
-code of the h leading chips: the (2*gamma + 1)^(PG - h) indices that share
-both.  Leading chips are an index's most significant digits, so runs of
-leading codes are runs of indices that never overlap: each slice, a run of
-leading codes with about ``SLICE_BYTES`` of sort keys, is sorted and
-collapsed on its own, and the bank is the slices in order.  Delay-variant
-boxes are collapsed in the same slices and merged slice by slice.  h
-follows from the sizes alone: the fewest leading chips for which the rows
-of one leading code in one box, at most 2^K * (2*gamma + 1)^(PG - h) keys,
-fit in ``SLICE_BYTES``.  Small scenarios take h = 0 and one slice; the
-K=8, PG=8, gamma=1 ``dense_sweep`` scenario takes h = 2 and 7 slices, and
-its build peaks at 7.8 MB under ``tracemalloc`` for a 5.0 MB bank, against
-21.0 MB as one slice.
+The bank is built from one table: every box's patterns stacked as rows,
+each with the mask it sets, and sort keys (index << B) | row id, where
+B = (rows - 1).bit_length(), so B = K for delays (0,).  It is built in
+slices.  A slice row is one table row under one code of the h leading
+chips: the (2*gamma + 1)^(PG - h) indices that share both.  Leading chips
+are an index's most significant digits, so runs of leading codes are runs
+of indices that never overlap: each slice, a run of leading codes with
+about ``SLICE_BYTES`` of sort keys, is sorted and collapsed on its own,
+and the bank is the slices in order.  h follows from the sizes alone: the
+fewest leading chips for which the slice rows of one leading code, at most
+rows * (2*gamma + 1)^(PG - h) keys, fit in ``SLICE_BYTES``.  Small
+scenarios take h = 0 and one slice; the K=8, PG=8, gamma=1 ``dense_sweep``
+scenario takes h = 2 and 7 slices, and its build peaks at 7.4 MB under
+``tracemalloc`` for a 5.0 MB bank, against 21.0 MB as one slice.
 
-Widths follow from the scenario's sizes alone.  Boxes, bank sort keys
-(index << K) | pattern id and bank members are unsigned 32-bit when
-N_Q + K <= 32 bits, else ``np.int64``; bank masks are unsigned 32-bit when
-2K <= 32, else ``np.int64``.  Registers depend only on the
+Widths follow from the scenario's sizes alone.  Boxes are unsigned 32-bit
+when N_Q + K <= 32, sort keys when N_Q + B <= 32, and masks when 2K <= 32,
+else ``np.int64``.  Bank members are always unsigned 32-bit, since N_Q <=
+``config.MAX_REGISTER_BITS`` = 24.  Registers depend only on the
 signatures, energies, gains, quantizer, gamma and delays, so
 ``harness.sweep`` builds one bank for a ``noise_sigma`` or ``reps_max``
 sweep and a new one at each point of a ``gamma`` or ``N_ch`` sweep.
@@ -91,12 +92,6 @@ def pack_basis(codes, spec: QuantizerSpec):
     # Each code has its own n_ch-bit field, so the sum is the bitwise or.
     index = (codes << spec.n_ch * np.arange(codes.shape[-1] - 1, -1, -1)).sum(axis=-1)
     return int(index) if index.ndim == 0 else index
-
-
-def unpack_basis(index: int, spec: QuantizerSpec, pg: int) -> tuple[int, ...]:
-    """Inverse of pack_basis; used by dump tooling and tests."""
-    mask = spec.levels - 1
-    return tuple((index >> (spec.n_ch * (pg - 1 - n))) & mask for n in range(pg))
 
 
 def shift_variants(chips, delays) -> list[tuple[float, ...]]:
@@ -161,15 +156,9 @@ class SparseRegister:
             return NotImplemented
         return self.n_q == other.n_q and np.array_equal(self.members, other.members)
 
-    def __hash__(self):
-        return hash((self.n_q, self.members.tobytes()))
-
     @property
     def n_s(self) -> int:
         return self.members.size
-
-    def sorted_members(self) -> list[int]:
-        return self.members.tolist()
 
 
 @dataclass(frozen=True)
@@ -230,17 +219,17 @@ def _check_budget(scenario: Scenario) -> None:
             f"{hypothesis_budget(scenario)} hypotheses exceed budget {ENUMERATION_BUDGET}")
 
 
-def _slicing(scenario: Scenario) -> tuple[int, int]:
-    """(h, rows per slice) of the bank build; see the module docstring.
+def _slicing(scenario: Scenario, rows: int, key_bytes: int) -> tuple[int, int]:
+    """(h, rows per slice) of the bank build from ``rows`` table rows; see the module docstring.
 
-    h is the fewest leading chips for which the rows of one leading code in
-    one box, at most 2**K rows of (2*gamma + 1)**(PG - h) keys, fit in
-    SLICE_BYTES, or PG when none do.  A slice takes about SLICE_BYTES of rows.
+    h is the fewest leading chips for which the slice rows of one leading
+    code, at most ``rows`` rows of (2*gamma + 1)**(PG - h) keys of
+    ``key_bytes`` bytes, fit in SLICE_BYTES, or PG when none do.  A slice
+    takes about SLICE_BYTES of slice rows.
     """
-    key_bytes = _key_dtype(scenario).itemsize
     lattice = 2 * scenario.gamma + 1
     h = next((h for h in range(scenario.PG)
-              if (1 << scenario.K) * key_bytes * lattice ** (scenario.PG - h) <= SLICE_BYTES),
+              if rows * key_bytes * lattice ** (scenario.PG - h) <= SLICE_BYTES),
              scenario.PG)
     return h, max(1, SLICE_BYTES // (key_bytes * lattice ** (scenario.PG - h)))
 
@@ -330,7 +319,7 @@ class RegisterBank:
     """All 2K hypothesis registers of a scenario, stored as one sorted union.
 
     ``members`` is the read-only, strictly increasing array of every index
-    that any register stores, in the scenario's key width.  ``masks[i]``,
+    that any register stores, as unsigned 32-bit words.  ``masks[i]``,
     in the mask width (see the module docstring), has bit
     ``register_bit(k, b)`` set when register (k, b) stores ``members[i]``,
     and ``n_s[register_bit(k, b)]`` is that register's population N_s.
@@ -368,47 +357,38 @@ def _distinct(values: np.ndarray) -> np.ndarray:
     return values[np.concatenate(([True], values[1:] != values[:-1]))]
 
 
-def _lead_rows(codes: np.ndarray, h: int, levels: int, K: int):
-    """(leading codes, pattern ids) of a box's rows, sorted by leading code.
+def _lead_rows(table: np.ndarray, h: int, levels: int, bits: int):
+    """(leading codes, row ids) of the table's slice rows, sorted by leading code.
 
-    A row is one pattern under one packed code of its h leading chips: the
-    (2*gamma + 1)**(PG - h) indices that pattern reaches with those leading
-    codes.  Each (leading code, pattern) pair is one row.  Both arrays are
-    in the dtype of ``codes``, which holds (leading code << K) | pattern id.
+    A slice row is one table row under one packed code of its h leading
+    chips: the (2*gamma + 1)**(PG - h) indices that row reaches with those
+    leading codes.  Both arrays are in the dtype of ``table``, which holds
+    (leading code << bits) | row id.
     """
-    ids = np.arange(len(codes), dtype=codes.dtype)[:, None]
-    rows = _pack_offsets(codes[:, :h], levels, ids, 1 << K).reshape(-1)
+    ids = np.arange(len(table), dtype=table.dtype)[:, None]
+    rows = _pack_offsets(table[:, :h], levels, ids, 1 << bits).reshape(-1)
     rows.sort()
     rows = _distinct(rows)
-    return rows >> K, rows & (1 << K) - 1
+    return rows >> bits, rows & (1 << bits) - 1
 
 
-def _collapse(keys: np.ndarray, pattern_masks: np.ndarray, K: int):
-    """(sorted unique indices, OR of the masks of the patterns whose box holds each).
+def _collapse(keys: np.ndarray, row_masks: np.ndarray, bits: int):
+    """(sorted unique indices, OR of the masks of the table rows that reach each).
 
-    ``keys`` is a fresh array of sort keys (index << K) | pattern id, sorted
+    ``keys`` is a fresh array of sort keys (index << bits) | row id, sorted
     in place, so every pass runs in the key width; the masks keep the width
-    of ``pattern_masks``.
+    of ``row_masks``.
     """
     keys = keys.reshape(-1)
     keys.sort()
-    # A run of one index starts where a key differs from its predecessor above bit K.
-    starts = np.flatnonzero(np.concatenate(([True], (keys[1:] ^ keys[:-1]) >= 1 << K)))
+    # A run of one index starts where a key differs from its predecessor above the row id.
+    starts = np.flatnonzero(np.concatenate(([True], (keys[1:] ^ keys[:-1]) >= 1 << bits)))
     members = keys[starts]
-    members >>= K
-    keys &= (1 << K) - 1
-    gathered = pattern_masks[keys]
+    members >>= bits
+    keys &= (1 << bits) - 1
+    gathered = row_masks[keys]
     del keys  # free the keys before the reduction allocates its result
     return members, np.bitwise_or.reduceat(gathered, starts)
-
-
-def _merge(members, masks, extra, extra_masks):
-    """Union of two (sorted unique indices, masks) pairs; a shared index ORs its masks."""
-    union = np.union1d(members, extra)
-    merged = np.zeros(union.size, dtype=masks.dtype)
-    merged[np.searchsorted(union, members)] = masks
-    merged[np.searchsorted(union, extra)] |= extra_masks
-    return union, merged
 
 
 def _bit_counts(masks: np.ndarray, n_bits: int) -> np.ndarray:
@@ -422,16 +402,14 @@ def _bit_counts(masks: np.ndarray, n_bits: int) -> np.ndarray:
 
 
 def build_bank(scenario: Scenario) -> RegisterBank:
-    """Every (user, bit) register of ``scenario`` from one pass over its pattern boxes.
+    """Every (user, bit) register of ``scenario`` from one table of box rows.
 
     With delay 0 in ``delays``, register (k, b) holds the boxes of the full
-    bit patterns whose bit k is b, so the 2**K boxes are quantized once
-    and each index takes the OR of its patterns' masks, each pattern
-    setting one bit per user.  Every other own-signature delay variant of
-    user k adds a box over all 2**K patterns that sets only bit (k, p_k).
-    The bank is built one slice of leading chip codes at a time (see the
-    module docstring).  Members equal those of ``enumerate_hypotheses``
-    register by register.
+    bit patterns whose bit k is b, each pattern setting one mask bit per
+    user.  Every other own-signature delay variant of user k adds a box over
+    all 2**K patterns that sets only bit (k, p_k).  The table of box rows and
+    its slices are described in the module docstring.  Members equal those
+    of ``enumerate_hypotheses`` register by register.
     """
     _check_budget(scenario)
     K = scenario.K
@@ -457,30 +435,31 @@ def build_bank(scenario: Scenario) -> RegisterBank:
             sig[k] = own
             boxes.append((_chip_codes(scenario, sig, patterns), own_bits[:, k]))
 
+    # Row r of the table is one pattern of one box; with delays (0,), bits = K
+    # and the keys take the boxes' width, _key_dtype.
+    bits = ((len(boxes) << K) - 1).bit_length()
+    key_dtype = np.dtype(np.uint32 if scenario.register_bits + bits <= 32 else np.int64)
+    table = np.concatenate([codes for codes, _ in boxes], dtype=key_dtype)
+    row_masks = np.concatenate([masks for _, masks in boxes])
+
     # Leading codes are the most significant digits of an index, so a run
     # of them is a run of indices: each slice, the rows of a run of leading
-    # codes with about SLICE_BYTES of keys over all boxes, is collapsed on
-    # its own, and the bank is the slices in order.
+    # codes with about SLICE_BYTES of keys, is collapsed on its own, and
+    # the bank is the slices in order.
     spec = scenario.quantizer
-    h, rows_per_slice = _slicing(scenario)
-    rows = [_lead_rows(codes, h, spec.levels, K) for codes, _ in boxes]
-    starts = _distinct(np.sort(np.concatenate([leads for leads, _ in rows]))[::rows_per_slice])
-    cuts = [np.concatenate((np.searchsorted(leads, starts), [len(leads)])) for leads, _ in rows]
+    h, rows_per_slice = _slicing(scenario, len(table), key_dtype.itemsize)
+    leads, ids = _lead_rows(table, h, spec.levels, bits)
+    cuts = np.searchsorted(leads, _distinct(leads[::rows_per_slice])).tolist() + [len(leads)]
     tail = spec.levels ** (scenario.PG - h)
     member_parts, mask_parts = [], []
     n_s = np.zeros(2 * K, dtype=np.int64)
-    for i in range(len(starts)):
-        members = masks = None
-        for (codes, pattern_masks), (leads, ids), cut in zip(boxes, rows, cuts):
-            lo, hi = cut[i], cut[i + 1]
-            if lo == hi:
-                continue
-            # Keys (index << K) | pattern id, the leading codes above the trailing chips'.
-            head = ((leads[lo:hi] * tail) << K | ids[lo:hi])[:, None]
-            part = _collapse(_pack_offsets(codes[ids[lo:hi], h:], spec.levels, head, 1 << K),
-                             pattern_masks, K)
-            members, masks = part if members is None else _merge(members, masks, *part)
-        member_parts.append(members)
+    for lo, hi in zip(cuts[:-1], cuts[1:]):
+        # Keys (index << bits) | row id, the leading codes above the trailing chips'.
+        head = ((leads[lo:hi] * tail) << bits | ids[lo:hi])[:, None]
+        members, masks = _collapse(_pack_offsets(table[ids[lo:hi], h:], spec.levels, head,
+                                                 1 << bits), row_masks, bits)
+        # Members fit in uint32: indices have at most MAX_REGISTER_BITS = 24 bits.
+        member_parts.append(members.astype(np.uint32, copy=False))
         mask_parts.append(masks)
         # Counted per slice: bincount widens its input to 64 bits.
         n_s += _bit_counts(masks, 2 * K)
@@ -492,27 +471,3 @@ def build_bank(scenario: Scenario) -> RegisterBank:
     members.setflags(write=False)
     masks.setflags(write=False)
     return RegisterBank(members, masks, tuple(n_s.tolist()), scenario.register_bits)
-
-
-def dump_register(reg: SparseRegister) -> str:
-    """Text dump: header line, then one decimal basis index per line, sorted."""
-    lines = [f"N_Q={reg.n_q} N_s={reg.n_s}"]
-    lines.extend(str(v) for v in reg.sorted_members())
-    return "\n".join(lines) + "\n"
-
-
-def load_register(text: str) -> SparseRegister:
-    """Parse a dump produced by dump_register."""
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or not lines[0].startswith("N_Q="):
-        raise ValidationError("register dump must start with an 'N_Q=<n> N_s=<m>' header")
-    try:
-        fields = dict(part.split("=") for part in lines[0].split())
-        n_q = int(fields["N_Q"])
-        n_s = int(fields["N_s"])
-        members = frozenset(int(ln) for ln in lines[1:])
-    except (KeyError, ValueError) as exc:
-        raise ValidationError(f"malformed register dump: {exc}") from exc
-    if len(members) != n_s:
-        raise ValidationError(f"header says N_s={n_s} but dump lists {len(members)} indices")
-    return SparseRegister(members, n_q)
