@@ -10,8 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_orthogonal, make_scenario, random_unit_signatures
-from qmud import (Decision, DetectorKind, QuantizerSpec, harness, registers, run_trials,
-                  sweep, walsh_hadamard_signatures)
+from qmud import (Decision, DetectorKind, QuantizerSpec, detectors, harness, registers,
+                  run_trials, sweep, walsh_hadamard_signatures)
+from qmud.cdma import correlation_matrix
 from qmud.config import default_amplitude
 from qmud.detectors import RESIDUAL_BYTES
 from qmud.errors import (BudgetExceeded, KTooLarge, SingularMatrix, UnknownParameter,
@@ -309,6 +310,51 @@ class TestDegenerateScenarios:
                             trials=3, master_seed=0)
         assert len(builds) == 1
         assert report.qmud is not None
+
+    @pytest.mark.parametrize("kind", [DetectorKind.DECORRELATOR, DetectorKind.MMSE,
+                                      DetectorKind.OPTIMAL])
+    def test_setup_raises_what_the_detector_raises_on_a_row(self, kind):
+        # _Prepared runs the matrix checks without a detection; each must
+        # reject (or accept) a scenario exactly as the detector itself does.
+        detect = {DetectorKind.DECORRELATOR: lambda R, var: detectors.decorrelate_detect(
+                      np.zeros(len(R)), R),
+                  DetectorKind.MMSE: lambda R, var: detectors.mmse_detect(
+                      np.zeros(len(R)), R, var),
+                  DetectorKind.OPTIMAL: lambda R, var: detectors.optimal_detect(
+                      np.zeros(len(R)), R)}[kind]
+        cases = [make_scenario(**self.SINGULAR), make_scenario(**self.SINGULAR, noise_sigma=0.1),
+                 _nonorthogonal_noisy(),
+                 make_scenario(K=21, PG=1, signatures=((1.0,),) * 21, energies=(1.0,) * 21,
+                               gains=(1.0,) * 21, noise_sigma=0.1)]
+        for sc in cases:
+            R = correlation_matrix(sc)
+            try:
+                detect(R, sc.noise_sigma ** 2)
+            except (SingularMatrix, KTooLarge) as error:
+                with pytest.raises(type(error)) as info:
+                    _Prepared(sc, include_qmud=False, kinds=(kind,))
+                assert str(info.value) == str(error)
+            else:
+                assert _Prepared(sc, include_qmud=False, kinds=(kind,)).kinds == (kind,)
+
+    def test_setup_checks_run_in_detector_order(self):
+        # 21 users on one chip: R is all ones, singular, and too large for
+        # the exhaustive search; the first selected check to fail decides.
+        sc = make_scenario(K=21, PG=1, signatures=((1.0,),) * 21, energies=(1.0,) * 21,
+                           gains=(1.0,) * 21)
+        with pytest.raises(SingularMatrix):
+            _Prepared(sc, include_qmud=False, kinds=(DetectorKind.DECORRELATOR,
+                                                     DetectorKind.OPTIMAL))
+        with pytest.raises(KTooLarge):
+            _Prepared(sc, include_qmud=False, kinds=(DetectorKind.OPTIMAL,
+                                                     DetectorKind.DECORRELATOR))
+        # With noise, R + sigma^2 I passes the MMSE check and the optimal
+        # check decides; the decorrelator's check of R still fails first.
+        noisy = sc.with_overrides(noise_sigma=0.1)
+        with pytest.raises(KTooLarge):
+            _Prepared(noisy, include_qmud=False, kinds=(DetectorKind.MMSE, DetectorKind.OPTIMAL))
+        with pytest.raises(SingularMatrix):
+            _Prepared(noisy, include_qmud=False)
 
     def test_singular_r_without_registers_fails_before_any_trial(self, monkeypatch):
         blocks = []

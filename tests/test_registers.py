@@ -329,6 +329,12 @@ WIDTH_CASES = {
 }
 
 
+# Sort-key width of each WIDTH_CASES build: uint32 when register_bits plus
+# the row-id bits fit in 32, else int64.
+KEY_DTYPES = {"int64-keys": np.int64, "int64-masks": np.uint32, "32-bit-boundary": np.uint32,
+              "merge-32": np.uint32, "merge-int64": np.int64, "table-int64": np.int64}
+
+
 def build_bank_in_slices(sc, slice_bytes):
     """build_bank with the slice cap set to ``slice_bytes``; 1 makes every chip a leading chip."""
     with mock.patch.object(registers, "SLICE_BYTES", slice_bytes):
@@ -431,6 +437,33 @@ class TestRegisterBank:
             for got, want in ((bank.members, whole.members), (bank.masks, whole.masks)):
                 assert got.dtype == want.dtype and np.array_equal(got, want)
                 assert not got.flags.writeable
+
+    @pytest.mark.parametrize("case", WIDTH_CASES)
+    def test_key_width(self, case, monkeypatch):
+        sc = WIDTH_CASES[case][0]
+        slices = []
+        real = registers._collapse
+
+        def recording(keys, row_masks, bits):
+            # _collapse sorts its keys in place: keep a copy of what it was given.
+            slices.append((keys.copy(), len(row_masks), bits))
+            return real(keys, row_masks, bits)
+
+        monkeypatch.setattr(registers, "_collapse", recording)
+        bank = build_bank(sc)
+        assert slices
+        for keys, rows, bits in slices:
+            assert keys.dtype == KEY_DTYPES[case]
+            assert bits == (rows - 1).bit_length()
+            assert (keys.dtype == np.uint32) == (sc.register_bits + bits <= 32)
+            assert np.all(keys & ((1 << bits) - 1) < rows)
+        if sc.delays == (0,):
+            # One box of 2**K rows: the keys take the boxes' width.
+            assert slices[0][1] == 1 << sc.K and slices[0][0].dtype == registers._key_dtype(sc)
+        # Members are the keys' indices, uint32 whatever the key width.
+        indices = np.unique(np.concatenate([keys.reshape(-1) >> bits for keys, _, bits in slices]))
+        assert bank.members.dtype == np.uint32
+        assert np.array_equal(bank.members, indices)
 
     def test_slice_rule(self, two_user_scenario):
         # 2**8 rows x 3**(8 - h) uint32 keys fit in 1 MiB from h = 2 on,
