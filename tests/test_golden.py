@@ -8,13 +8,21 @@ own-signature delays with a noise lattice, the noiseless near-far
 K=8 Walsh scenario whose bank keys fill all 32 bits (N_Q + K = 24 + 8).
 Any change to draws, quantized indices, registers, detectors or CSV
 formatting shows up here.
+
+No CLI scenario sends rows to the optimal search's exact fallback: the
+matched-filter noise is colored by R, and the filter settles such rows on
+its own.  So the fallback is pinned by ``detect_rows``' decisions on an
+ill-conditioned set of rows, frozen in ``ill_conditioned_k6.csv``.
 """
 
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from qmud import detectors
 from qmud.cli import main
+from qmud.harness import ALL_DETECTORS
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -53,3 +61,36 @@ def test_cli_output_matches_golden(name, tmp_path):
     out = tmp_path / f"{name}.csv"
     assert main(args + ["--config", str(GOLDEN / scenario), "--out", str(out)]) == 0
     assert out.read_bytes() == (GOLDEN / f"{name}.csv").read_bytes()
+
+
+def _ill_conditioned_rows():
+    """(soft, R): 2000 rows R b + 0.3 n with K = 6 and cond(R) = 1e5, at seed 5."""
+    rng = np.random.default_rng(5)
+    Q, _ = np.linalg.qr(rng.normal(size=(6, 6)))
+    R = (Q * np.logspace(0, -5, 6)) @ Q.T
+    R = (R + R.T) / 2
+    soft = rng.choice([-1.0, 1.0], size=(2000, 6)) @ R + 0.3 * rng.normal(size=(2000, 6))
+    return soft, R
+
+
+def _decision_lines(decisions) -> list[str]:
+    """One CSV line per row: each detector's bits as a string of + and -."""
+    bits = [["".join("+" if b > 0 else "-" for b in row) for row in decisions[kind].tolist()]
+            for kind in ALL_DETECTORS]
+    return [",".join(k.value for k in ALL_DETECTORS)] + [",".join(row) for row in zip(*bits)]
+
+
+def test_ill_conditioned_decisions_match_golden(monkeypatch):
+    soft, R = _ill_conditioned_rows()
+    reached = []
+    real = detectors._exact_rows
+
+    def spy(rows, R):
+        reached.append(len(rows))
+        return real(rows, R)
+
+    monkeypatch.setattr(detectors, "_exact_rows", spy)
+    decisions = detectors.detect_rows(ALL_DETECTORS, soft, R, 0.09)
+    assert sum(reached) > 0  # the golden reaches the exact search
+    expected = (GOLDEN / "ill_conditioned_k6.csv").read_text()
+    assert "\n".join(_decision_lines(decisions)) + "\n" == expected
