@@ -10,7 +10,6 @@ matrix and amplitude vector once.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 import numbers
@@ -19,6 +18,16 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ValidationError
+
+# CPython's built-in SHA-256 before hashlib, as the stdlib random module
+# takes its sha512; scenario_digest gives the reason.
+try:
+    from _sha2 import sha256  # CPython 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # CPython 3.10-3.11
+    except ImportError:
+        from hashlib import sha256
 
 # Hard cap on register width N_Q = N_ch * PG; keeps basis indices desk-scale.
 MAX_REGISTER_BITS = 24
@@ -202,7 +211,15 @@ def default_amplitude(signatures, energies, gains) -> float:
 
 
 def scenario_digest(scenario: Scenario) -> str:
-    """Short stable identifier for a scenario (12 hex chars)."""
+    """Short stable identifier for a scenario (12 hex chars).
+
+    The first 12 hex digits of the SHA-256 of the scenario's sorted JSON.
+    SHA-256 is the same function in every module; it comes from CPython's
+    lean built-in module where there is one, because ``hashlib`` loads
+    OpenSSL's libcrypto, about 3.7 MB resident.  Imported lazily it would
+    still load during the run: the digest is taken for every report, while
+    the register bank is alive.
+    """
     payload = {
         "K": scenario.K,
         "PG": scenario.PG,
@@ -218,4 +235,4 @@ def scenario_digest(scenario: Scenario) -> str:
         "seed": scenario.seed,
     }
     blob = json.dumps(payload, sort_keys=True).encode()
-    return hashlib.sha256(blob).hexdigest()[:12]
+    return sha256(blob).hexdigest()[:12]

@@ -32,10 +32,12 @@ of indices that never overlap: each slice, a run of leading codes with
 about ``SLICE_BYTES`` of sort keys, is sorted and collapsed on its own,
 and the bank is the slices in order.  h follows from the sizes alone: the
 fewest leading chips for which the slice rows of one leading code, at most
-rows * (2*gamma + 1)^(PG - h) keys, fit in ``SLICE_BYTES``.  Small
-scenarios take h = 0 and one slice; the K=8, PG=8, gamma=1 ``dense_sweep``
-scenario takes h = 2 and 7 slices, and its build peaks at 7.4 MB under
-``tracemalloc`` for a 5.0 MB bank, against 21.0 MB as one slice.
+rows * (2*gamma + 1)^(PG - h) keys, fit in ``SLICE_BYTES``.  The bank's
+two arrays grow by a realloc after each slice, which is copied into
+place, so no slice outlives its own step.  Small scenarios take h = 0 and
+one slice; the K=8, PG=8, gamma=1 ``dense_sweep`` scenario takes h = 2 and
+7 slices, and its build peaks at 6.8 MB under ``tracemalloc`` for a
+4.75 MB bank, against 21.0 MB as one slice.
 
 Widths follow from the scenario's sizes alone.  Boxes are unsigned 32-bit
 when N_Q + K <= 32, sort keys when N_Q + B <= 32, and masks when 2K <= 32,
@@ -235,7 +237,11 @@ def _slicing(scenario: Scenario, rows: int, key_bytes: int) -> tuple[int, int]:
 
 
 def _key_dtype(scenario: Scenario) -> np.dtype:
-    """Width of the boxes and bank keys: uint32 when (index << K) | pattern id fits."""
+    """Width of the boxes: uint32 when (index << K) | pattern id fits.
+
+    Bank sort keys have their own width: uint32 when N_Q + B bits fit, B
+    the row-id bits of ``build_bank``'s table.
+    """
     return np.dtype(np.uint32 if scenario.register_bits + scenario.K <= 32 else np.int64)
 
 
@@ -382,12 +388,14 @@ def _collapse(keys: np.ndarray, row_masks: np.ndarray, bits: int):
     keys = keys.reshape(-1)
     keys.sort()
     # A run of one index starts where a key differs from its predecessor above the row id.
-    starts = np.flatnonzero(np.concatenate(([True], (keys[1:] ^ keys[:-1]) >= 1 << bits)))
-    members = keys[starts]
+    first = np.concatenate(([True], (keys[1:] ^ keys[:-1]) >= 1 << bits))
+    members = keys[first]
     members >>= bits
     keys &= (1 << bits) - 1
     gathered = row_masks[keys]
-    del keys  # free the keys before the reduction allocates its result
+    del keys  # free the keys before the run starts and the reduction are allocated
+    starts = np.flatnonzero(first)
+    del first
     return members, np.bitwise_or.reduceat(gathered, starts)
 
 
@@ -451,23 +459,26 @@ def build_bank(scenario: Scenario) -> RegisterBank:
     leads, ids = _lead_rows(table, h, spec.levels, bits)
     cuts = np.searchsorted(leads, _distinct(leads[::rows_per_slice])).tolist() + [len(leads)]
     tail = spec.levels ** (scenario.PG - h)
-    member_parts, mask_parts = [], []
+    # Members fit in uint32: indices have at most MAX_REGISTER_BITS = 24 bits.
+    members = np.empty(0, dtype=np.uint32)
+    masks = np.empty(0, dtype=row_masks.dtype)
     n_s = np.zeros(2 * K, dtype=np.int64)
     for lo, hi in zip(cuts[:-1], cuts[1:]):
         # Keys (index << bits) | row id, the leading codes above the trailing chips'.
         head = ((leads[lo:hi] * tail) << bits | ids[lo:hi])[:, None]
-        members, masks = _collapse(_pack_offsets(table[ids[lo:hi], h:], spec.levels, head,
-                                                 1 << bits), row_masks, bits)
-        # Members fit in uint32: indices have at most MAX_REGISTER_BITS = 24 bits.
-        member_parts.append(members.astype(np.uint32, copy=False))
-        mask_parts.append(masks)
+        part, part_masks = _collapse(_pack_offsets(table[ids[lo:hi], h:], spec.levels, head,
+                                                   1 << bits), row_masks, bits)
+        # Each output grows by a realloc to exactly its new size; the slice
+        # is copied into place and freed.
+        end = members.size
+        members.resize(end + part.size, refcheck=False)
+        members[end:] = part
+        del part
+        masks.resize(end + part_masks.size, refcheck=False)
+        masks[end:] = part_masks
         # Counted per slice: bincount widens its input to 64 bits.
-        n_s += _bit_counts(masks, 2 * K)
-    # The member parts are freed before the masks are joined.
-    members = np.concatenate(member_parts)
-    del member_parts
-    masks = np.concatenate(mask_parts)
-    del mask_parts
+        n_s += _bit_counts(part_masks, 2 * K)
+        del part_masks
     members.setflags(write=False)
     masks.setflags(write=False)
     return RegisterBank(members, masks, tuple(n_s.tolist()), scenario.register_bits)

@@ -1,10 +1,16 @@
 import csv
+import hashlib
+import importlib.util
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from qmud import outcome_probabilities, QubitState, build_povm, solve_alpha_for_beta
+from qmud import config, outcome_probabilities, QubitState, build_povm, solve_alpha_for_beta
 from qmud.cli import main, parse_config, write_csv
 from qmud.errors import ParseError, ValidationError
 from qmud.harness import run_trials
@@ -42,6 +48,10 @@ GOLDEN_CSV = """scenario_id,detector,param_name,param_value,trials,bit_errors,be
 1b94fb75cb2d,optimal,,,60,0,0,120,0,0,0,0,,42
 1b94fb75cb2d,qmud,,,60,0,0,12,0,0,106,2,5.83333,42
 """
+
+
+ROOT = Path(__file__).resolve().parent.parent
+BENCH_SCENARIOS = sorted((ROOT / "benchmarks" / "scenarios").glob("*.json"))
 
 
 def _doc(**overrides):
@@ -332,3 +342,46 @@ class TestPovmTable:
     def test_bad_number_list(self, tmp_path):
         assert main(["povm-table", "--ns", "x", "--beta", "0",
                      "--out", str(tmp_path / "t.csv")]) == 1
+
+
+def _run_python(code: str) -> str:
+    """Run ``code`` in a fresh interpreter on this checkout's package; return its stdout."""
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=str(ROOT / "src")), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+class TestScenarioDigest:
+    def test_cli_run_loads_no_openssl(self, tmp_path):
+        if not any(importlib.util.find_spec(m) for m in ("_sha2", "_sha256")):
+            pytest.skip("no lean SHA-256 module in this Python")
+        args = ["run", "--config", str(BENCH_SCENARIOS[0]), "--trials", "50", "--seed", "1",
+                "--out", str(tmp_path / "out.csv")]
+        _run_python(f"""
+import sys
+from qmud.cli import main
+assert main({args!r}) == 0
+assert "_hashlib" not in sys.modules, "the run loaded OpenSSL's _hashlib"
+""")
+
+    @pytest.mark.parametrize("blocked", [(), ("_sha2",), ("_sha2", "_sha256")])
+    def test_every_sha256_source_gives_the_hashlib_digest(self, blocked, monkeypatch):
+        # Blocking the lean modules walks config's import fallbacks down to
+        # hashlib, so one Python runs every branch.
+        paths = [str(p) for p in BENCH_SCENARIOS]
+        out = _run_python(f"""
+import sys
+for name in {blocked!r}:
+    sys.modules[name] = None
+from pathlib import Path
+from qmud.cli import parse_config
+from qmud.config import scenario_digest, sha256
+print(sha256.__module__)
+for path in {paths!r}:
+    print(scenario_digest(parse_config(Path(path).read_text())))
+""").split()
+        assert out[0] not in blocked
+        monkeypatch.setattr(config, "sha256", hashlib.sha256)
+        assert len(paths) == 3 and out[1:] == [
+            config.scenario_digest(parse_config(Path(p).read_text())) for p in paths]

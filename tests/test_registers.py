@@ -388,12 +388,12 @@ class TestRegisterBank:
             finally:
                 tracemalloc.stop()
             peaks.append(peak)
-        per_register, bank = peaks
-        assert bank < per_register
-        # 7.4 MB built in slices of 2 leading chips; 20.7 MB as one slice,
-        # 41.2 MB as one slice in int64.
-        assert bank < 10e6
+        per_register, peak = peaks
+        assert peak < per_register
+        # 6.8 MB for a 4.75 MB bank, built in slices of 2 leading chips and
+        # filled in place; 20.7 MB as one slice, 41.2 MB as one slice in int64.
         one_by_one, bank = built
+        assert peak < bank.members.nbytes + bank.masks.nbytes + 2.5 * registers.SLICE_BYTES
         assert bank.members.dtype == np.uint32
         for (k, b), reg in one_by_one.items():
             assert bank.register(k, b) == reg
@@ -431,9 +431,12 @@ class TestRegisterBank:
     def test_slices_join_to_the_one_slice_bank(self, case):
         sc = WIDTH_CASES[case][0]
         whole = build_bank_in_slices(sc, 1 << 62)
-        for slice_bytes in (registers.SLICE_BYTES, 1):
+        for slice_bytes in (registers.SLICE_BYTES, 3000, 1):
+            # A 1-byte cap grows the bank once per distinct index.
             bank = build_bank_in_slices(sc, slice_bytes)
             assert bank.n_s == whole.n_s
+            assert all(a.flags.owndata and not a.flags.writeable and a.size == bank.members.size
+                       for a in (bank.members, bank.masks))
             for got, want in ((bank.members, whole.members), (bank.masks, whole.masks)):
                 assert got.dtype == want.dtype and np.array_equal(got, want)
                 assert not got.flags.writeable
