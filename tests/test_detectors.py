@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_unit_signatures
+from conftest import ill_conditioned_rows, random_unit_signatures, spy_exact_search
 from qmud import (DetectorKind, decorrelate_detect, detectors, mlse_objective,
                   mmse_detect, optimal_detect, run_trials, sud_detect)
 from qmud.cli import parse_config
@@ -59,19 +59,6 @@ def _tie_rows(rng, R, count):
     y2 = y1.copy()
     y2[np.arange(count), rng.integers(0, K, count)] *= -1
     return np.concatenate([(y1 + y2) / 2 @ R, np.zeros((2, K))])
-
-
-def _spy_exact_search(monkeypatch) -> list:
-    """Record every row the optimal search hands to its exact search."""
-    seen = []
-    real = detectors._exact_rows
-
-    def spy(soft, R):
-        seen.extend(map(tuple, soft.tolist()))
-        return real(soft, R)
-
-    monkeypatch.setattr(detectors, "_exact_rows", spy)
-    return seen
 
 
 class TestSud:
@@ -257,7 +244,7 @@ class TestDetectRows:
 
     def _filter_check(self, monkeypatch, soft, ties, R):
         """Exactly the tie rows of soft reach the exact search; every row is right."""
-        seen = _spy_exact_search(monkeypatch)
+        seen = spy_exact_search(monkeypatch)
         rows = detect_rows((DetectorKind.OPTIMAL,), soft, R, 0.0)
         assert sorted(seen) == sorted(map(tuple, ties.tolist()))
         decisions = rows[DetectorKind.OPTIMAL]
@@ -280,7 +267,7 @@ class TestDetectRows:
         R = _random_R(rng, 5)
         ties = _tie_rows(rng, R, 40)
         soft = np.concatenate([rng.normal(size=(20, 5)), ties])
-        seen = _spy_exact_search(monkeypatch)
+        seen = spy_exact_search(monkeypatch)
         decisions = detect_rows((DetectorKind.OPTIMAL,), soft, R, 0.0)
         assert sorted(seen) == sorted(map(tuple, ties.tolist()))
         assert decisions[DetectorKind.OPTIMAL].tolist() == detectors._exact_rows(soft, R).tolist()
@@ -301,13 +288,9 @@ class TestDetectRows:
         # cond(R) = 1e5 at K = 6.  The margin grows with |R^-1 b~|^2, not
         # with cond(R)^2, so few noisy rows rerun the exhaustive search (34
         # of these 2000).
-        rng = np.random.default_rng(5)
-        Q, _ = np.linalg.qr(rng.normal(size=(6, 6)))
-        R = (Q * np.logspace(0, -5, 6)) @ Q.T
-        R = (R + R.T) / 2
-        soft = rng.choice([-1.0, 1.0], size=(2000, 6)) @ R + 0.3 * rng.normal(size=(2000, 6))
+        soft, R = ill_conditioned_rows()
         exact = detectors._exact_rows(soft, R)
-        seen = _spy_exact_search(monkeypatch)
+        seen = spy_exact_search(monkeypatch)
         decisions = detect_rows((DetectorKind.OPTIMAL,), soft, R, 0.0)[DetectorKind.OPTIMAL]
         assert len(seen) <= 0.03 * len(soft)
         assert decisions.tolist() == exact.tolist()
@@ -327,7 +310,7 @@ class TestDetectRows:
         ties = np.concatenate([(y1 + y2) / 2 @ R, np.zeros((2, K))])
         soft = np.concatenate([rng.normal(size=(8, K)), ties])
         exact = detectors._exact_rows(soft, R)
-        seen = _spy_exact_search(monkeypatch)
+        seen = spy_exact_search(monkeypatch)
         decisions = detect_rows((DetectorKind.OPTIMAL,), soft, R, 0.0)[DetectorKind.OPTIMAL]
         assert set(map(tuple, ties.tolist())) <= set(seen)
         assert decisions.tolist() == exact.tolist()
@@ -359,7 +342,7 @@ class TestDetectRows:
                                                          values):
         path = Path(__file__).resolve().parent.parent / "benchmarks" / "scenarios"
         scenario = parse_config((path / f"{name}.json").read_text())
-        seen = _spy_exact_search(monkeypatch)
+        seen = spy_exact_search(monkeypatch)
         for value in values:
             sc = scenario if param is None else scenario.with_overrides(**{param: value})
             run_trials(sc, (DetectorKind.OPTIMAL,), include_qmud=False, trials=2000,

@@ -17,9 +17,9 @@ ill-conditioned set of rows, frozen in ``ill_conditioned_k6.csv``.
 
 from pathlib import Path
 
-import numpy as np
 import pytest
 
+from conftest import ill_conditioned_rows, spy_exact_search
 from qmud import detectors
 from qmud.cli import main
 from qmud.harness import ALL_DETECTORS
@@ -63,16 +63,6 @@ def test_cli_output_matches_golden(name, tmp_path):
     assert out.read_bytes() == (GOLDEN / f"{name}.csv").read_bytes()
 
 
-def _ill_conditioned_rows():
-    """(soft, R): 2000 rows R b + 0.3 n with K = 6 and cond(R) = 1e5, at seed 5."""
-    rng = np.random.default_rng(5)
-    Q, _ = np.linalg.qr(rng.normal(size=(6, 6)))
-    R = (Q * np.logspace(0, -5, 6)) @ Q.T
-    R = (R + R.T) / 2
-    soft = rng.choice([-1.0, 1.0], size=(2000, 6)) @ R + 0.3 * rng.normal(size=(2000, 6))
-    return soft, R
-
-
 def _decision_lines(decisions) -> list[str]:
     """One CSV line per row: each detector's bits as a string of + and -."""
     bits = [["".join("+" if b > 0 else "-" for b in row) for row in decisions[kind].tolist()]
@@ -81,16 +71,9 @@ def _decision_lines(decisions) -> list[str]:
 
 
 def test_ill_conditioned_decisions_match_golden(monkeypatch):
-    soft, R = _ill_conditioned_rows()
-    reached = []
-    real = detectors._exact_rows
-
-    def spy(rows, R):
-        reached.append(len(rows))
-        return real(rows, R)
-
-    monkeypatch.setattr(detectors, "_exact_rows", spy)
+    soft, R = ill_conditioned_rows()
+    seen = spy_exact_search(monkeypatch)
     decisions = detectors.detect_rows(ALL_DETECTORS, soft, R, 0.09)
-    assert sum(reached) > 0  # the golden reaches the exact search
+    assert seen  # the golden reaches the exact search
     expected = (GOLDEN / "ill_conditioned_k6.csv").read_text()
     assert "\n".join(_decision_lines(decisions)) + "\n" == expected
