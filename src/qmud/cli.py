@@ -106,22 +106,19 @@ def _report_rows(report: MetricsReport) -> list[str]:
     common = (report.scenario_id, report.param_name or "", _fmt(report.param_value),
               str(report.trials))
     for kind in ALL_DETECTORS:
-        if kind not in report.detector_bit_errors:
-            continue
         errors = report.detector_bit_errors[kind]
         rows.append(",".join([
             common[0], kind.value, common[1], common[2], common[3],
             str(errors), _fmt(errors / decided), str(decided - errors),
             "0", "0", "0", "0", "", str(report.seed),
         ]))
-    if report.qmud is not None:
-        q = report.qmud
-        rows.append(",".join([
-            common[0], "qmud", common[1], common[2], common[3],
-            str(q.false_decisions), _fmt(q.false_decisions / decided), str(q.correct),
-            str(q.no_message), str(q.ambiguous), str(q.inconclusive),
-            str(q.coverage_miss), _fmt(q.mean_reps), str(report.seed),
-        ]))
+    q = report.qmud
+    rows.append(",".join([
+        common[0], "qmud", common[1], common[2], common[3],
+        str(q.false_decisions), _fmt(q.false_decisions / decided), str(q.correct),
+        str(q.no_message), str(q.ambiguous), str(q.inconclusive),
+        str(q.coverage_miss), _fmt(q.mean_reps), str(report.seed),
+    ]))
     return rows
 
 
@@ -160,13 +157,14 @@ def _load_scenario(path: str) -> Scenario:
 
 
 def _parse_number_list(raw: str, caster, flag: str):
+    tokens = raw.split(",")
+    if not all(tok.strip() for tok in tokens):
+        raise ValidationError(f"{flag}: expected at least one number in every "
+                              f"comma-separated item, got {raw!r}")
     try:
-        values = [caster(tok) for tok in raw.split(",") if tok.strip()]
+        return [caster(tok) for tok in tokens]
     except ValueError as exc:
         raise ValidationError(f"{flag}: expected a comma-separated number list") from exc
-    if not values:
-        raise ValidationError(f"{flag}: expected at least one number")
-    return values
 
 
 def _build_parser() -> argparse.ArgumentParser:

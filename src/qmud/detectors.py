@@ -48,6 +48,9 @@ class DetectorKind(enum.Enum):
     OPTIMAL = "optimal"
 
 
+ALL_DETECTORS = tuple(DetectorKind)
+
+
 def _check_condition(M: np.ndarray) -> None:
     """Raises SingularMatrix for a non-finite or ill-conditioned matrix."""
     cond = np.linalg.cond(M) if np.all(np.isfinite(M)) else np.inf
@@ -120,25 +123,17 @@ def optimal_detect(soft, R) -> np.ndarray:
     return _optimal_rows(soft[None], R)[0]
 
 
-def detect_rows(kinds, soft: np.ndarray, R: np.ndarray, noise_variance: float) -> dict:
-    """Decisions of each selected detector for every row of soft (T, K).
+def detect_rows(soft: np.ndarray, R: np.ndarray, noise_variance: float) -> dict:
+    """Decisions of the four detectors for every row of soft (T, K), keyed in ALL_DETECTORS order.
 
     The per-symbol detectors are this code on one row, after their checks.
-    The matrices are not checked here: callers run each selected
-    detector's checks once first, which raise SingularMatrix or KTooLarge
-    for a degenerate scenario.
+    The matrices are not checked here: callers run the checks once first,
+    which raise SingularMatrix or KTooLarge for a degenerate scenario.
     """
-    out = {}
-    for kind in kinds:
-        if kind is DetectorKind.SUD:
-            out[kind] = _sign(soft)
-        elif kind is DetectorKind.DECORRELATOR:
-            out[kind] = _solve_sign(R, soft)
-        elif kind is DetectorKind.MMSE:
-            out[kind] = _solve_sign(R + noise_variance * np.eye(len(R)), soft)
-        else:
-            out[kind] = _optimal_rows(soft, R)
-    return out
+    return {DetectorKind.SUD: _sign(soft),
+            DetectorKind.DECORRELATOR: _solve_sign(R, soft),
+            DetectorKind.MMSE: _solve_sign(R + noise_variance * np.eye(len(R)), soft),
+            DetectorKind.OPTIMAL: _optimal_rows(soft, R)}
 
 
 def _solve_sign(M: np.ndarray, soft: np.ndarray) -> np.ndarray:

@@ -1,9 +1,10 @@
 """Reproducible Monte Carlo experiments.
 
-Each trial draws uniform bits, synthesizes the received waveform, runs the
-classical detector bank on the matched-filter outputs, quantizes the
-waveform into a basis index, and runs the quantum receiver per user against
-the scenario's hypothesis registers.  All 2K registers are built at once as
+Every run and every sweep point takes one pipeline.  Each trial draws
+uniform bits, synthesizes the received waveform, runs the four classical
+detectors on the matched-filter outputs, quantizes the waveform into a
+basis index, and runs the quantum receiver per user against the
+scenario's hypothesis registers.  All 2K registers are built at once as
 one ``registers.RegisterBank``, once per scenario; a sweep builds it again
 only at points that change a field the registers depend on.  A block looks
 its received indices up in the bank once, which gives every user's
@@ -20,10 +21,10 @@ order: a block gives each trial exactly the bits, noise, decisions and
 measurement draws that trial gets when run alone.  The block's detectors
 are ``detect_rows``, the row code that the per-symbol detectors run on
 one row; they skip the per-call condition check, and the scenario's one
-check runs in ``_Prepared``.  The optimal search reads only R and the
-rows: its filter ranks a block's candidates with one matrix product per
-slice of rows and chunk of candidates, so a block's memory stays small at
-any K.
+check runs in ``_Prepared`` before its register bank is built.  The
+optimal search reads only R and the rows: its filter ranks a block's
+candidates with one matrix product per slice of rows and chunk of
+candidates, so a block's memory stays small at any K.
 
 Sweeps reuse the same master seed at every parameter value: matching trial
 indices see identical bits and identical standard-normal noise (common
@@ -39,7 +40,7 @@ import numpy as np
 
 from .cdma import correlation_matrix, matched_filter, noiseless_waveforms
 from .config import Scenario, check_seed, scenario_digest
-from .detectors import DetectorKind, _check_condition, check_optimal, detect_rows
+from .detectors import ALL_DETECTORS, DetectorKind, _check_condition, check_optimal, detect_rows
 from .errors import QmudError, UnknownParameter, ValidationError
 from .povm import DECISIONS, Decision, detect_user_rows
 from .registers import RegisterBank, build_bank, pack_basis, quantize_waveform, register_bit
@@ -52,9 +53,6 @@ from .detectors import decorrelate_detect, mmse_detect, optimal_detect, sud_dete
 from .povm import detect_user  # noqa: F401
 from .registers import enumerate_hypotheses  # noqa: F401
 from .rng import derive_seed  # noqa: F401
-
-ALL_DETECTORS = (DetectorKind.SUD, DetectorKind.DECORRELATOR,
-                 DetectorKind.MMSE, DetectorKind.OPTIMAL)
 
 SWEEPABLE = ("noise_sigma", "reps_max", "gamma", "N_ch")
 
@@ -90,7 +88,7 @@ class MetricsReport:
     trials: int
     seed: int
     detector_bit_errors: dict
-    qmud: QmudStats | None
+    qmud: QmudStats
     param_name: str | None = None
     param_value: float | None = None
 
@@ -123,27 +121,20 @@ class _RegisterCache:
 class _Prepared:
     """Everything a trial reads, built once per scenario.
 
-    Holds the scenario, the selected detector kinds, R and, with
-    include_qmud, the register bank.  Each selected detector's own checks
-    (SingularMatrix, KTooLarge) run first, in detector order, so they
-    reject a degenerate scenario before the bank is built and before
-    trial 0, with or without registers.
+    Holds the scenario, R and the register bank.  The decorrelator's, the
+    MMSE detector's and the optimal search's checks (SingularMatrix,
+    KTooLarge) run first, in that order, so they reject a degenerate
+    scenario before the bank is built and before trial 0.
     """
 
-    def __init__(self, scenario: Scenario, include_qmud: bool, kinds=ALL_DETECTORS,
-                 cache: _RegisterCache | None = None):
+    def __init__(self, scenario: Scenario, cache: _RegisterCache | None = None):
         self.scenario = scenario
-        self.kinds = kinds
         self.R = correlation_matrix(scenario)
         self.noise_variance = scenario.noise_sigma ** 2
-        for kind in kinds:
-            if kind is DetectorKind.DECORRELATOR:
-                _check_condition(self.R)
-            elif kind is DetectorKind.MMSE:
-                _check_condition(self.R + self.noise_variance * np.eye(scenario.K))
-            elif kind is DetectorKind.OPTIMAL:
-                check_optimal(self.R)
-        self.bank = (cache or _RegisterCache()).bank(scenario) if include_qmud else None
+        _check_condition(self.R)
+        _check_condition(self.R + self.noise_variance * np.eye(scenario.K))
+        check_optimal(self.R)
+        self.bank = (cache or _RegisterCache()).bank(scenario)
 
 
 @dataclass(frozen=True)
@@ -151,15 +142,15 @@ class _Block:
     """A block's T trials as arrays with a leading trial axis.
 
     ``decisions`` maps each detector kind to (T, K) bits; ``qmud`` codes
-    index povm.DECISIONS.  The receiver arrays are None without registers.
+    index povm.DECISIONS.
     """
 
     bits: np.ndarray
     decisions: dict
-    received_index: np.ndarray | None
-    qmud: np.ndarray | None
-    reps: np.ndarray | None
-    coverage_miss: np.ndarray | None
+    received_index: np.ndarray
+    qmud: np.ndarray
+    reps: np.ndarray
+    coverage_miss: np.ndarray
 
 
 def _run_block(prep: _Prepared, master_seed: int, t0: int, count: int) -> _Block:
@@ -170,11 +161,9 @@ def _run_block(prep: _Prepared, master_seed: int, t0: int, count: int) -> _Block
     clean = noiseless_waveforms(scenario.amplitude_vector(), scenario.signature_matrix(), bits)
     received = clean + scenario.noise_sigma * streams.normals(scenario.PG)
     soft = matched_filter(received, scenario)
-    decisions = detect_rows(prep.kinds, soft, prep.R, prep.noise_variance)
-    bank = prep.bank
-    if bank is None:
-        return _Block(bits, decisions, None, None, None, None)
+    decisions = detect_rows(soft, prep.R, prep.noise_variance)
 
+    bank = prep.bank
     v = pack_basis(quantize_waveform(received, scenario.quantizer), scenario.quantizer)
     stored = bank.contains(v)
     codes = np.empty((count, scenario.K), dtype=np.int64)
@@ -188,26 +177,23 @@ def _run_block(prep: _Prepared, master_seed: int, t0: int, count: int) -> _Block
     return _Block(bits, decisions, v, codes, reps, misses)
 
 
-def run_trials(scenario: Scenario, detectors=ALL_DETECTORS, include_qmud: bool = True,
-               trials: int = 1000, master_seed: int = 0) -> MetricsReport:
+def run_trials(scenario: Scenario, trials: int = 1000, master_seed: int = 0) -> MetricsReport:
     """Run the full pipeline for `trials` symbols and aggregate counts."""
-    return _run_trials(scenario, detectors, include_qmud, trials, master_seed,
-                       _RegisterCache())
+    return _run_trials(scenario, trials, master_seed, _RegisterCache())
 
 
 # Bit value of each povm.DECISIONS code; 0 for the codes that decide no bit.
 _DECIDED_BIT = np.array([d.bit_value or 0 for d in DECISIONS])
 
 
-def _run_trials(scenario: Scenario, detectors, include_qmud: bool, trials: int,
-                master_seed: int, cache: _RegisterCache) -> MetricsReport:
+def _run_trials(scenario: Scenario, trials: int, master_seed: int,
+                cache: _RegisterCache) -> MetricsReport:
     if trials < 1:
         raise ValidationError(f"trials must be >= 1, got {trials}")
     master_seed = check_seed(master_seed)
-    kinds = tuple(k for k in ALL_DETECTORS if k in set(detectors))
-    prep = _Prepared(scenario, include_qmud, kinds, cache)
+    prep = _Prepared(scenario, cache)
 
-    bit_errors = {k: 0 for k in kinds}
+    bit_errors = dict.fromkeys(ALL_DETECTORS, 0)
     categories = np.zeros(len(DECISIONS), dtype=np.int64)
     correct = false_dec = miss_count = reps_total = 0
     for t0 in range(0, trials, BLOCK_TRIALS):
@@ -216,23 +202,20 @@ def _run_trials(scenario: Scenario, detectors, include_qmud: bool, trials: int,
             block = _run_block(prep, master_seed, t0, count)
         except QmudError as exc:
             raise type(exc)(f"trials {t0}–{t0 + count - 1}: {exc}") from exc
-        for kind in kinds:
+        for kind in ALL_DETECTORS:
             bit_errors[kind] += int(np.count_nonzero(block.decisions[kind] != block.bits))
-        if include_qmud:
-            reps_total += int(block.reps.sum())
-            miss_count += int(block.coverage_miss.sum())
-            covered = ~block.coverage_miss
-            decided = _DECIDED_BIT[block.qmud]
-            correct += int(np.count_nonzero(covered & (decided == block.bits)))
-            false_dec += int(np.count_nonzero(covered & (decided == -block.bits)))
-            categories += np.bincount(block.qmud[covered], minlength=len(DECISIONS))
+        reps_total += int(block.reps.sum())
+        miss_count += int(block.coverage_miss.sum())
+        covered = ~block.coverage_miss
+        decided = _DECIDED_BIT[block.qmud]
+        correct += int(np.count_nonzero(covered & (decided == block.bits)))
+        false_dec += int(np.count_nonzero(covered & (decided == -block.bits)))
+        categories += np.bincount(block.qmud[covered], minlength=len(DECISIONS))
 
-    qmud_stats = None
-    if include_qmud:
-        counts = dict(zip(DECISIONS, categories.tolist()))
-        qmud_stats = QmudStats(correct, false_dec, counts[Decision.NO_MESSAGE],
-                               counts[Decision.AMBIGUOUS], counts[Decision.INCONCLUSIVE],
-                               miss_count, reps_total / (trials * scenario.K))
+    counts = dict(zip(DECISIONS, categories.tolist()))
+    qmud_stats = QmudStats(correct, false_dec, counts[Decision.NO_MESSAGE],
+                           counts[Decision.AMBIGUOUS], counts[Decision.INCONCLUSIVE],
+                           miss_count, reps_total / (trials * scenario.K))
     return MetricsReport(scenario_digest(scenario), scenario.K, trials, master_seed,
                          bit_errors, qmud_stats)
 
@@ -244,8 +227,8 @@ def _apply_parameter(scenario: Scenario, name: str, value) -> Scenario:
     return scenario.with_overrides(**{name: value})
 
 
-def sweep(scenario: Scenario, parameter: str, values, trials: int, master_seed: int,
-          detectors=ALL_DETECTORS, include_qmud: bool = True) -> list[MetricsReport]:
+def sweep(scenario: Scenario, parameter: str, values, trials: int,
+          master_seed: int) -> list[MetricsReport]:
     """One report per parameter value, in order, under common random numbers.
 
     Consecutive points that agree on every register-defining field share
@@ -257,6 +240,6 @@ def sweep(scenario: Scenario, parameter: str, values, trials: int, master_seed: 
     reports = []
     for value in values:
         modified = _apply_parameter(scenario, parameter, value)
-        report = _run_trials(modified, detectors, include_qmud, trials, master_seed, cache)
+        report = _run_trials(modified, trials, master_seed, cache)
         reports.append(replace(report, param_name=parameter, param_value=float(value)))
     return reports

@@ -39,10 +39,10 @@ one slice; the K=8, PG=8, gamma=1 ``dense_sweep`` scenario takes h = 2 and
 7 slices, and its build peaks at 6.8 MB under ``tracemalloc`` for a
 4.75 MB bank, against 21.0 MB as one slice.
 
-Widths follow from the scenario's sizes alone.  Boxes are unsigned 32-bit
-when N_Q + K <= 32, sort keys when N_Q + B <= 32, and masks when 2K <= 32,
-else ``np.int64``.  Bank members are always unsigned 32-bit, since N_Q <=
-``config.MAX_REGISTER_BITS`` = 24.  Registers depend only on the
+Widths follow from the scenario's sizes alone.  Boxes and bank members
+are always unsigned 32-bit, since N_Q <= ``config.MAX_REGISTER_BITS`` = 24;
+sort keys are unsigned 32-bit when N_Q + B <= 32 and masks when 2K <= 32,
+else ``np.int64``.  Registers depend only on the
 signatures, energies, gains, quantizer, gamma and delays, so
 ``harness.sweep`` builds one bank for a ``noise_sigma`` or ``reps_max``
 sweep and a new one at each point of a ``gamma`` or ``N_ch`` sweep.
@@ -236,28 +236,20 @@ def _slicing(scenario: Scenario, rows: int, key_bytes: int) -> tuple[int, int]:
     return h, max(1, SLICE_BYTES // (key_bytes * lattice ** (scenario.PG - h)))
 
 
-def _key_dtype(scenario: Scenario) -> np.dtype:
-    """Width of the boxes: uint32 when (index << K) | pattern id fits.
-
-    Bank sort keys have their own width: uint32 when N_Q + B bits fit, B
-    the row-id bits of ``build_bank``'s table.
-    """
-    return np.dtype(np.uint32 if scenario.register_bits + scenario.K <= 32 else np.int64)
-
-
 def _chip_codes(scenario: Scenario, signatures: np.ndarray, patterns: np.ndarray) -> np.ndarray:
-    """Chip codes of each bit pattern's box: codes[p, n, j], in ``_key_dtype(scenario)``.
+    """Chip codes of each bit pattern's box: codes[p, n, j], as unsigned 32-bit words.
 
     Entry (p, n, j) is chip n of the noiseless waveform of pattern p under
     ``signatures``, shifted by lattice offset eps_j = (j - gamma)*step and
     quantized.  This is the one quantization of
     waveforms into box codes; ``enumerate_hypotheses`` and ``build_bank``
-    both use it.
+    both use it.  A box packs into indices below 2^N_Q <= 2^24, so the
+    codes' width holds every index ``_pack_offsets`` makes of them.
     """
     spec = scenario.quantizer
     lattice = spec.step * np.arange(-scenario.gamma, scenario.gamma + 1, dtype=float)
     base = noiseless_waveforms(scenario.amplitude_vector(), signatures, patterns)
-    return quantize_waveform(base[:, :, None] + lattice, spec).astype(_key_dtype(scenario))
+    return quantize_waveform(base[:, :, None] + lattice, spec).astype(np.uint32)
 
 
 def _pack_offsets(codes: np.ndarray, levels: int, head=None, unit: int = 1) -> np.ndarray:
@@ -443,8 +435,7 @@ def build_bank(scenario: Scenario) -> RegisterBank:
             sig[k] = own
             boxes.append((_chip_codes(scenario, sig, patterns), own_bits[:, k]))
 
-    # Row r of the table is one pattern of one box; with delays (0,), bits = K
-    # and the keys take the boxes' width, _key_dtype.
+    # Row r of the table is one pattern of one box; with delays (0,), bits = K.
     bits = ((len(boxes) << K) - 1).bit_length()
     key_dtype = np.dtype(np.uint32 if scenario.register_bits + bits <= 32 else np.int64)
     table = np.concatenate([codes for codes, _ in boxes], dtype=key_dtype)

@@ -26,7 +26,7 @@ from qmud.cdma import matched_filter, transmit
 from qmud.config import scenario_digest
 from qmud.detectors import (DetectorKind, decorrelate_detect, mmse_detect, optimal_detect,
                             sud_detect)
-from qmud.harness import MetricsReport, QmudStats
+from qmud.harness import ALL_DETECTORS, MetricsReport, QmudStats
 from qmud.povm import DECISIONS, Decision, detect_user
 from qmud.registers import enumerate_hypotheses, pack_basis, quantize_waveform, shift_variants
 from qmud.rng import SplitMix64, derive_seed
@@ -69,9 +69,9 @@ def reference_registers(scenario) -> dict:
 
 
 def reference_detectors(soft, prep) -> dict:
-    """Each selected per-symbol detector on one soft vector, with its checks."""
+    """Each per-symbol detector on one soft vector, with its checks."""
     out = {}
-    for kind in prep.kinds:
+    for kind in ALL_DETECTORS:
         if kind is DetectorKind.SUD:
             dec = sud_detect(soft)
         elif kind is DetectorKind.DECORRELATOR:
@@ -87,9 +87,9 @@ def reference_detectors(soft, prep) -> dict:
 def reference_trial(prep, registers, trial_index: int, master_seed: int) -> harness._Block:
     """One trial on its own SplitMix64 stream through the per-symbol functions.
 
-    ``registers`` is ``reference_registers(prep.scenario)``, or None to skip
-    the receiver.  This is the per-trial body the block engine replaced,
-    kept as its oracle; it returns the trial as a one-row block.
+    ``registers`` is ``reference_registers(prep.scenario)``.  This is the
+    per-trial body the block engine replaced, kept as its oracle; it returns
+    the trial as a one-row block.
     """
     scenario = prep.scenario
     rng = SplitMix64(derive_seed(master_seed, trial_index))
@@ -97,9 +97,6 @@ def reference_trial(prep, registers, trial_index: int, master_seed: int) -> harn
     received = transmit(scenario, bits, rng)
     soft = matched_filter(received, scenario)
     decisions = {kind: np.array([dec]) for kind, dec in reference_detectors(soft, prep).items()}
-    if registers is None:
-        return harness._Block(np.array([bits]), decisions, None, None, None, None)
-
     v = pack_basis(quantize_waveform(received, scenario.quantizer), scenario.quantizer)
     per_user = [detect_user(registers[(k, 1)], registers[(k, -1)], v, scenario.reps_max, rng)
                 for k in range(scenario.K)]
@@ -120,7 +117,7 @@ def reference_block(prep, registers, t0: int, count: int, master_seed: int) -> h
             stacked["decisions"] = {kind: np.concatenate([d[kind] for d in column])
                                     for kind in column[0]}
         else:
-            stacked[field.name] = None if column[0] is None else np.concatenate(column)
+            stacked[field.name] = np.concatenate(column)
     return harness._Block(**stacked)
 
 
@@ -132,42 +129,38 @@ def block_lists(block: harness._Block) -> dict:
             for name, value in out.items()}
 
 
-def reference_report(scenario, kinds, include_qmud: bool, trials: int,
-                     master_seed: int) -> MetricsReport:
+def reference_report(scenario, trials: int, master_seed: int) -> MetricsReport:
     """run_trials as the per-trial loop over reference_trial."""
-    prep = harness._Prepared(scenario, False, kinds)
-    registers = reference_registers(scenario) if include_qmud else None
-    bit_errors = {k: 0 for k in kinds}
+    prep = harness._Prepared(scenario)
+    registers = reference_registers(scenario)
+    bit_errors = {k: 0 for k in ALL_DETECTORS}
     correct = false_dec = no_msg = ambiguous = inconclusive = miss_count = 0
     reps_total = 0
 
     for t in range(trials):
         rec = reference_trial(prep, registers, t, master_seed)
         bits = rec.bits[0].tolist()
-        for kind in kinds:
+        for kind in ALL_DETECTORS:
             bit_errors[kind] += sum(d != b for d, b in zip(rec.decisions[kind][0].tolist(), bits))
-        if include_qmud:
-            reps_total += int(rec.reps.sum())
-            for k in range(scenario.K):
-                if rec.coverage_miss[0, k]:
-                    miss_count += 1
-                    continue
-                kind = DECISIONS[rec.qmud[0, k]]
-                if kind in (Decision.BIT_ONE, Decision.BIT_ZERO):
-                    if kind.bit_value == bits[k]:
-                        correct += 1
-                    else:
-                        false_dec += 1
-                elif kind is Decision.NO_MESSAGE:
-                    no_msg += 1
-                elif kind is Decision.AMBIGUOUS:
-                    ambiguous += 1
+        reps_total += int(rec.reps.sum())
+        for k in range(scenario.K):
+            if rec.coverage_miss[0, k]:
+                miss_count += 1
+                continue
+            kind = DECISIONS[rec.qmud[0, k]]
+            if kind in (Decision.BIT_ONE, Decision.BIT_ZERO):
+                if kind.bit_value == bits[k]:
+                    correct += 1
                 else:
-                    inconclusive += 1
+                    false_dec += 1
+            elif kind is Decision.NO_MESSAGE:
+                no_msg += 1
+            elif kind is Decision.AMBIGUOUS:
+                ambiguous += 1
+            else:
+                inconclusive += 1
 
-    qmud_stats = None
-    if include_qmud:
-        qmud_stats = QmudStats(correct, false_dec, no_msg, ambiguous, inconclusive,
-                               miss_count, reps_total / (trials * scenario.K))
+    qmud_stats = QmudStats(correct, false_dec, no_msg, ambiguous, inconclusive,
+                           miss_count, reps_total / (trials * scenario.K))
     return MetricsReport(scenario_digest(scenario), scenario.K, trials, master_seed,
                          bit_errors, qmud_stats)

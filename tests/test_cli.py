@@ -149,16 +149,14 @@ class TestWriteCsv:
         write_csv([], out)
         assert out.read_text().splitlines() == [GOLDEN_CSV.splitlines()[0]]
 
-    def test_single_detector_plus_qmud_gives_two_rows(self, tmp_path):
-        from qmud import DetectorKind
+    def test_report_gives_four_detector_rows_then_qmud(self, tmp_path):
         sc = parse_config(_doc())
-        report = run_trials(sc, detectors=(DetectorKind.SUD,), trials=5, master_seed=0)
-        out = tmp_path / "two.csv"
+        report = run_trials(sc, trials=5, master_seed=0)
+        out = tmp_path / "five.csv"
         write_csv([report], out)
         lines = out.read_text().splitlines()
-        assert len(lines) == 3
-        assert lines[1].split(",")[1] == "sud"
-        assert lines[2].split(",")[1] == "qmud"
+        assert [line.split(",")[1] for line in lines[1:]] == [
+            "sud", "decorrelator", "mmse", "optimal", "qmud"]
 
     def test_round_trip_recovers_counts(self, tmp_path):
         sc = parse_config(json.dumps(GOLDEN_CONFIG))
@@ -290,8 +288,11 @@ class TestMainExitCodes:
     @pytest.mark.parametrize("command", [
         ["sweep", "--param", "noise_sigma", "--values", ","],
         ["sweep", "--param", "noise_sigma", "--values", " "],
+        ["sweep", "--param", "noise_sigma", "--values", "0.1,,0.2"],
+        ["sweep", "--param", "noise_sigma", "--values", "0.1,"],
         ["povm-table", "--ns", ",", "--beta", "0"],
-        ["povm-table", "--ns", "2", "--beta", ","]])
+        ["povm-table", "--ns", "2", "--beta", ","],
+        ["povm-table", "--ns", "2,", "--beta", "0"]])
     def test_empty_number_list_rejected(self, tmp_path, capsys, command):
         out = tmp_path / "s.csv"
         extra = ["--config", self._write_config(tmp_path, MINIMAL_ONE_USER)] \

@@ -9,9 +9,9 @@ from hypothesis import strategies as st
 
 from conftest import ill_conditioned_rows, random_unit_signatures, spy_exact_search
 from qmud import (DetectorKind, decorrelate_detect, detectors, mlse_objective,
-                  mmse_detect, optimal_detect, run_trials, sud_detect)
+                  mmse_detect, optimal_detect, run_trials, sud_detect, sweep)
 from qmud.cli import parse_config
-from qmud.detectors import detect_rows
+from qmud.detectors import ALL_DETECTORS, detect_rows
 from qmud.errors import KTooLarge, SingularMatrix
 
 R2 = np.array([[1.0, 0.5], [0.5, 1.0]])
@@ -191,7 +191,8 @@ class TestDetectRows:
     }
 
     def _check(self, soft, R, var):
-        rows = detect_rows(tuple(DetectorKind), soft, R, var)
+        rows = detect_rows(soft, R, var)
+        assert tuple(rows) == ALL_DETECTORS
         for kind, detect in self.PER_SYMBOL.items():
             assert rows[kind].tolist() == [detect(s, R, var).tolist() for s in soft]
         # The per-symbol detectors run this same row code, so the rows are
@@ -245,9 +246,8 @@ class TestDetectRows:
     def _filter_check(self, monkeypatch, soft, ties, R):
         """Exactly the tie rows of soft reach the exact search; every row is right."""
         seen = spy_exact_search(monkeypatch)
-        rows = detect_rows((DetectorKind.OPTIMAL,), soft, R, 0.0)
+        decisions = detect_rows(soft, R, 0.0)[DetectorKind.OPTIMAL]
         assert sorted(seen) == sorted(map(tuple, ties.tolist()))
-        decisions = rows[DetectorKind.OPTIMAL]
         assert decisions.tolist() == [optimal_detect(s, R).tolist() for s in soft]
         self._check_optimal(soft, R, decisions)
 
@@ -268,9 +268,9 @@ class TestDetectRows:
         ties = _tie_rows(rng, R, 40)
         soft = np.concatenate([rng.normal(size=(20, 5)), ties])
         seen = spy_exact_search(monkeypatch)
-        decisions = detect_rows((DetectorKind.OPTIMAL,), soft, R, 0.0)
+        decisions = detect_rows(soft, R, 0.0)[DetectorKind.OPTIMAL]
         assert sorted(seen) == sorted(map(tuple, ties.tolist()))
-        assert decisions[DetectorKind.OPTIMAL].tolist() == detectors._exact_rows(soft, R).tolist()
+        assert decisions.tolist() == detectors._exact_rows(soft, R).tolist()
 
     def test_running_minimum_across_chunks_and_slices(self, monkeypatch):
         # At K = 6, 192 bytes give chunks of 4 candidates and filter slices
@@ -291,7 +291,7 @@ class TestDetectRows:
         soft, R = ill_conditioned_rows()
         exact = detectors._exact_rows(soft, R)
         seen = spy_exact_search(monkeypatch)
-        decisions = detect_rows((DetectorKind.OPTIMAL,), soft, R, 0.0)[DetectorKind.OPTIMAL]
+        decisions = detect_rows(soft, R, 0.0)[DetectorKind.OPTIMAL]
         assert len(seen) <= 0.03 * len(soft)
         assert decisions.tolist() == exact.tolist()
 
@@ -311,7 +311,7 @@ class TestDetectRows:
         soft = np.concatenate([rng.normal(size=(8, K)), ties])
         exact = detectors._exact_rows(soft, R)
         seen = spy_exact_search(monkeypatch)
-        decisions = detect_rows((DetectorKind.OPTIMAL,), soft, R, 0.0)[DetectorKind.OPTIMAL]
+        decisions = detect_rows(soft, R, 0.0)[DetectorKind.OPTIMAL]
         assert set(map(tuple, ties.tolist())) <= set(seen)
         assert decisions.tolist() == exact.tolist()
 
@@ -343,10 +343,10 @@ class TestDetectRows:
         path = Path(__file__).resolve().parent.parent / "benchmarks" / "scenarios"
         scenario = parse_config((path / f"{name}.json").read_text())
         seen = spy_exact_search(monkeypatch)
-        for value in values:
-            sc = scenario if param is None else scenario.with_overrides(**{param: value})
-            run_trials(sc, (DetectorKind.OPTIMAL,), include_qmud=False, trials=2000,
-                       master_seed=1)
+        if param is None:
+            run_trials(scenario, trials=2000, master_seed=1)
+        else:
+            sweep(scenario, param, values, trials=2000, master_seed=1)
         assert seen == []
 
 

@@ -73,7 +73,7 @@ def _decision_lines(decisions) -> list[str]:
 def test_ill_conditioned_decisions_match_golden(monkeypatch):
     soft, R = ill_conditioned_rows()
     seen = spy_exact_search(monkeypatch)
-    decisions = detectors.detect_rows(ALL_DETECTORS, soft, R, 0.09)
+    decisions = detectors.detect_rows(soft, R, 0.09)
     assert seen  # the golden reaches the exact search
     expected = (GOLDEN / "ill_conditioned_k6.csv").read_text()
     assert "\n".join(_decision_lines(decisions)) + "\n" == expected

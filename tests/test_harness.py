@@ -84,7 +84,7 @@ class TestRunTrials:
         # Every conclusive bit points at the register that actually holds
         # the received index; no-message means neither register holds it.
         sc = _nonorthogonal_noisy()
-        prep = _Prepared(sc, include_qmud=True, kinds=())
+        prep = _Prepared(sc)
         regs = reference_registers(sc)
         block = _run_block(prep, 11, 0, 300)
         for v, codes in zip(block.received_index.tolist(), block.qmud.tolist()):
@@ -103,7 +103,7 @@ class TestRunTrials:
 
     def test_conclusive_decisions_match_sud_in_trivial_regime(self):
         sc = make_orthogonal(K=2, PG=4, reps_max=32)
-        prep = _Prepared(sc, include_qmud=True, kinds=(DetectorKind.SUD,))
+        prep = _Prepared(sc)
         block = _run_block(prep, 2, 0, 200)
         for codes, sud, bits in zip(block.qmud.tolist(),
                                     block.decisions[DetectorKind.SUD].tolist(),
@@ -124,11 +124,10 @@ class TestRunTrials:
         b = run_trials(sc, trials=150, master_seed=9)
         assert a == b
 
-    def test_detector_subset_respected(self, two_user_scenario):
-        report = run_trials(two_user_scenario, detectors=(DetectorKind.SUD,),
-                            include_qmud=False, trials=10, master_seed=0)
-        assert set(report.detector_bit_errors) == {DetectorKind.SUD}
-        assert report.qmud is None
+    def test_every_detector_and_the_receiver_reported(self, two_user_scenario):
+        report = run_trials(two_user_scenario, trials=10, master_seed=0)
+        assert tuple(report.detector_bit_errors) == ALL_DETECTORS
+        assert isinstance(report.qmud, harness.QmudStats)
 
     def test_trial_errors_carry_trial_context(self, monkeypatch):
         # Trials run in blocks, so an error raised while a block is built
@@ -138,8 +137,7 @@ class TestRunTrials:
 
         monkeypatch.setattr(harness, "noiseless_waveforms", failing)
         with pytest.raises(SingularMatrix, match="trials 0–4: injected"):
-            run_trials(make_scenario(), detectors=(DetectorKind.DECORRELATOR,),
-                       include_qmud=False, trials=5, master_seed=0)
+            run_trials(make_scenario(), trials=5, master_seed=0)
 
     def test_errors_name_the_failing_block(self, monkeypatch):
         # A failure in the second block names that block's trials.
@@ -155,8 +153,7 @@ class TestRunTrials:
         monkeypatch.setattr(harness, "noiseless_waveforms", failing_second)
         with pytest.raises(SingularMatrix,
                            match=f"trials {BLOCK_TRIALS}–{2 * BLOCK_TRIALS - 1}: injected"):
-            run_trials(make_scenario(), detectors=(DetectorKind.DECORRELATOR,),
-                       include_qmud=False, trials=2 * BLOCK_TRIALS + 5, master_seed=0)
+            run_trials(make_scenario(), trials=2 * BLOCK_TRIALS + 5, master_seed=0)
         assert blocks == [BLOCK_TRIALS, BLOCK_TRIALS]
 
 
@@ -172,8 +169,7 @@ class TestReceiverClosedForm:
         n_s = {(k, b): len(reference_hypotheses(sc, k, b)) for k in range(2) for b in (1, -1)}
         trials = 2 * BLOCK_TRIALS + 1
         values = (1, 2, 4, 8, 16)
-        for reps_max, report in zip(values, sweep(sc, "reps_max", values, trials, 3,
-                                                  detectors=())):
+        for reps_max, report in zip(values, sweep(sc, "reps_max", values, trials, 3)):
             p = np.array([1 - np.prod([1 - (1 - 1 / n_s[k, b]) ** reps_max for b in (1, -1)])
                           for k in range(2)])
             mean, sd = trials * p.sum(), math.sqrt(trials * (p * (1 - p)).sum())
@@ -199,15 +195,14 @@ class TestSweep:
 
     def test_sud_ber_non_decreasing_in_noise(self):
         sc = _nonorthogonal_noisy(gamma=0, reps_max=1)
-        reports = sweep(sc, "noise_sigma", [0.0, 0.05, 0.1], trials=400,
-                        master_seed=4, include_qmud=False)
+        reports = sweep(sc, "noise_sigma", [0.0, 0.05, 0.1], trials=400, master_seed=4)
         bers = [r.ber(DetectorKind.SUD) for r in reports]
         assert all(a <= b for a, b in zip(bers, bers[1:]))
 
     def test_common_random_numbers_across_points(self):
         sc = _nonorthogonal_noisy()
-        prep = _Prepared(sc, include_qmud=False, kinds=())
-        prep_low = _Prepared(sc.with_overrides(noise_sigma=0.0), include_qmud=False, kinds=())
+        prep = _Prepared(sc)
+        prep_low = _Prepared(sc.with_overrides(noise_sigma=0.0))
         a = _run_block(prep, 8, 0, 20)
         b = _run_block(prep_low, 8, 0, 20)
         assert a.bits.tolist() == b.bits.tolist()
@@ -285,95 +280,70 @@ class TestDegenerateScenarios:
     SINGULAR = dict(K=3, PG=2, signatures=((1.0, 0.0), (0.0, 1.0), (0.6, 0.8)),
                     energies=(1.0,) * 3, gains=(1.0,) * 3)
 
+    # 21 users on 21 orthogonal chips: R = I passes every condition check,
+    # but the exhaustive search is capped at 20 users.  One bit per chip
+    # keeps N_Q = 21 within the register cap.
+    TOO_MANY = dict(K=21, PG=21, signatures=tuple(map(tuple, np.eye(21))),
+                    energies=(1.0,) * 21, gains=(1.0,) * 21,
+                    quantizer=QuantizerSpec(n_ch=1, amplitude=1.5))
+
     def test_singular_r_fails_before_any_register_build(self, monkeypatch):
         builds = _count_builds(monkeypatch)
         with pytest.raises(SingularMatrix):
             run_trials(make_scenario(**self.SINGULAR), trials=3, master_seed=0)
-        assert builds == []
-
-    @pytest.mark.parametrize("kind", [DetectorKind.DECORRELATOR, DetectorKind.OPTIMAL])
-    def test_each_inverting_detector_is_checked(self, monkeypatch, kind):
-        builds = _count_builds(monkeypatch)
         with pytest.raises(SingularMatrix):
             sweep(make_scenario(**self.SINGULAR), "noise_sigma", [0.1], trials=3,
-                  master_seed=0, detectors=(kind,))
+                  master_seed=0)
         assert builds == []
 
-    def test_mmse_checks_its_regularized_matrix(self, monkeypatch):
+    def test_setup_raises_what_the_first_failing_detector_raises_on_a_row(self, monkeypatch):
+        # _Prepared runs the matrix checks without a detection; it must
+        # reject (or accept) a scenario exactly as the decorrelator, MMSE
+        # and optimal detectors, in that order, do on a row.  21 users on
+        # one chip make R all ones, singular and too large for the
+        # exhaustive search: the decorrelator's check of R fails first, with
+        # or without noise.
         builds = _count_builds(monkeypatch)
-        sc = make_scenario(**self.SINGULAR)
-        with pytest.raises(SingularMatrix):
-            run_trials(sc, detectors=(DetectorKind.MMSE,), trials=3, master_seed=0)
-        assert builds == []
-        # With noise, R + sigma^2 I is invertible and the run goes ahead.
-        report = run_trials(sc.with_overrides(noise_sigma=0.1), detectors=(DetectorKind.MMSE,),
-                            trials=3, master_seed=0)
-        assert len(builds) == 1
-        assert report.qmud is not None
-
-    @pytest.mark.parametrize("kind", [DetectorKind.DECORRELATOR, DetectorKind.MMSE,
-                                      DetectorKind.OPTIMAL])
-    def test_setup_raises_what_the_detector_raises_on_a_row(self, kind):
-        # _Prepared runs the matrix checks without a detection; each must
-        # reject (or accept) a scenario exactly as the detector itself does.
-        detect = {DetectorKind.DECORRELATOR: lambda R, var: detectors.decorrelate_detect(
-                      np.zeros(len(R)), R),
-                  DetectorKind.MMSE: lambda R, var: detectors.mmse_detect(
-                      np.zeros(len(R)), R, var),
-                  DetectorKind.OPTIMAL: lambda R, var: detectors.optimal_detect(
-                      np.zeros(len(R)), R)}[kind]
+        one_chip = make_scenario(K=21, PG=1, signatures=((1.0,),) * 21, energies=(1.0,) * 21,
+                                 gains=(1.0,) * 21)
         cases = [make_scenario(**self.SINGULAR), make_scenario(**self.SINGULAR, noise_sigma=0.1),
-                 _nonorthogonal_noisy(),
-                 make_scenario(K=21, PG=1, signatures=((1.0,),) * 21, energies=(1.0,) * 21,
-                               gains=(1.0,) * 21, noise_sigma=0.1)]
+                 _nonorthogonal_noisy(), one_chip, one_chip.with_overrides(noise_sigma=0.1),
+                 make_scenario(**self.TOO_MANY)]
+        raised = []
         for sc in cases:
-            R = correlation_matrix(sc)
+            R, var = correlation_matrix(sc), sc.noise_sigma ** 2
+            zeros = np.zeros(sc.K)
             try:
-                detect(R, sc.noise_sigma ** 2)
+                detectors.decorrelate_detect(zeros, R)
+                detectors.mmse_detect(zeros, R, var)
+                detectors.optimal_detect(zeros, R)
             except (SingularMatrix, KTooLarge) as error:
+                raised.append(type(error))
                 with pytest.raises(type(error)) as info:
-                    _Prepared(sc, include_qmud=False, kinds=(kind,))
+                    _Prepared(sc)
                 assert str(info.value) == str(error)
             else:
-                assert _Prepared(sc, include_qmud=False, kinds=(kind,)).kinds == (kind,)
+                raised.append(None)
+                _Prepared(sc)
+        assert raised == [SingularMatrix, SingularMatrix, None, SingularMatrix, SingularMatrix,
+                          KTooLarge]
+        assert builds == [cases[2]]
 
-    def test_setup_checks_run_in_detector_order(self):
-        # 21 users on one chip: R is all ones, singular, and too large for
-        # the exhaustive search; the first selected check to fail decides.
-        sc = make_scenario(K=21, PG=1, signatures=((1.0,),) * 21, energies=(1.0,) * 21,
-                           gains=(1.0,) * 21)
-        with pytest.raises(SingularMatrix):
-            _Prepared(sc, include_qmud=False, kinds=(DetectorKind.DECORRELATOR,
-                                                     DetectorKind.OPTIMAL))
-        with pytest.raises(KTooLarge):
-            _Prepared(sc, include_qmud=False, kinds=(DetectorKind.OPTIMAL,
-                                                     DetectorKind.DECORRELATOR))
-        # With noise, R + sigma^2 I passes the MMSE check and the optimal
-        # check decides; the decorrelator's check of R still fails first.
-        noisy = sc.with_overrides(noise_sigma=0.1)
-        with pytest.raises(KTooLarge):
-            _Prepared(noisy, include_qmud=False, kinds=(DetectorKind.MMSE, DetectorKind.OPTIMAL))
-        with pytest.raises(SingularMatrix):
-            _Prepared(noisy, include_qmud=False)
-
-    def test_singular_r_without_registers_fails_before_any_trial(self, monkeypatch):
+    def test_singular_r_fails_before_any_trial(self, monkeypatch):
         blocks = []
         monkeypatch.setattr(harness, "_run_block", lambda *args: blocks.append(args))
         with pytest.raises(SingularMatrix) as info:
-            run_trials(make_scenario(**self.SINGULAR), include_qmud=False, trials=3,
-                       master_seed=0)
+            run_trials(make_scenario(**self.SINGULAR), trials=3, master_seed=0)
         assert blocks == []
         assert "trial" not in str(info.value)
 
     def test_too_many_users_for_optimal_fails_before_any_trial(self, monkeypatch):
+        builds = _count_builds(monkeypatch)
         blocks = []
         monkeypatch.setattr(harness, "_run_block", lambda *args: blocks.append(args))
-        sc = make_scenario(K=21, PG=1, signatures=((1.0,),) * 21, energies=(1.0,) * 21,
-                           gains=(1.0,) * 21)
         with pytest.raises(KTooLarge):
-            run_trials(sc, detectors=(DetectorKind.OPTIMAL,), include_qmud=False,
-                       trials=3, master_seed=0)
-        assert blocks == []
+            run_trials(make_scenario(**self.TOO_MANY), trials=3, master_seed=0)
+        assert builds == [] and blocks == []
 
     def test_over_budget_scenario_fails_before_any_box_and_trial_0(self, monkeypatch):
         boxes, blocks = [], []
@@ -388,19 +358,11 @@ class TestDegenerateScenarios:
             sweep(sc, "noise_sigma", [0.0, 0.1], trials=3, master_seed=0)
         assert boxes == [] and blocks == []
 
-    def test_detectors_without_inversion_run_on_singular_r(self):
-        report = run_trials(make_scenario(**self.SINGULAR), detectors=(DetectorKind.SUD,),
-                            trials=3, master_seed=0)
-        assert set(report.detector_bit_errors) == {DetectorKind.SUD}
-
 
 @st.composite
 def _engine_cases(draw):
     PG = draw(st.integers(1, 4))
-    K = draw(st.integers(1, 4))
-    kinds = draw(st.sets(st.sampled_from(ALL_DETECTORS)))
-    if K > PG:  # R is singular: only the sign detector applies
-        kinds &= {DetectorKind.SUD}
+    K = draw(st.integers(1, PG))  # K <= PG: random signatures give an invertible R
     signatures = random_unit_signatures(np.random.default_rng(draw(st.integers(0, 10**6))),
                                         K, PG)
     gains = tuple(draw(st.sampled_from([1.0, 0.7, 0.3, 0.1])) for _ in range(K))
@@ -413,8 +375,7 @@ def _engine_cases(draw):
         gamma=draw(st.integers(0, 2)),
         delays=tuple(sorted(draw(st.sets(st.integers(0, PG - 1), min_size=1)))),
         reps_max=draw(st.integers(1, 8)))
-    return (scenario, tuple(k for k in ALL_DETECTORS if k in kinds), draw(st.booleans()),
-            draw(st.sampled_from([1, BLOCK_TRIALS - 1, BLOCK_TRIALS + 1])),
+    return (scenario, draw(st.sampled_from([1, BLOCK_TRIALS - 1, BLOCK_TRIALS + 1])),
             draw(st.integers(1, 2**40)), draw(st.integers(0, 2**64 - 1)))
 
 
@@ -422,16 +383,15 @@ class TestBlockEngine:
     @given(_engine_cases())
     @settings(max_examples=50, deadline=None)
     def test_blocks_equal_the_per_trial_loop(self, case):
-        scenario, kinds, include_qmud, trials, t0, seed = case
-        prep = _Prepared(scenario, include_qmud, kinds)
-        regs = reference_registers(scenario) if include_qmud else None
+        scenario, trials, t0, seed = case
+        prep = _Prepared(scenario)
+        regs = reference_registers(scenario)
         assert block_lists(_run_block(prep, seed, t0, trials)) == block_lists(
             reference_block(prep, regs, t0, trials, seed))
-        assert run_trials(scenario, kinds, include_qmud, trials, seed) == reference_report(
-            scenario, kinds, include_qmud, trials, seed)
+        assert run_trials(scenario, trials, seed) == reference_report(scenario, trials, seed)
 
     def test_one_trial_block_is_the_per_trial_loop(self):
-        prep = _Prepared(_nonorthogonal_noisy(), include_qmud=True)
+        prep = _Prepared(_nonorthogonal_noisy())
         regs = reference_registers(prep.scenario)
         for t in (0, 1, 2**33):
             assert block_lists(_run_block(prep, 5, t, 1)) == block_lists(
@@ -442,7 +402,7 @@ class TestBlockEngine:
         real = np.linalg.cond
         monkeypatch.setattr(np.linalg, "cond", lambda M: calls.append(M) or real(M))
         sc = _nonorthogonal_noisy()
-        _Prepared(sc, include_qmud=False)
+        _Prepared(sc)
         warm_up = len(calls)
         assert warm_up == 3  # decorrelator, MMSE, optimal
         run_trials(sc, trials=500, master_seed=1)
@@ -451,15 +411,15 @@ class TestBlockEngine:
     def test_block_memory_does_not_grow_with_trials(self):
         # 3000 trials' optimal-detector residuals at K=12 would take 1.2 GB;
         # the engine holds one slice of at most RESIDUAL_BYTES at a time
-        # (2.8 MB traced peak here; the per-trial loop's was 1.5 MB).
+        # (3.8 MB traced peak here, as at 10000 trials; the register bank's
+        # build alone peaks at 3.1 MB).
         K = 12
         sc = make_scenario(K=K, PG=16, signatures=walsh_hadamard_signatures(K, 16),
                            energies=(1.0,) * K, gains=(1.0,) * K, noise_sigma=0.5,
                            quantizer=QuantizerSpec(n_ch=1, amplitude=1.0))
         tracemalloc.start()
         try:
-            run_trials(sc, detectors=(DetectorKind.OPTIMAL,), include_qmud=False,
-                       trials=3000, master_seed=0)
+            run_trials(sc, trials=3000, master_seed=0)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

@@ -461,8 +461,8 @@ class TestRegisterBank:
             assert (keys.dtype == np.uint32) == (sc.register_bits + bits <= 32)
             assert np.all(keys & ((1 << bits) - 1) < rows)
         if sc.delays == (0,):
-            # One box of 2**K rows: the keys take the boxes' width.
-            assert slices[0][1] == 1 << sc.K and slices[0][0].dtype == registers._key_dtype(sc)
+            # One box of 2**K rows: B = K row-id bits.
+            assert slices[0][1] == 1 << sc.K and slices[0][2] == sc.K
         # Members are the keys' indices, uint32 whatever the key width.
         indices = np.unique(np.concatenate([keys.reshape(-1) >> bits for keys, _, bits in slices]))
         assert bank.members.dtype == np.uint32
