@@ -296,6 +296,74 @@ class TestDegenerateScenarios:
                   master_seed=0)
         assert builds == []
 
+    @pytest.mark.parametrize("kind", [DetectorKind.DECORRELATOR, DetectorKind.OPTIMAL])
+    def test_each_inverting_detector_is_checked(self, monkeypatch, kind):
+        # A singular R fails the decorrelator's check, the first; R = I at
+        # K=21 passes both condition checks and fails the optimal search's
+        # user cap, the last.  Either way a sweep stops before any build.
+        scenario, error, detect, checks = {
+            DetectorKind.DECORRELATOR: (make_scenario(**self.SINGULAR), SingularMatrix,
+                                        detectors.decorrelate_detect, ["condition"]),
+            DetectorKind.OPTIMAL: (make_scenario(**self.TOO_MANY), KTooLarge,
+                                   detectors.optimal_detect,
+                                   ["condition", "condition", "optimal"])}[kind]
+        with pytest.raises(error):
+            detect(np.zeros(scenario.K), correlation_matrix(scenario))
+        order = []
+        real_condition, real_optimal = harness._check_condition, harness.check_optimal
+        monkeypatch.setattr(harness, "_check_condition",
+                            lambda M: order.append("condition") or real_condition(M))
+        monkeypatch.setattr(harness, "check_optimal",
+                            lambda R: order.append("optimal") or real_optimal(R))
+        builds = _count_builds(monkeypatch)
+        with pytest.raises(error):
+            sweep(scenario, "noise_sigma", [0.1], trials=3, master_seed=0)
+        assert order == checks
+        assert builds == []
+
+    def test_mmse_checks_its_regularized_matrix(self, monkeypatch):
+        # The MMSE check gets R + sigma^2 I, the matrix mmse_detect inverts;
+        # without noise that is R itself.
+        checked = []
+        real = harness._check_condition
+        monkeypatch.setattr(harness, "_check_condition",
+                            lambda M: checked.append(M.copy()) or real(M))
+        for sc in (_nonorthogonal_noisy(), _nonorthogonal_noisy(noise_sigma=0.0)):
+            checked.clear()
+            _Prepared(sc)
+            R = correlation_matrix(sc)
+            assert len(checked) == 2
+            np.testing.assert_array_equal(checked[0], R)
+            np.testing.assert_array_equal(checked[1], R + sc.noise_sigma ** 2 * np.eye(sc.K))
+            assert np.array_equal(checked[1], R) == (sc.noise_sigma == 0.0)
+
+    def test_setup_checks_run_in_detector_order(self, monkeypatch):
+        # The decorrelator's, the MMSE detector's and the optimal search's
+        # checks run in that order, and all before the bank is built.
+        order = []
+        real_condition, real_optimal, real_build = (harness._check_condition,
+                                                    harness.check_optimal, harness.build_bank)
+        monkeypatch.setattr(harness, "_check_condition",
+                            lambda M: order.append("condition") or real_condition(M))
+        monkeypatch.setattr(harness, "check_optimal",
+                            lambda R: order.append("optimal") or real_optimal(R))
+        monkeypatch.setattr(harness, "build_bank",
+                            lambda sc: order.append("build") or real_build(sc))
+        _Prepared(_nonorthogonal_noisy())
+        assert order == ["condition", "condition", "optimal", "build"]
+        # 21 users on one chip: R is all ones, singular, and too large for
+        # the exhaustive search; the decorrelator's check fails first, with
+        # or without noise, so the optimal search's KTooLarge never shows.
+        one_chip = make_scenario(K=21, PG=1, signatures=((1.0,),) * 21, energies=(1.0,) * 21,
+                                 gains=(1.0,) * 21)
+        for sc in (one_chip, one_chip.with_overrides(noise_sigma=0.1)):
+            with pytest.raises(KTooLarge):
+                detectors.optimal_detect(np.zeros(sc.K), correlation_matrix(sc))
+            order.clear()
+            with pytest.raises(SingularMatrix):
+                _Prepared(sc)
+            assert order == ["condition"]
+
     def test_setup_raises_what_the_first_failing_detector_raises_on_a_row(self, monkeypatch):
         # _Prepared runs the matrix checks without a detection; it must
         # reject (or accept) a scenario exactly as the decorrelator, MMSE
