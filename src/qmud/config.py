@@ -162,8 +162,11 @@ class Scenario:
             raise ValidationError(f"gains: expected {self.K} values, got {len(self.gains)}")
         if any(not math.isfinite(a) for a in self.gains):
             raise ValidationError("gains: must be finite")
-        if self.noise_sigma < 0 or not math.isfinite(self.noise_sigma):
-            raise ValidationError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
+        # The noise variance sigma**2 must be finite too; x * x gives inf
+        # where x ** 2 would raise OverflowError.
+        if self.noise_sigma < 0 or not math.isfinite(self.noise_sigma * self.noise_sigma):
+            raise ValidationError(
+                f"noise_sigma must be >= 0 with a finite square, got {self.noise_sigma}")
         if self.gamma < 0:
             raise ValidationError(f"gamma must be >= 0, got {self.gamma}")
         if not self.delays:

@@ -34,15 +34,20 @@ and the bank is the slices in order.  h follows from the sizes alone: the
 fewest leading chips for which the slice rows of one leading code, at most
 rows * (2*gamma + 1)^(PG - h) keys, fit in ``SLICE_BYTES``.  The bank's
 two arrays grow by a realloc after each slice, which is copied into
-place, so no slice outlives its own step.  Small scenarios take h = 0 and
-one slice; the K=8, PG=8, gamma=1 ``dense_sweep`` scenario takes h = 2 and
-7 slices, and its build peaks at 6.8 MB under ``tracemalloc`` for a
-4.75 MB bank, against 21.0 MB as one slice.
+place, so no slice outlives its own step.  A slice's collapse holds its
+keys, its row ids in the narrowest width that holds B bits and the masks
+those ids gather, and frees the keys before the run starts are found.
+Small scenarios take h = 0 and one slice; the K=8, PG=8, gamma=1
+``dense_sweep`` scenario takes h = 2 and 7 slices, and its build peaks at
+5.3 MB under ``tracemalloc`` for a 3.57 MB bank with 16-bit masks,
+against 21.0 MB as one slice with 32-bit masks.
 
 Widths follow from the scenario's sizes alone.  Boxes and bank members
 are always unsigned 32-bit, since N_Q <= ``config.MAX_REGISTER_BITS`` = 24;
-sort keys are unsigned 32-bit when N_Q + B <= 32 and masks when 2K <= 32,
-else ``np.int64``.  Registers depend only on the
+sort keys are unsigned 32-bit when N_Q + B <= 32, else ``np.int64``.
+Masks take the narrowest of unsigned 8, 16 and 32 bits that holds 2K
+bits, else ``np.int64``: not ``np.uint64``, which ``RegisterBank.contains``
+could not shift by an ``np.int64`` arange.  Registers depend only on the
 signatures, energies, gains, quantizer, gamma and delays, so
 ``harness.sweep`` builds one bank for a ``noise_sigma`` or ``reps_max``
 sweep and a new one at each point of a ``gamma`` or ``N_ch`` sweep.
@@ -317,8 +322,8 @@ class RegisterBank:
     """All 2K hypothesis registers of a scenario, stored as one sorted union.
 
     ``members`` is the read-only, strictly increasing array of every index
-    that any register stores, as unsigned 32-bit words.  ``masks[i]``,
-    in the mask width (see the module docstring), has bit
+    that any register stores, as unsigned 32-bit words.  ``masks[i]``, in
+    the narrowest width that holds 2K bits (see the module docstring), has bit
     ``register_bit(k, b)`` set when register (k, b) stores ``members[i]``,
     and ``n_s[register_bit(k, b)]`` is that register's population N_s.
     """
@@ -374,17 +379,22 @@ def _collapse(keys: np.ndarray, row_masks: np.ndarray, bits: int):
     """(sorted unique indices, OR of the masks of the table rows that reach each).
 
     ``keys`` is a fresh array of sort keys (index << bits) | row id, sorted
-    in place, so every pass runs in the key width; the masks keep the width
-    of ``row_masks``.
+    and then shifted to indices in place, so every pass over it runs in the
+    key width.  The row ids are copied out in the narrowest unsigned width
+    that holds ``bits`` bits, and the masks keep the width of ``row_masks``.
     """
     keys = keys.reshape(-1)
     keys.sort()
-    # A run of one index starts where a key differs from its predecessor above the row id.
-    first = np.concatenate(([True], (keys[1:] ^ keys[:-1]) >= 1 << bits))
+    ids = np.empty(keys.size, dtype=np.min_scalar_type((1 << bits) - 1))
+    np.bitwise_and(keys, (1 << bits) - 1, out=ids, casting="unsafe")
+    keys >>= bits
+    gathered = row_masks[ids]
+    del ids
+    # A run of one index starts where an index differs from its predecessor.
+    first = np.empty(keys.size, dtype=bool)
+    first[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
     members = keys[first]
-    members >>= bits
-    keys &= (1 << bits) - 1
-    gathered = row_masks[keys]
     del keys  # free the keys before the run starts and the reduction are allocated
     starts = np.flatnonzero(first)
     del first
@@ -392,13 +402,8 @@ def _collapse(keys: np.ndarray, row_masks: np.ndarray, bits: int):
 
 
 def _bit_counts(masks: np.ndarray, n_bits: int) -> np.ndarray:
-    """How many masks have bit j set, for j < n_bits, by one bincount per mask byte."""
-    as_bytes = masks.astype(masks.dtype.newbyteorder("<"), copy=False).view(np.uint8)
-    as_bytes = as_bytes.reshape(masks.size, masks.itemsize)
-    byte_bits = (np.arange(256)[:, None] >> np.arange(8)) & 1
-    counts = np.concatenate([np.bincount(as_bytes[:, j], minlength=256) @ byte_bits
-                             for j in range((n_bits + 7) // 8)])
-    return counts[:n_bits]
+    """How many masks have bit j set, for j < n_bits, counted bit by bit."""
+    return np.array([np.count_nonzero(masks & (1 << j)) for j in range(n_bits)])
 
 
 def build_bank(scenario: Scenario) -> RegisterBank:
@@ -417,7 +422,8 @@ def build_bank(scenario: Scenario) -> RegisterBank:
     flips = (np.arange(1 << K)[:, None] >> np.arange(K)) & 1
     patterns = 1.0 - 2.0 * flips
     # own_bits[p, k]: the mask bit pattern p sets for user k.
-    mask_dtype = np.dtype(np.uint32 if 2 * K <= 32 else np.int64)  # 2K register bits
+    # 2K register bits: the narrowest unsigned width that holds them, else int64.
+    mask_dtype = np.min_scalar_type((1 << 2 * K) - 1) if 2 * K <= 32 else np.dtype(np.int64)
     own_bits = (np.int64(1) << register_bit(np.arange(K), patterns)).astype(mask_dtype)
     signatures = scenario.signature_matrix()
 
@@ -467,7 +473,7 @@ def build_bank(scenario: Scenario) -> RegisterBank:
         del part
         masks.resize(end + part_masks.size, refcheck=False)
         masks[end:] = part_masks
-        # Counted per slice: bincount widens its input to 64 bits.
+        # Counted per slice, from the slice masks before they are freed.
         n_s += _bit_counts(part_masks, 2 * K)
         del part_masks
     members.setflags(write=False)

@@ -238,6 +238,19 @@ class TestMainExitCodes:
                      "--out", str(tmp_path / "r.csv")]) == 1
         assert field in capsys.readouterr().err
 
+    @pytest.mark.parametrize("noise_sigma,command", [
+        (1e200, ["run"]),
+        (0.28125, ["sweep", "--param", "noise_sigma", "--values", "0.1,1e160"])])
+    def test_noise_sigma_with_an_infinite_square_rejected(self, tmp_path, capsys,
+                                                           noise_sigma, command):
+        # 1e200 ** 2 and 1e160 ** 2 overflow a float.
+        cfg = self._write_config(tmp_path, dict(GOLDEN_CONFIG, noise_sigma=noise_sigma))
+        out = tmp_path / "r.csv"
+        assert main([*command, "--config", cfg, "--trials", "2", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "noise_sigma" in err
+        assert not out.exists()
+
     def test_unknown_sweep_parameter(self, tmp_path):
         cfg = self._write_config(tmp_path, MINIMAL_ONE_USER)
         assert main(["sweep", "--config", cfg, "--param", "bogus",

@@ -304,7 +304,8 @@ def bank_scenarios(draw):
 
 
 # Bank width cases: (scenario, member dtype, mask dtype).  Members are
-# always uint32; the cases cover the key and mask widths.
+# always uint32; the cases cover the key widths and every mask width, the
+# narrowest of uint8, uint16 and uint32 that holds 2K bits, else int64.
 WIDTH_CASES = {
     # register_bits + K = 24 + 9 > 32: int64 keys.
     "int64-keys": (make_scenario(K=9, PG=3, signatures=random_unit_signatures(
@@ -316,23 +317,28 @@ WIDTH_CASES = {
                                   quantizer=QuantizerSpec(n_ch=8, amplitude=3.5)),
                     np.uint32, np.int64),
     # register_bits + K = 24 + 8 = 32 exactly: the dense_sweep shape.
-    "32-bit-boundary": (make_orthogonal(K=8, PG=8), np.uint32, np.uint32),
-    # Delay-variant boxes in the delay-0 box's table, 32-bit throughout.
-    "merge-32": (make_scenario(gamma=1, delays=(0, 1, 3)), np.uint32, np.uint32),
+    "32-bit-boundary": (make_orthogonal(K=8, PG=8), np.uint32, np.uint16),
+    # Delay-variant boxes in the delay-0 box's table, with 32-bit keys.
+    "merge-32": (make_scenario(gamma=1, delays=(0, 1, 3)), np.uint32, np.uint8),
     # Delay-variant boxes in the delay-0 box's table, with int64 keys.
     "merge-int64": (make_scenario(K=9, PG=3, signatures=random_unit_signatures(
         np.random.default_rng(3), 9, 3), energies=(1.0,) * 9, gains=(1.0,) * 9,
         quantizer=QuantizerSpec(n_ch=8, amplitude=3.0), delays=(0, 2)), np.uint32, np.uint32),
     # 9 boxes of 2**8 rows: 2304 rows take 12 row-id bits, and 24 + 12 > 32
     # widens the keys to int64, though 24 + K = 32 fits the boxes in uint32.
-    "table-int64": (make_orthogonal(K=8, PG=8, delays=(0, 1)), np.uint32, np.uint32),
+    "table-int64": (make_orthogonal(K=8, PG=8, delays=(0, 1)), np.uint32, np.uint16),
+    # 2K = 8 fills a uint8 mask.
+    "8-bit-masks": (make_orthogonal(K=4, PG=4, gamma=1), np.uint32, np.uint8),
+    # 2K = 10 is the fewest register bits past a uint8 mask; delay-variant boxes too.
+    "16-bit-masks": (make_orthogonal(K=5, PG=8, delays=(0, 2)), np.uint32, np.uint16),
 }
 
 
 # Sort-key width of each WIDTH_CASES build: uint32 when register_bits plus
 # the row-id bits fit in 32, else int64.
 KEY_DTYPES = {"int64-keys": np.int64, "int64-masks": np.uint32, "32-bit-boundary": np.uint32,
-              "merge-32": np.uint32, "merge-int64": np.int64, "table-int64": np.int64}
+              "merge-32": np.uint32, "merge-int64": np.int64, "table-int64": np.int64,
+              "8-bit-masks": np.uint32, "16-bit-masks": np.uint32}
 
 
 def build_bank_in_slices(sc, slice_bytes):
@@ -390,10 +396,11 @@ class TestRegisterBank:
             peaks.append(peak)
         per_register, peak = peaks
         assert peak < per_register
-        # 6.8 MB for a 4.75 MB bank, built in slices of 2 leading chips and
-        # filled in place; 20.7 MB as one slice, 41.2 MB as one slice in int64.
+        # 5.3 MB for a 3.57 MB bank, built in slices of 2 leading chips with
+        # 16-bit masks and filled in place; 20.7 MB as one slice, 41.2 MB as
+        # one slice in int64.
         one_by_one, bank = built
-        assert peak < bank.members.nbytes + bank.masks.nbytes + 2.5 * registers.SLICE_BYTES
+        assert peak < bank.members.nbytes + bank.masks.nbytes + 2 * registers.SLICE_BYTES
         assert bank.members.dtype == np.uint32
         for (k, b), reg in one_by_one.items():
             assert bank.register(k, b) == reg
@@ -404,9 +411,9 @@ class TestRegisterBank:
         sc, member_dtype, mask_dtype = WIDTH_CASES[case]
         bank = build_bank(sc)
         assert bank.members.dtype == member_dtype and bank.masks.dtype == mask_dtype
-        if mask_dtype == np.int64:
-            # The collapse keeps the mask bits above 32 of the last users.
-            assert np.any(bank.masks >> 32)
+        # The collapse keeps the highest mask bit, register (K - 1, -1), at
+        # every width; at K = 17 it lies above bit 32.
+        assert np.any(bank.masks >> (2 * sc.K - 1))
         assert np.all(bank.members[1:] > bank.members[:-1])
         assert bank.n_s == tuple(bank.register(k, b).n_s for k in range(sc.K) for b in (1, -1))
         # At K = 17 the lowest and highest mask bits; the scalar reference
