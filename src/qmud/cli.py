@@ -57,11 +57,21 @@ def parse_config(text: str) -> Scenario:
     normalized = []
     for k, sig in enumerate(signatures):
         sig = _real(f"signatures[{k}]", sig, sequence=True)
+        # A vector whose peak chip lies outside [2**-500, 2**500] is scaled
+        # by the exact power of two 2**-e that brings its peak into [0.5, 1),
+        # so no square overflows or underflows; every other vector keeps
+        # e = 0 and the plain sum of squares.
+        peak = max(map(abs, sig), default=0.0)
+        e = 0 if peak == 0 or 2.0 ** -500 <= peak <= 2.0 ** 500 else math.frexp(peak)[1]
+        sig = tuple(math.ldexp(c, -e) for c in sig)
         norm = math.sqrt(sum(c ** 2 for c in sig))
         if norm == 0:
             raise ValidationError(f"signatures[{k}]: zero vector cannot be normalized")
-        if abs(norm - 1.0) > 1e-6:
-            warnings.warn(f"signatures[{k}]: norm {norm:.6g} re-normalized to 1")
+        # The input's norm, 2**e times the scaled one, in two factors so that
+        # it reads inf where it overflows.
+        input_norm = norm * 2.0 * 2.0 ** (e - 1)
+        if abs(input_norm - 1.0) > 1e-6:
+            warnings.warn(f"signatures[{k}]: norm {input_norm:.6g} re-normalized to 1")
         normalized.append(tuple(c / norm for c in sig))
 
     # Counts, ranges and integrality are Scenario's and QuantizerSpec's to check;

@@ -162,6 +162,12 @@ class Scenario:
             raise ValidationError(f"gains: expected {self.K} values, got {len(self.gains)}")
         if any(not math.isfinite(a) for a in self.gains):
             raise ValidationError("gains: must be finite")
+        # R's diagonal E_k * a_k**2, as the amplitude vector squares it.
+        for k, (e, a) in enumerate(zip(self.energies, self.gains)):
+            amp = math.sqrt(e) * a
+            if not math.isfinite(amp * amp):
+                raise ValidationError(
+                    f"energies/gains: user {k}'s E * a**2 must be finite, got E={e}, a={a}")
         # The noise variance sigma**2 must be finite too; x * x gives inf
         # where x ** 2 would raise OverflowError.
         if self.noise_sigma < 0 or not math.isfinite(self.noise_sigma * self.noise_sigma):

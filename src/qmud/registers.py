@@ -18,9 +18,10 @@ read-only sorted ``np.int64`` array with duplicates collapsed by one sort.
 ``build_bank`` builds all 2K registers of a scenario at once as a
 ``RegisterBank``: with delay 0, register (k, b) is the union of the boxes
 of the full patterns whose bit k is b, so the 2^K boxes are quantized
-once, and each stored index carries a 2K-bit mask of the registers that
-hold it.  One binary search of a received index into the bank gives its
-membership in every register.
+once.  The bank keeps each stored index as its low 16 bits in a bucket
+of its high bits, with a 2K-bit mask of the registers that hold it; one
+bisection of a received index within its bucket gives its membership in
+every register.
 
 The bank is built from one table: every box's patterns stacked as rows,
 each with the mask it sets, and sort keys (index << B) | row id, where
@@ -33,18 +34,23 @@ about ``SLICE_BYTES`` of sort keys, is sorted and collapsed on its own,
 and the bank is the slices in order.  h follows from the sizes alone: the
 fewest leading chips for which the slice rows of one leading code, at most
 rows * (2*gamma + 1)^(PG - h) keys, fit in ``SLICE_BYTES``.  The bank's
-two arrays grow by a realloc after each slice, which is copied into
-place, so no slice outlives its own step.  A slice's collapse holds its
+members and masks grow by a realloc after each slice, which is copied
+into place, so no slice outlives its own step; the slice's indices below
+each bucket edge add to the bucket starts.  A slice's collapse holds its
 keys, its row ids in the narrowest width that holds B bits and the masks
-those ids gather, and frees the keys before the run starts are found.
+those ids gather, and frees the keys before the run starts are found:
+about 3 bytes of scratch per byte of keys, so a 256 KiB slice's collapse
+fits a core's 2 MiB L2 cache and leaves little freed memory in the heap.
 Small scenarios take h = 0 and one slice; the K=8, PG=8, gamma=1
-``dense_sweep`` scenario takes h = 2 and 7 slices, and its build peaks at
-5.3 MB under ``tracemalloc`` for a 3.57 MB bank with 16-bit masks,
-against 21.0 MB as one slice with 32-bit masks.
+``dense_sweep`` scenario takes h = 3 and 25 slices, and its build peaks
+at 3.01 MB under ``tracemalloc`` for a 2.38 MB bank of 16-bit members
+and masks, against 5.3 MB with 32-bit members in 1 MiB slices and
+21.0 MB as one slice with 32-bit members and masks.
 
-Widths follow from the scenario's sizes alone.  Boxes and bank members
-are always unsigned 32-bit, since N_Q <= ``config.MAX_REGISTER_BITS`` = 24;
-sort keys are unsigned 32-bit when N_Q + B <= 32, else ``np.int64``.
+Widths follow from the scenario's sizes alone.  Boxes are always unsigned
+32-bit, since N_Q <= ``config.MAX_REGISTER_BITS`` = 24, and bank members
+unsigned 16-bit under 2^max(N_Q - 16, 0) + 1 bucket starts; sort keys are
+unsigned 32-bit when N_Q + B <= 32, else ``np.int64``.
 Masks take the narrowest of unsigned 8, 16 and 32 bits that holds 2K
 bits, else ``np.int64``: not ``np.uint64``, which ``RegisterBank.contains``
 could not shift by an ``np.int64`` arange.  Registers depend only on the
@@ -72,7 +78,10 @@ ENUMERATION_BUDGET = 10**6
 
 # Bytes of sort keys per slice of the bank build (see _slicing); a bank
 # with fewer keys is built as one slice.
-SLICE_BYTES = 1 << 20
+SLICE_BYTES = 1 << 18
+
+# Bank members keep their low _LOW_BITS bits; the bits above are their bucket.
+_LOW_BITS = 16
 
 
 def quantize_waveform(chips, spec: QuantizerSpec) -> np.ndarray:
@@ -319,40 +328,58 @@ def register_bit(user, bit):
 
 @dataclass(frozen=True, eq=False)
 class RegisterBank:
-    """All 2K hypothesis registers of a scenario, stored as one sorted union.
+    """All 2K hypothesis registers of a scenario, as one sorted union under a bucket index.
 
-    ``members`` is the read-only, strictly increasing array of every index
-    that any register stores, as unsigned 32-bit words.  ``masks[i]``, in
-    the narrowest width that holds 2K bits (see the module docstring), has bit
-    ``register_bit(k, b)`` set when register (k, b) stores ``members[i]``,
-    and ``n_s[register_bit(k, b)]`` is that register's population N_s.
+    Every index that any register stores is kept as its low 16 bits in the
+    read-only ``np.uint16`` array ``members``, grouped into buckets by its
+    high part, index >> 16, in increasing order of index.  ``starts`` has
+    2**max(n_q - 16, 0) + 1 entries: ``starts[h]`` is the position of the
+    first member whose high part is h, so bucket h is
+    members[starts[h]:starts[h + 1]].  ``masks[i]``, in the narrowest width
+    that holds 2K bits (see the module docstring), has bit
+    ``register_bit(k, b)`` set when register (k, b) stores the index of
+    ``members[i]``, and ``n_s[register_bit(k, b)]`` is that register's
+    population N_s.
     """
 
     members: np.ndarray
+    starts: np.ndarray
     masks: np.ndarray
     n_s: tuple[int, ...]
     n_q: int
 
     def contains(self, v) -> np.ndarray:
-        """Membership of every index of an integer array in every register, by one binary search.
+        """Membership of every index of an integer array in every register, by one bisection.
 
         Returns bools of shape ``v.shape + (2K,)``; column ``register_bit(k, b)``
         is the membership in register (k, b).  An index outside
         [0, 2**n_q) is in no register.
         """
-        # Clipped, the cast to the members' width wraps no probe around, and
-        # numpy searches without widening a copy of the members.  Comparing
-        # with v itself rejects every probe outside [0, 2**n_q).
-        probe = np.asarray(np.clip(v, 0, (1 << self.n_q) - 1), dtype=self.members.dtype)
-        pos = np.searchsorted(self.members, probe)
-        found = self.members.take(pos, mode="clip") == v
+        # Clipped, the cast to 32 bits wraps no probe around.  Comparing the
+        # cast with v itself rejects every probe outside [0, 2**n_q) and
+        # every fraction.
+        probe = np.asarray(np.clip(v, 0, (1 << self.n_q) - 1), dtype=np.uint32)
+        low = probe & (1 << _LOW_BITS) - 1
+        bucket = probe >> _LOW_BITS
+        pos, end = self.starts[bucket], self.starts[bucket + 1]
+        # Lower bound of each low part in its own bucket: every probe halves
+        # its range each step, and the largest bucket sets the steps.  A
+        # probe above its whole bucket ends at or past the bucket's end.
+        bucket_end = end
+        for _ in range(int(np.diff(self.starts).max()).bit_length()):
+            mid = (pos + end) >> 1
+            ahead = self.members.take(mid, mode="clip") < low
+            pos = np.where(ahead, mid + 1, pos)
+            end = np.where(ahead, end, mid)
+        found = (pos < bucket_end) & (self.members.take(pos, mode="clip") == low) & (probe == v)
         masks = np.where(found, self.masks.take(pos, mode="clip"), 0)
         return (masks[..., None] >> np.arange(len(self.n_s))) & 1 == 1
 
     def register(self, user: int, bit: int) -> SparseRegister:
         """Register (user, bit) on its own."""
         stored = (self.masks >> register_bit(user, bit)) & 1 == 1
-        return SparseRegister(self.members[stored], self.n_q)
+        high = np.repeat(np.arange(self.starts.size - 1), np.diff(self.starts))[stored]
+        return SparseRegister(high << _LOW_BITS | self.members[stored], self.n_q)
 
 
 def _distinct(values: np.ndarray) -> np.ndarray:
@@ -446,6 +473,7 @@ def build_bank(scenario: Scenario) -> RegisterBank:
     key_dtype = np.dtype(np.uint32 if scenario.register_bits + bits <= 32 else np.int64)
     table = np.concatenate([codes for codes, _ in boxes], dtype=key_dtype)
     row_masks = np.concatenate([masks for _, masks in boxes])
+    del boxes, patterns, flips  # the table holds what the slices read
 
     # Leading codes are the most significant digits of an index, so a run
     # of them is a run of indices: each slice, the rows of a run of leading
@@ -456,9 +484,13 @@ def build_bank(scenario: Scenario) -> RegisterBank:
     leads, ids = _lead_rows(table, h, spec.levels, bits)
     cuts = np.searchsorted(leads, _distinct(leads[::rows_per_slice])).tolist() + [len(leads)]
     tail = spec.levels ** (scenario.PG - h)
-    # Members fit in uint32: indices have at most MAX_REGISTER_BITS = 24 bits.
-    members = np.empty(0, dtype=np.uint32)
+    # Bucket h's first index, h << 16, in the keys' width, so counting a
+    # slice's members below each edge widens no copy of them.
+    edges = np.arange((1 << max(scenario.register_bits - _LOW_BITS, 0)) + 1,
+                      dtype=key_dtype) << _LOW_BITS
+    members = np.empty(0, dtype=np.uint16)
     masks = np.empty(0, dtype=row_masks.dtype)
+    starts = np.zeros(edges.size, dtype=np.int64)
     n_s = np.zeros(2 * K, dtype=np.int64)
     for lo, hi in zip(cuts[:-1], cuts[1:]):
         # Keys (index << bits) | row id, the leading codes above the trailing chips'.
@@ -466,10 +498,12 @@ def build_bank(scenario: Scenario) -> RegisterBank:
         part, part_masks = _collapse(_pack_offsets(table[ids[lo:hi], h:], spec.levels, head,
                                                    1 << bits), row_masks, bits)
         # Each output grows by a realloc to exactly its new size; the slice
-        # is copied into place and freed.
+        # is copied into place, its indices cast to their low 16 bits, and
+        # freed.  starts[h] counts the indices below h << 16 over all slices.
         end = members.size
         members.resize(end + part.size, refcheck=False)
         members[end:] = part
+        starts += np.searchsorted(part, edges)
         del part
         masks.resize(end + part_masks.size, refcheck=False)
         masks[end:] = part_masks
@@ -477,5 +511,6 @@ def build_bank(scenario: Scenario) -> RegisterBank:
         n_s += _bit_counts(part_masks, 2 * K)
         del part_masks
     members.setflags(write=False)
+    starts.setflags(write=False)
     masks.setflags(write=False)
-    return RegisterBank(members, masks, tuple(n_s.tolist()), scenario.register_bits)
+    return RegisterBank(members, starts, masks, tuple(n_s.tolist()), scenario.register_bits)

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -250,6 +251,34 @@ class TestMainExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "noise_sigma" in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("energies,gains", [([1.0, 1.0], [1e200, 1.0]),
+                                                ([1e300, 1.0], [1e5, 1.0])])
+    def test_gains_with_an_infinite_square_rejected(self, tmp_path, capsys, energies, gains):
+        # E * a**2 is 1e400 and 1e310: R's diagonal would overflow a float.
+        cfg = self._write_config(tmp_path, dict(GOLDEN_CONFIG, energies=energies, gains=gains))
+        out = tmp_path / "r.csv"
+        assert main(["run", "--config", cfg, "--trials", "2", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "energies/gains" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("chips,in_range", [([1e200, 1e200], [1.0, 1.0]),
+                                                ([1e-200, 0], [1.0, 0.0])])
+    def test_signature_whose_squares_leave_float_range_runs(self, tmp_path, chips, in_range):
+        # 1e200 ** 2 overflows a float and 1e-200 ** 2 underflows to 0; both
+        # vectors point where the in-range one does, so the runs agree.
+        csvs = []
+        for sig in (chips, in_range):
+            cfg = self._write_config(tmp_path, dict(MINIMAL_ONE_USER, signatures=[sig]))
+            out = tmp_path / "r.csv"
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                assert main(["run", "--config", cfg, "--trials", "20", "--out", str(out)]) == 0
+            renormalized = [w for w in caught if "re-normalized" in str(w.message)]
+            assert bool(renormalized) == (sig != [1.0, 0.0])
+            csvs.append(out.read_text())
+        assert csvs[0] == csvs[1]
 
     def test_unknown_sweep_parameter(self, tmp_path):
         cfg = self._write_config(tmp_path, MINIMAL_ONE_USER)

@@ -480,7 +480,8 @@ class TestBlockEngine:
         # 3000 trials' optimal-detector residuals at K=12 would take 1.2 GB;
         # the engine holds one slice of at most RESIDUAL_BYTES at a time
         # (3.8 MB traced peak here, as at 10000 trials; the register bank's
-        # build alone peaks at 3.1 MB).
+        # build alone peaks at 3.1 MB, while quantizing its 4096 box rows,
+        # not in its one slice).
         K = 12
         sc = make_scenario(K=K, PG=16, signatures=walsh_hadamard_signatures(K, 16),
                            energies=(1.0,) * K, gains=(1.0,) * K, noise_sigma=0.5,

@@ -304,33 +304,38 @@ def bank_scenarios(draw):
 
 
 # Bank width cases: (scenario, member dtype, mask dtype).  Members are
-# always uint32; the cases cover the key widths and every mask width, the
-# narrowest of uint8, uint16 and uint32 that holds 2K bits, else int64.
+# always the uint16 low parts of the indices under a bucket index; the
+# cases cover the key widths, one and many buckets, and every mask width,
+# the narrowest of uint8, uint16 and uint32 that holds 2K bits, else int64.
 WIDTH_CASES = {
     # register_bits + K = 24 + 9 > 32: int64 keys.
     "int64-keys": (make_scenario(K=9, PG=3, signatures=random_unit_signatures(
         np.random.default_rng(9), 9, 3), energies=(1.0,) * 9, gains=(1.0,) * 9,
-        quantizer=QuantizerSpec(n_ch=8, amplitude=3.0)), np.uint32, np.uint32),
+        quantizer=QuantizerSpec(n_ch=8, amplitude=3.0)), np.uint16, np.uint32),
     # 2K = 34 > 32: 64-bit masks, keys of 8 + 17 bits.
     "int64-masks": (make_scenario(K=17, PG=1, signatures=((1.0,),) * 17, energies=(1.0,) * 17,
                                   gains=tuple(0.7 ** np.arange(17)),
                                   quantizer=QuantizerSpec(n_ch=8, amplitude=3.5)),
-                    np.uint32, np.int64),
+                    np.uint16, np.int64),
     # register_bits + K = 24 + 8 = 32 exactly: the dense_sweep shape.
-    "32-bit-boundary": (make_orthogonal(K=8, PG=8), np.uint32, np.uint16),
+    "32-bit-boundary": (make_orthogonal(K=8, PG=8), np.uint16, np.uint16),
     # Delay-variant boxes in the delay-0 box's table, with 32-bit keys.
-    "merge-32": (make_scenario(gamma=1, delays=(0, 1, 3)), np.uint32, np.uint8),
+    "merge-32": (make_scenario(gamma=1, delays=(0, 1, 3)), np.uint16, np.uint8),
     # Delay-variant boxes in the delay-0 box's table, with int64 keys.
     "merge-int64": (make_scenario(K=9, PG=3, signatures=random_unit_signatures(
         np.random.default_rng(3), 9, 3), energies=(1.0,) * 9, gains=(1.0,) * 9,
-        quantizer=QuantizerSpec(n_ch=8, amplitude=3.0), delays=(0, 2)), np.uint32, np.uint32),
+        quantizer=QuantizerSpec(n_ch=8, amplitude=3.0), delays=(0, 2)), np.uint16, np.uint32),
     # 9 boxes of 2**8 rows: 2304 rows take 12 row-id bits, and 24 + 12 > 32
     # widens the keys to int64, though 24 + K = 32 fits the boxes in uint32.
-    "table-int64": (make_orthogonal(K=8, PG=8, delays=(0, 1)), np.uint32, np.uint16),
+    "table-int64": (make_orthogonal(K=8, PG=8, delays=(0, 1)), np.uint16, np.uint16),
     # 2K = 8 fills a uint8 mask.
-    "8-bit-masks": (make_orthogonal(K=4, PG=4, gamma=1), np.uint32, np.uint8),
+    "8-bit-masks": (make_orthogonal(K=4, PG=4, gamma=1), np.uint16, np.uint8),
     # 2K = 10 is the fewest register bits past a uint8 mask; delay-variant boxes too.
-    "16-bit-masks": (make_orthogonal(K=5, PG=8, delays=(0, 2)), np.uint32, np.uint16),
+    "16-bit-masks": (make_orthogonal(K=5, PG=8, delays=(0, 2)), np.uint16, np.uint16),
+    # N_Q = 20: 16 buckets, of which 2, 3, 7, 8, 12 and 13 are occupied,
+    # with empty buckets between them.
+    "multi-bucket": (make_scenario(gamma=1, quantizer=QuantizerSpec(n_ch=5, amplitude=1.5)),
+                     np.uint16, np.uint8),
 }
 
 
@@ -338,7 +343,13 @@ WIDTH_CASES = {
 # the row-id bits fit in 32, else int64.
 KEY_DTYPES = {"int64-keys": np.int64, "int64-masks": np.uint32, "32-bit-boundary": np.uint32,
               "merge-32": np.uint32, "merge-int64": np.int64, "table-int64": np.int64,
-              "8-bit-masks": np.uint32, "16-bit-masks": np.uint32}
+              "8-bit-masks": np.uint32, "16-bit-masks": np.uint32, "multi-bucket": np.uint32}
+
+
+def stored_indices(bank):
+    """Every index the bank stores, in order: each bucket's number above its 16-bit members."""
+    buckets = np.repeat(np.arange(bank.starts.size - 1), np.diff(bank.starts))
+    return buckets << 16 | bank.members
 
 
 def build_bank_in_slices(sc, slice_bytes):
@@ -396,12 +407,15 @@ class TestRegisterBank:
             peaks.append(peak)
         per_register, peak = peaks
         assert peak < per_register
-        # 5.3 MB for a 3.57 MB bank, built in slices of 2 leading chips with
-        # 16-bit masks and filled in place; 20.7 MB as one slice, 41.2 MB as
-        # one slice in int64.
+        # 3.01 MB for a 2.38 MB bank of 16-bit members and masks, built in
+        # slices of 3 leading chips and filled in place; 5.3 MB with 32-bit
+        # members in slices of 2 leading chips, 20.7 MB as one slice, 41.2 MB
+        # as one slice in int64.  A slice's collapse holds about 3 bytes per
+        # byte of its keys beside the bank built so far.
         one_by_one, bank = built
-        assert peak < bank.members.nbytes + bank.masks.nbytes + 2 * registers.SLICE_BYTES
-        assert bank.members.dtype == np.uint32
+        stored = bank.members.nbytes + bank.starts.nbytes + bank.masks.nbytes
+        assert peak < stored + 3 * registers.SLICE_BYTES
+        assert bank.members.dtype == np.uint16
         for (k, b), reg in one_by_one.items():
             assert bank.register(k, b) == reg
             assert bank.n_s[register_bit(k, b)] == reg.n_s
@@ -414,7 +428,10 @@ class TestRegisterBank:
         # The collapse keeps the highest mask bit, register (K - 1, -1), at
         # every width; at K = 17 it lies above bit 32.
         assert np.any(bank.masks >> (2 * sc.K - 1))
-        assert np.all(bank.members[1:] > bank.members[:-1])
+        indices = stored_indices(bank)
+        assert np.all(indices[1:] > indices[:-1]) and indices[-1] < 1 << sc.register_bits
+        assert bank.starts.size == (1 << max(sc.register_bits - 16, 0)) + 1
+        assert bank.starts[0] == 0 and bank.starts[-1] == bank.members.size
         assert bank.n_s == tuple(bank.register(k, b).n_s for k in range(sc.K) for b in (1, -1))
         # At K = 17 the lowest and highest mask bits; the scalar reference
         # takes about 1.5 s per register there.
@@ -428,8 +445,13 @@ class TestRegisterBank:
                 if sc.K < 10 or (k, bit) == (sc.K - 1, -1):
                     assert reg.members.tolist() == sorted(reference_hypotheses(sc, k, bit))
                 reference[register_bit(k, bit)] = reg
-        probes = np.concatenate([bank.members, bank.members + 1, [0, (1 << sc.register_bits) - 1]])
+        probes = np.concatenate([indices, indices + 1, [0, (1 << sc.register_bits) - 1]])
         probes = probes[probes < 1 << sc.register_bits]
+        # Both sides of every bucket edge, every stored low part in the
+        # buckets on either side, and the first index outside each end.
+        edges = np.arange(1, bank.starts.size) << 16
+        probes = np.concatenate([probes, edges - 1, edges, indices - (1 << 16),
+                                 indices + (1 << 16), [-1, 1 << sc.register_bits]])
         contains = bank.contains(probes)
         for j, reg in reference.items():
             assert np.array_equal(contains[:, j], reg.contains(probes))
@@ -444,7 +466,8 @@ class TestRegisterBank:
             assert bank.n_s == whole.n_s
             assert all(a.flags.owndata and a.size == bank.members.size
                        for a in (bank.members, bank.masks))
-            for got, want in ((bank.members, whole.members), (bank.masks, whole.masks)):
+            for got, want in ((bank.members, whole.members), (bank.starts, whole.starts),
+                              (bank.masks, whole.masks)):
                 assert got.dtype == want.dtype and np.array_equal(got, want)
                 assert not got.flags.writeable
 
@@ -470,29 +493,30 @@ class TestRegisterBank:
         if sc.delays == (0,):
             # One box of 2**K rows: B = K row-id bits.
             assert slices[0][1] == 1 << sc.K and slices[0][2] == sc.K
-        # Members are the keys' indices, uint32 whatever the key width.
+        # The stored indices are the keys' indices, in 16-bit members whatever
+        # the key width.
         indices = np.unique(np.concatenate([keys.reshape(-1) >> bits for keys, _, bits in slices]))
-        assert bank.members.dtype == np.uint32
-        assert np.array_equal(bank.members, indices)
+        assert bank.members.dtype == np.uint16
+        assert np.array_equal(stored_indices(bank), indices)
 
     def test_slice_rule(self, two_user_scenario):
-        # 2**8 rows x 3**(8 - h) uint32 keys fit in 1 MiB from h = 2 on,
-        # and 1 MiB holds 359 slice rows of 3**6 keys.
+        # 2**8 rows x 3**(8 - h) uint32 keys fit in 256 KiB from h = 3 on,
+        # and 256 KiB holds 269 slice rows of 3**5 keys.
         dense = make_orthogonal(K=8, PG=8, gamma=1)
-        assert _slicing(dense, 1 << 8, 4) == (2, 359)
-        # 2304 rows x 3**(8 - h) int64 keys fit from h = 5 on: 4854 slice rows of 3**3.
-        assert _slicing(dense, 2304, 8) == (5, 4854)
+        assert _slicing(dense, 1 << 8, 4) == (3, 269)
+        # 2304 rows x 3**(8 - h) int64 keys fit from h = 6 on: 3640 slice rows of 3**2.
+        assert _slicing(dense, 2304, 8) == (6, 3640)
         assert _slicing(two_user_scenario, 1 << 2, 4)[0] == 0
         with mock.patch.object(registers, "SLICE_BYTES", 1):
             assert _slicing(two_user_scenario, 1 << 2, 4) == (two_user_scenario.PG, 1)
 
     def test_contains_reports_indices_outside_the_width_as_absent(self):
-        # 24-bit indices in uint32 members: a probe cast without a range
+        # 24-bit indices in uint16 members: a probe cast without a range
         # check would wrap 2**32 + m onto the stored m.
         sc = make_orthogonal(K=8, PG=8)
         bank = build_bank(sc)
-        assert bank.n_q == 24 and bank.members.dtype == np.uint32
-        m = int(bank.members[5])
+        assert bank.n_q == 24 and bank.members.dtype == np.uint16
+        m = int(stored_indices(bank)[5])
         regs = {register_bit(k, b): bank.register(k, b) for k in range(sc.K) for b in (1, -1)}
         values = [m, -1, -m, 1 << 24, (1 << 24) + m, (1 << 32) + m, (1 << 33) + m,
                   2**63 - 1, -(2**63), np.int64(m), np.uint32(m), np.int32(-1),
