@@ -162,17 +162,23 @@ class Scenario:
             raise ValidationError(f"gains: expected {self.K} values, got {len(self.gains)}")
         if any(not math.isfinite(a) for a in self.gains):
             raise ValidationError("gains: must be finite")
-        # R's diagonal E_k * a_k**2, as the amplitude vector squares it.
+        # The noise variance sigma**2 must be finite; x * x gives inf where
+        # x ** 2 would raise OverflowError.
+        variance = self.noise_sigma * self.noise_sigma
+        if self.noise_sigma < 0 or not math.isfinite(variance):
+            raise ValidationError(
+                f"noise_sigma must be >= 0 with a finite square, got {self.noise_sigma}")
+        # R's diagonal E_k * a_k**2, as the amplitude vector squares it, and
+        # the MMSE detector's E_k * a_k**2 + sigma**2.
         for k, (e, a) in enumerate(zip(self.energies, self.gains)):
             amp = math.sqrt(e) * a
             if not math.isfinite(amp * amp):
                 raise ValidationError(
                     f"energies/gains: user {k}'s E * a**2 must be finite, got E={e}, a={a}")
-        # The noise variance sigma**2 must be finite too; x * x gives inf
-        # where x ** 2 would raise OverflowError.
-        if self.noise_sigma < 0 or not math.isfinite(self.noise_sigma * self.noise_sigma):
-            raise ValidationError(
-                f"noise_sigma must be >= 0 with a finite square, got {self.noise_sigma}")
+            if not math.isfinite(amp * amp + variance):
+                raise ValidationError(
+                    f"energies/gains/noise_sigma: user {k}'s E * a**2 + noise_sigma**2 must be"
+                    f" finite, got E={e}, a={a}, noise_sigma={self.noise_sigma}")
         if self.gamma < 0:
             raise ValidationError(f"gamma must be >= 0, got {self.gamma}")
         if not self.delays:

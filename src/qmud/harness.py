@@ -121,10 +121,12 @@ class _RegisterCache:
 class _Prepared:
     """Everything a trial reads, built once per scenario.
 
-    Holds the scenario, R and the register bank.  The decorrelator's, the
-    MMSE detector's and the optimal search's checks (SingularMatrix,
-    KTooLarge) run first, in that order, so they reject a degenerate
-    scenario before the bank is built and before trial 0.
+    Holds the scenario, R and the register bank.  The decorrelator's and
+    the optimal search's checks (SingularMatrix, KTooLarge) run first, in
+    that order, so they reject a degenerate scenario before the bank is
+    built and before trial 0.  The MMSE detector's matrix R + sigma^2 I
+    needs no check of its own: ``Scenario`` keeps its diagonal finite, and
+    for positive semidefinite R, cond(R + sigma^2 I) <= cond(R).
     """
 
     def __init__(self, scenario: Scenario, cache: _RegisterCache | None = None):
@@ -132,7 +134,6 @@ class _Prepared:
         self.R = correlation_matrix(scenario)
         self.noise_variance = scenario.noise_sigma ** 2
         _check_condition(self.R)
-        _check_condition(self.R + self.noise_variance * np.eye(scenario.K))
         check_optimal(self.R)
         self.bank = (cache or _RegisterCache()).bank(scenario)
 

@@ -15,45 +15,44 @@ offset, and ``_pack_offsets`` packs the box into sorted indices, chip 0
 most significant.  ``enumerate_hypotheses`` builds one register from the
 boxes of the patterns that fix the user's bit, as a ``SparseRegister``: a
 read-only sorted ``np.int64`` array with duplicates collapsed by one sort.
-``build_bank`` builds all 2K registers of a scenario at once as a
-``RegisterBank``: with delay 0, register (k, b) is the union of the boxes
-of the full patterns whose bit k is b, so the 2^K boxes are quantized
-once.  The bank keeps each stored index as its low 16 bits in a bucket
-of its high bits, with a 2K-bit mask of the registers that hold it; one
-bisection of a received index within its bucket gives its membership in
-every register.
 
-The bank is built from one table: every box's patterns stacked as rows,
-each with the mask it sets, and sort keys (index << B) | row id, where
-B = (rows - 1).bit_length(), so B = K for delays (0,).  It is built in
-slices.  A slice row is one table row under one code of the h leading
+``build_bank`` builds all 2K registers of a scenario at once as a
+``RegisterBank``, which stores no index.  Its table stacks every box's
+patterns as rows, each with a 2K-bit mask of the registers it belongs
+to: with delay 0, register (k, b) is the union of the boxes of the full
+patterns whose bit k is b, so the 2^K boxes are quantized once, and each
+other own-signature delay variant adds a box per pattern that sets only
+its own user's bit.  A box is a product of per-chip code sets, so an
+index lies in it when each of its chip codes lies in the box's set for
+that chip.  The bank keeps, for every (chip, code), the bitset of the
+rows that allow it, and for every register the bitset of its rows: a
+received index's PG chip codes pick PG bitsets, their AND holds the rows
+that reach it, and it is in every register that holds one of those rows.
+On the K=8, PG=8, gamma=1 ``dense_sweep`` scenario that is 2.5 KiB of
+bitsets in place of 594,210 stored indices.
+
+N_s counts the distinct indices of a register, which its boxes may share,
+so it comes from a sort.  Sort keys are (index << B) | row id, where
+B = (rows - 1).bit_length(), so B = K for delays (0,).  The count runs in
+slices, each sorted, collapsed to one mask per distinct index, counted
+and freed.  A slice row is one table row under one code of the h leading
 chips: the (2*gamma + 1)^(PG - h) indices that share both.  Leading chips
 are an index's most significant digits, so runs of leading codes are runs
-of indices that never overlap: each slice, a run of leading codes with
-about ``SLICE_BYTES`` of sort keys, is sorted and collapsed on its own,
-and the bank is the slices in order.  h follows from the sizes alone: the
-fewest leading chips for which the slice rows of one leading code, at most
-rows * (2*gamma + 1)^(PG - h) keys, fit in ``SLICE_BYTES``.  The bank's
-members and masks grow by a realloc after each slice, which is copied
-into place, so no slice outlives its own step; the slice's indices below
-each bucket edge add to the bucket starts.  A slice's collapse holds its
-keys, its row ids in the narrowest width that holds B bits and the masks
-those ids gather, and frees the keys before the run starts are found:
-about 3 bytes of scratch per byte of keys, so a 256 KiB slice's collapse
-fits a core's 2 MiB L2 cache and leaves little freed memory in the heap.
-Small scenarios take h = 0 and one slice; the K=8, PG=8, gamma=1
-``dense_sweep`` scenario takes h = 3 and 25 slices, and its build peaks
-at 3.01 MB under ``tracemalloc`` for a 2.38 MB bank of 16-bit members
-and masks, against 5.3 MB with 32-bit members in 1 MiB slices and
-21.0 MB as one slice with 32-bit members and masks.
+of indices that never overlap, and each slice, a run of leading codes
+with about ``SLICE_BYTES`` of sort keys, is counted on its own.  h follows
+from the sizes alone: the fewest leading chips for which the slice rows of
+one leading code, at most rows * (2*gamma + 1)^(PG - h) keys, fit in
+``SLICE_BYTES``.  A slice's collapse holds its keys, its row ids in the
+narrowest width that holds B bits and the masks those ids gather, and
+frees the keys before the run starts are found: about 3 bytes of scratch
+per byte of keys, so a 256 KiB slice fits a core's 2 MiB L2 cache.
+Small scenarios take h = 0 and one slice; ``dense_sweep`` takes h = 3 and
+25 slices, and its build peaks at 0.78 MiB under ``tracemalloc``.
 
 Widths follow from the scenario's sizes alone.  Boxes are always unsigned
-32-bit, since N_Q <= ``config.MAX_REGISTER_BITS`` = 24, and bank members
-unsigned 16-bit under 2^max(N_Q - 16, 0) + 1 bucket starts; sort keys are
-unsigned 32-bit when N_Q + B <= 32, else ``np.int64``.
-Masks take the narrowest of unsigned 8, 16 and 32 bits that holds 2K
-bits, else ``np.int64``: not ``np.uint64``, which ``RegisterBank.contains``
-could not shift by an ``np.int64`` arange.  Registers depend only on the
+32-bit, since N_Q <= ``config.MAX_REGISTER_BITS`` = 24; sort keys are
+unsigned 32-bit when N_Q + B <= 32, else ``np.int64``; masks take the
+narrowest unsigned width that holds 2K bits.  Registers depend only on the
 signatures, energies, gains, quantizer, gamma and delays, so
 ``harness.sweep`` builds one bank for a ``noise_sigma`` or ``reps_max``
 sweep and a new one at each point of a ``gamma`` or ``N_ch`` sweep.
@@ -76,12 +75,9 @@ from .errors import (BudgetExceeded, CodeOutOfRange, DelayOutOfRange,
 # Cap on delays x interferer patterns x noise-lattice points per register.
 ENUMERATION_BUDGET = 10**6
 
-# Bytes of sort keys per slice of the bank build (see _slicing); a bank
-# with fewer keys is built as one slice.
+# Bytes of sort keys per slice of the N_s count (see _slicing), and of row
+# bitsets per chunk of probes in RegisterBank.contains.
 SLICE_BYTES = 1 << 18
-
-# Bank members keep their low _LOW_BITS bits; the bits above are their bucket.
-_LOW_BITS = 16
 
 
 def quantize_waveform(chips, spec: QuantizerSpec) -> np.ndarray:
@@ -236,7 +232,7 @@ def _check_budget(scenario: Scenario) -> None:
 
 
 def _slicing(scenario: Scenario, rows: int, key_bytes: int) -> tuple[int, int]:
-    """(h, rows per slice) of the bank build from ``rows`` table rows; see the module docstring.
+    """(h, rows per slice) of the N_s count from ``rows`` table rows; see the module docstring.
 
     h is the fewest leading chips for which the slice rows of one leading
     code, at most ``rows`` rows of (2*gamma + 1)**(PG - h) keys of
@@ -328,58 +324,53 @@ def register_bit(user, bit):
 
 @dataclass(frozen=True, eq=False)
 class RegisterBank:
-    """All 2K hypothesis registers of a scenario, as one sorted union under a bucket index.
+    """All 2K hypothesis registers of a scenario, as bitsets of its box table's rows.
 
-    Every index that any register stores is kept as its low 16 bits in the
-    read-only ``np.uint16`` array ``members``, grouped into buckets by its
-    high part, index >> 16, in increasing order of index.  ``starts`` has
-    2**max(n_q - 16, 0) + 1 entries: ``starts[h]`` is the position of the
-    first member whose high part is h, so bucket h is
-    members[starts[h]:starts[h + 1]].  ``masks[i]``, in the narrowest width
-    that holds 2K bits (see the module docstring), has bit
-    ``register_bit(k, b)`` set when register (k, b) stores the index of
-    ``members[i]``, and ``n_s[register_bit(k, b)]`` is that register's
-    population N_s.
+    Row r of the table is one bit pattern's box, a product of per-chip code
+    sets, and each register is a union of rows.  A bitset holds row r in
+    bit r % 64 of its ``np.uint64`` word r // 64; the bits past the last
+    row are zero.  ``allow[n, c]`` (PG, levels, words) is the bitset of the
+    rows whose chip-n code set holds code c, and ``rows[:, register_bit(k, b)]``
+    (words, 2K) that of the rows of register (k, b).  An index lies in a
+    row's box when the row allows each of its chip codes, so the AND of its
+    PG ``allow`` bitsets holds the rows that reach it.
+    ``n_s[register_bit(k, b)]`` is register (k, b)'s population N_s.
     """
 
-    members: np.ndarray
-    starts: np.ndarray
-    masks: np.ndarray
+    allow: np.ndarray
+    rows: np.ndarray
     n_s: tuple[int, ...]
     n_q: int
 
     def contains(self, v) -> np.ndarray:
-        """Membership of every index of an integer array in every register, by one bisection.
+        """Membership of every index of an integer array in every register.
 
         Returns bools of shape ``v.shape + (2K,)``; column ``register_bit(k, b)``
         is the membership in register (k, b).  An index outside
-        [0, 2**n_q) is in no register.
+        [0, 2**n_q) is in no register.  Probes run in chunks of at most
+        ``SLICE_BYTES`` of row bitsets.
         """
         # Clipped, the cast to 32 bits wraps no probe around.  Comparing the
         # cast with v itself rejects every probe outside [0, 2**n_q) and
         # every fraction.
         probe = np.asarray(np.clip(v, 0, (1 << self.n_q) - 1), dtype=np.uint32)
-        low = probe & (1 << _LOW_BITS) - 1
-        bucket = probe >> _LOW_BITS
-        pos, end = self.starts[bucket], self.starts[bucket + 1]
-        # Lower bound of each low part in its own bucket: every probe halves
-        # its range each step, and the largest bucket sets the steps.  A
-        # probe above its whole bucket ends at or past the bucket's end.
-        bucket_end = end
-        for _ in range(int(np.diff(self.starts).max()).bit_length()):
-            mid = (pos + end) >> 1
-            ahead = self.members.take(mid, mode="clip") < low
-            pos = np.where(ahead, mid + 1, pos)
-            end = np.where(ahead, end, mid)
-        found = (pos < bucket_end) & (self.members.take(pos, mode="clip") == low) & (probe == v)
-        masks = np.where(found, self.masks.take(pos, mode="clip"), 0)
-        return (masks[..., None] >> np.arange(len(self.n_s))) & 1 == 1
-
-    def register(self, user: int, bit: int) -> SparseRegister:
-        """Register (user, bit) on its own."""
-        stored = (self.masks >> register_bit(user, bit)) & 1 == 1
-        high = np.repeat(np.arange(self.starts.size - 1), np.diff(self.starts))[stored]
-        return SparseRegister(high << _LOW_BITS | self.members[stored], self.n_q)
+        chips, levels, words = self.allow.shape
+        shifts = (levels.bit_length() - 1) * np.arange(chips - 1, -1, -1, dtype=np.uint32)
+        codes = (probe.reshape(-1, 1) >> shifts) & levels - 1
+        found = np.zeros((len(codes), len(self.n_s)), dtype=bool)
+        step = max(1, SLICE_BYTES // (8 * words))
+        for lo in range(0, len(codes), step):
+            part = codes[lo:lo + step]
+            hit = self.allow[0, part[:, 0]]
+            for n in range(1, chips):
+                hit &= self.allow[n, part[:, n]]
+            # Only the nonzero words of a probe's bitset can meet a
+            # register's; the probe is in every register that one of them meets.
+            owner, word = np.nonzero(hit)
+            first = np.flatnonzero(np.diff(owner, prepend=-1))
+            found[lo + owner[first]] = np.logical_or.reduceat(
+                hit[owner, word, None] & self.rows[word] != 0, first)
+        return found.reshape(probe.shape + (-1,)) & (probe == v)[..., None]
 
 
 def _distinct(values: np.ndarray) -> np.ndarray:
@@ -402,8 +393,8 @@ def _lead_rows(table: np.ndarray, h: int, levels: int, bits: int):
     return rows >> bits, rows & (1 << bits) - 1
 
 
-def _collapse(keys: np.ndarray, row_masks: np.ndarray, bits: int):
-    """(sorted unique indices, OR of the masks of the table rows that reach each).
+def _collapse(keys: np.ndarray, row_masks: np.ndarray, bits: int) -> np.ndarray:
+    """OR of the masks of the table rows that reach each distinct index of ``keys``.
 
     ``keys`` is a fresh array of sort keys (index << bits) | row id, sorted
     and then shifted to indices in place, so every pass over it runs in the
@@ -421,11 +412,10 @@ def _collapse(keys: np.ndarray, row_masks: np.ndarray, bits: int):
     first = np.empty(keys.size, dtype=bool)
     first[:1] = True
     np.not_equal(keys[1:], keys[:-1], out=first[1:])
-    members = keys[first]
     del keys  # free the keys before the run starts and the reduction are allocated
     starts = np.flatnonzero(first)
     del first
-    return members, np.bitwise_or.reduceat(gathered, starts)
+    return np.bitwise_or.reduceat(gathered, starts)
 
 
 def _bit_counts(masks: np.ndarray, n_bits: int) -> np.ndarray:
@@ -439,18 +429,19 @@ def build_bank(scenario: Scenario) -> RegisterBank:
     With delay 0 in ``delays``, register (k, b) holds the boxes of the full
     bit patterns whose bit k is b, each pattern setting one mask bit per
     user.  Every other own-signature delay variant of user k adds a box over
-    all 2**K patterns that sets only bit (k, p_k).  The table of box rows and
-    its slices are described in the module docstring.  Members equal those
-    of ``enumerate_hypotheses`` register by register.
+    all 2**K patterns that sets only bit (k, p_k).  The table of box rows,
+    its bitsets and the slices of the N_s count are described in the module
+    docstring.  Each register holds the indices of its
+    ``enumerate_hypotheses`` register.
     """
     _check_budget(scenario)
     K = scenario.K
     # Bit k of pattern id p is 1 when user k sends -1.
     flips = (np.arange(1 << K)[:, None] >> np.arange(K)) & 1
     patterns = 1.0 - 2.0 * flips
-    # own_bits[p, k]: the mask bit pattern p sets for user k.
-    # 2K register bits: the narrowest unsigned width that holds them, else int64.
-    mask_dtype = np.min_scalar_type((1 << 2 * K) - 1) if 2 * K <= 32 else np.dtype(np.int64)
+    # own_bits[p, k]: the mask bit pattern p sets for user k, in the
+    # narrowest unsigned width that holds 2K register bits.
+    mask_dtype = np.min_scalar_type((1 << 2 * K) - 1)
     own_bits = (np.int64(1) << register_bit(np.arange(K), patterns)).astype(mask_dtype)
     signatures = scenario.signature_matrix()
 
@@ -473,44 +464,37 @@ def build_bank(scenario: Scenario) -> RegisterBank:
     key_dtype = np.dtype(np.uint32 if scenario.register_bits + bits <= 32 else np.int64)
     table = np.concatenate([codes for codes, _ in boxes], dtype=key_dtype)
     row_masks = np.concatenate([masks for _, masks in boxes])
-    del boxes, patterns, flips  # the table holds what the slices read
+    del boxes, patterns, flips  # the table holds what the bitsets and slices read
 
-    # Leading codes are the most significant digits of an index, so a run
-    # of them is a run of indices: each slice, the rows of a run of leading
-    # codes with about SLICE_BYTES of keys, is collapsed on its own, and
-    # the bank is the slices in order.
+    # Bit r % 64 of word r // 64 of a bitset stands for table row r.
     spec = scenario.quantizer
+    row = np.arange(len(table))
+    word, bit = row // 64, np.uint64(1) << (row % 64).astype(np.uint64)
+    allow = np.zeros((scenario.PG, spec.levels, -(-len(table) // 64)), dtype=np.uint64)
+    for n in range(scenario.PG):
+        # Row r allows every code of its chip-n lattice, table[r, n, :].
+        np.bitwise_or.at(allow[n], (table[:, n], word[:, None]), bit[:, None])
+    rows = np.zeros((allow.shape[-1], 2 * K), dtype=np.uint64)
+    for j in range(2 * K):
+        held = (row_masks >> j) & 1 == 1
+        np.bitwise_or.at(rows[:, j], word[held], bit[held])
+    del row, word, bit
+
+    # N_s counts distinct indices, which the boxes of one register may
+    # share.  Leading codes are the most significant digits of an index, so
+    # a run of them is a run of indices: each slice, the rows of a run of
+    # leading codes with about SLICE_BYTES of keys, is collapsed, counted
+    # and freed on its own.
     h, rows_per_slice = _slicing(scenario, len(table), key_dtype.itemsize)
     leads, ids = _lead_rows(table, h, spec.levels, bits)
     cuts = np.searchsorted(leads, _distinct(leads[::rows_per_slice])).tolist() + [len(leads)]
     tail = spec.levels ** (scenario.PG - h)
-    # Bucket h's first index, h << 16, in the keys' width, so counting a
-    # slice's members below each edge widens no copy of them.
-    edges = np.arange((1 << max(scenario.register_bits - _LOW_BITS, 0)) + 1,
-                      dtype=key_dtype) << _LOW_BITS
-    members = np.empty(0, dtype=np.uint16)
-    masks = np.empty(0, dtype=row_masks.dtype)
-    starts = np.zeros(edges.size, dtype=np.int64)
     n_s = np.zeros(2 * K, dtype=np.int64)
     for lo, hi in zip(cuts[:-1], cuts[1:]):
         # Keys (index << bits) | row id, the leading codes above the trailing chips'.
         head = ((leads[lo:hi] * tail) << bits | ids[lo:hi])[:, None]
-        part, part_masks = _collapse(_pack_offsets(table[ids[lo:hi], h:], spec.levels, head,
-                                                   1 << bits), row_masks, bits)
-        # Each output grows by a realloc to exactly its new size; the slice
-        # is copied into place, its indices cast to their low 16 bits, and
-        # freed.  starts[h] counts the indices below h << 16 over all slices.
-        end = members.size
-        members.resize(end + part.size, refcheck=False)
-        members[end:] = part
-        starts += np.searchsorted(part, edges)
-        del part
-        masks.resize(end + part_masks.size, refcheck=False)
-        masks[end:] = part_masks
-        # Counted per slice, from the slice masks before they are freed.
-        n_s += _bit_counts(part_masks, 2 * K)
-        del part_masks
-    members.setflags(write=False)
-    starts.setflags(write=False)
-    masks.setflags(write=False)
-    return RegisterBank(members, starts, masks, tuple(n_s.tolist()), scenario.register_bits)
+        n_s += _bit_counts(_collapse(_pack_offsets(table[ids[lo:hi], h:], spec.levels, head,
+                                                   1 << bits), row_masks, bits), 2 * K)
+    allow.setflags(write=False)
+    rows.setflags(write=False)
+    return RegisterBank(allow, rows, tuple(n_s.tolist()), scenario.register_bits)

@@ -263,6 +263,18 @@ class TestMainExitCodes:
         assert err.startswith("error: ") and "energies/gains" in err
         assert not out.exists()
 
+    def test_mmse_diagonal_that_overflows_rejected(self, tmp_path, capsys):
+        # E * a**2 and noise_sigma**2 are each 1.69e308, within float range,
+        # but their sum, the MMSE matrix's diagonal, overflows.
+        cfg = self._write_config(tmp_path, dict(
+            GOLDEN_CONFIG, signatures=[[1.0, 0.0], [0.0, 1.0]], gains=[1.3e154, 1.3e154],
+            noise_sigma=1.3e154, amplitude_A=1.0))
+        out = tmp_path / "r.csv"
+        assert main(["run", "--config", cfg, "--trials", "2", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "energies/gains/noise_sigma" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("chips,in_range", [([1e200, 1e200], [1.0, 1.0]),
                                                 ([1e-200, 0], [1.0, 0.0])])
     def test_signature_whose_squares_leave_float_range_runs(self, tmp_path, chips, in_range):

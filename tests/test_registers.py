@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import tracemalloc
@@ -303,39 +304,38 @@ def bank_scenarios(draw):
                     gamma=draw(st.integers(0, 2)), delays=delays)
 
 
-# Bank width cases: (scenario, member dtype, mask dtype).  Members are
-# always the uint16 low parts of the indices under a bucket index; the
-# cases cover the key widths, one and many buckets, and every mask width,
-# the narrowest of uint8, uint16 and uint32 that holds 2K bits, else int64.
+# Bank width cases: (scenario, mask dtype).  The cases cover both key
+# widths and every mask width, the narrowest unsigned width that holds 2K
+# bits, and bitsets of one and of several 64-bit words.
 WIDTH_CASES = {
     # register_bits + K = 24 + 9 > 32: int64 keys.
     "int64-keys": (make_scenario(K=9, PG=3, signatures=random_unit_signatures(
         np.random.default_rng(9), 9, 3), energies=(1.0,) * 9, gains=(1.0,) * 9,
-        quantizer=QuantizerSpec(n_ch=8, amplitude=3.0)), np.uint16, np.uint32),
-    # 2K = 34 > 32: 64-bit masks, keys of 8 + 17 bits.
+        quantizer=QuantizerSpec(n_ch=8, amplitude=3.0)), np.uint32),
+    # 2K = 34 > 32: 64-bit masks, keys of 8 + 17 bits, 2048 words per bitset.
     "int64-masks": (make_scenario(K=17, PG=1, signatures=((1.0,),) * 17, energies=(1.0,) * 17,
                                   gains=tuple(0.7 ** np.arange(17)),
                                   quantizer=QuantizerSpec(n_ch=8, amplitude=3.5)),
-                    np.uint16, np.int64),
+                    np.uint64),
     # register_bits + K = 24 + 8 = 32 exactly: the dense_sweep shape.
-    "32-bit-boundary": (make_orthogonal(K=8, PG=8), np.uint16, np.uint16),
+    "32-bit-boundary": (make_orthogonal(K=8, PG=8), np.uint16),
     # Delay-variant boxes in the delay-0 box's table, with 32-bit keys.
-    "merge-32": (make_scenario(gamma=1, delays=(0, 1, 3)), np.uint16, np.uint8),
+    "merge-32": (make_scenario(gamma=1, delays=(0, 1, 3)), np.uint8),
     # Delay-variant boxes in the delay-0 box's table, with int64 keys.
     "merge-int64": (make_scenario(K=9, PG=3, signatures=random_unit_signatures(
         np.random.default_rng(3), 9, 3), energies=(1.0,) * 9, gains=(1.0,) * 9,
-        quantizer=QuantizerSpec(n_ch=8, amplitude=3.0), delays=(0, 2)), np.uint16, np.uint32),
+        quantizer=QuantizerSpec(n_ch=8, amplitude=3.0), delays=(0, 2)), np.uint32),
     # 9 boxes of 2**8 rows: 2304 rows take 12 row-id bits, and 24 + 12 > 32
     # widens the keys to int64, though 24 + K = 32 fits the boxes in uint32.
-    "table-int64": (make_orthogonal(K=8, PG=8, delays=(0, 1)), np.uint16, np.uint16),
+    "table-int64": (make_orthogonal(K=8, PG=8, delays=(0, 1)), np.uint16),
     # 2K = 8 fills a uint8 mask.
-    "8-bit-masks": (make_orthogonal(K=4, PG=4, gamma=1), np.uint16, np.uint8),
+    "8-bit-masks": (make_orthogonal(K=4, PG=4, gamma=1), np.uint8),
     # 2K = 10 is the fewest register bits past a uint8 mask; delay-variant boxes too.
-    "16-bit-masks": (make_orthogonal(K=5, PG=8, delays=(0, 2)), np.uint16, np.uint16),
-    # N_Q = 20: 16 buckets, of which 2, 3, 7, 8, 12 and 13 are occupied,
-    # with empty buckets between them.
-    "multi-bucket": (make_scenario(gamma=1, quantizer=QuantizerSpec(n_ch=5, amplitude=1.5)),
-                     np.uint16, np.uint8),
+    "16-bit-masks": (make_orthogonal(K=5, PG=8, delays=(0, 2)), np.uint16),
+    # N_Q = 20, the widest register that the tests probe index by index.
+    "n_q-20": (make_scenario(gamma=1, quantizer=QuantizerSpec(n_ch=5, amplitude=1.5)), np.uint8),
+    # 9 boxes of 2**4 rows: 144 rows fill two words and 16 bits of a third.
+    "word-boundary": (make_orthogonal(K=4, PG=4, gamma=1, delays=(0, 1, 2)), np.uint8),
 }
 
 
@@ -343,13 +343,25 @@ WIDTH_CASES = {
 # the row-id bits fit in 32, else int64.
 KEY_DTYPES = {"int64-keys": np.int64, "int64-masks": np.uint32, "32-bit-boundary": np.uint32,
               "merge-32": np.uint32, "merge-int64": np.int64, "table-int64": np.int64,
-              "8-bit-masks": np.uint32, "16-bit-masks": np.uint32, "multi-bucket": np.uint32}
+              "8-bit-masks": np.uint32, "16-bit-masks": np.uint32, "n_q-20": np.uint32,
+              "word-boundary": np.uint32}
 
 
-def stored_indices(bank):
-    """Every index the bank stores, in order: each bucket's number above its 16-bit members."""
-    buckets = np.repeat(np.arange(bank.starts.size - 1), np.diff(bank.starts))
-    return buckets << 16 | bank.members
+def enumerations(sc):
+    """Every register of ``sc`` by its own enumeration, keyed by register_bit."""
+    return {register_bit(k, b): enumerate_hypotheses(sc, k, b)
+            for k in range(sc.K) for b in (1, -1)}
+
+
+@functools.lru_cache(maxsize=None)
+def width_enumerations(case):
+    """``enumerations`` of WIDTH_CASES[case], made once: K = 17 takes seconds."""
+    return enumerations(WIDTH_CASES[case][0])
+
+
+def union(regs):
+    """Every index that some register of ``regs`` holds, in increasing order."""
+    return registers._distinct(np.sort(np.concatenate([reg.members for reg in regs.values()])))
 
 
 def build_bank_in_slices(sc, slice_bytes):
@@ -367,22 +379,19 @@ class TestRegisterBank:
     @example(make_scenario(gamma=2, delays=(0, 1, 3)), 1)
     @settings(max_examples=120, deadline=None)
     def test_every_register_equals_its_own_enumeration(self, sc, slice_bytes):
-        # A slice cap of 1 byte splits even these small banks into one slice
-        # per distinct index, delay-variant boxes included.
+        # A slice cap of 1 byte splits even these small counts into one
+        # slice per distinct index, delay-variant boxes included.
         bank = build_bank_in_slices(sc, slice_bytes)
-        regs = {}
-        for k in range(sc.K):
-            for bit in (1, -1):
-                reg = enumerate_hypotheses(sc, k, bit)
-                assert bank.register(k, bit) == reg
-                assert reg.members.tolist() == sorted(reference_hypotheses(sc, k, bit))
-                assert bank.n_s[register_bit(k, bit)] == reg.n_s
-                regs[register_bit(k, bit)] = reg
+        regs = enumerations(sc)
+        for k, bit in itertools.product(range(sc.K), (1, -1)):
+            reg = regs[register_bit(k, bit)]
+            assert reg.members.tolist() == sorted(reference_hypotheses(sc, k, bit))
         # Membership of every index of the register width, stored or not.
         v = np.arange(1 << sc.register_bits)
         contains = bank.contains(v)
         assert contains.shape == (v.size, 2 * sc.K)
         for j, reg in regs.items():
+            assert bank.n_s[j] == reg.n_s
             assert np.array_equal(contains[:, j], np.isin(v, reg.members))
 
     def test_budget_exceeded(self):
@@ -395,9 +404,7 @@ class TestRegisterBank:
         # Its keys fill all 32 bits: 24 index bits plus K = 8.
         sc = make_orthogonal(K=8, PG=8, gamma=1)
         peaks, built = [], []
-        for build in (lambda: {(k, b): enumerate_hypotheses(sc, k, b)
-                               for k in range(sc.K) for b in (1, -1)},
-                      lambda: build_bank(sc)):
+        for build in (lambda: enumerations(sc), lambda: build_bank(sc)):
             tracemalloc.start()
             try:
                 built.append(build())
@@ -407,97 +414,111 @@ class TestRegisterBank:
             peaks.append(peak)
         per_register, peak = peaks
         assert peak < per_register
-        # 3.01 MB for a 2.38 MB bank of 16-bit members and masks, built in
-        # slices of 3 leading chips and filled in place; 5.3 MB with 32-bit
-        # members in slices of 2 leading chips, 20.7 MB as one slice, 41.2 MB
-        # as one slice in int64.  A slice's collapse holds about 3 bytes per
-        # byte of its keys beside the bank built so far.
-        one_by_one, bank = built
-        stored = bank.members.nbytes + bank.starts.nbytes + bank.masks.nbytes
-        assert peak < stored + 3 * registers.SLICE_BYTES
-        assert bank.members.dtype == np.uint16
-        for (k, b), reg in one_by_one.items():
-            assert bank.register(k, b) == reg
-            assert bank.n_s[register_bit(k, b)] == reg.n_s
+        # 0.78 MiB for 2.5 KiB of bitsets, all of it the N_s count's slices
+        # of 3 leading chips: a slice's collapse holds about 3 bytes per
+        # byte of its keys.  A bank of 16-bit members under a bucket index
+        # peaked at 2.87 MiB, one of 32-bit members in 1 MiB slices at
+        # 5.04 MiB, and one built as one slice at 20.7 MB.
+        regs, bank = built
+        assert bank.allow.nbytes + bank.rows.nbytes == 2560
+        assert peak <= 4 * registers.SLICE_BYTES
+        for j, reg in regs.items():
+            assert bank.n_s[j] == reg.n_s
+        members = union(regs)
+        probes = np.concatenate([members, members + 1])
+        contains = bank.contains(probes)
+        for j, reg in regs.items():
+            assert np.array_equal(contains[:, j], reg.contains(probes))
 
     @pytest.mark.parametrize("case", WIDTH_CASES)
-    def test_width_rule(self, case):
-        sc, member_dtype, mask_dtype = WIDTH_CASES[case]
+    def test_registers_equal_their_enumerations(self, case):
+        sc = WIDTH_CASES[case][0]
         bank = build_bank(sc)
-        assert bank.members.dtype == member_dtype and bank.masks.dtype == mask_dtype
-        # The collapse keeps the highest mask bit, register (K - 1, -1), at
-        # every width; at K = 17 it lies above bit 32.
-        assert np.any(bank.masks >> (2 * sc.K - 1))
-        indices = stored_indices(bank)
-        assert np.all(indices[1:] > indices[:-1]) and indices[-1] < 1 << sc.register_bits
-        assert bank.starts.size == (1 << max(sc.register_bits - 16, 0)) + 1
-        assert bank.starts[0] == 0 and bank.starts[-1] == bank.members.size
-        assert bank.n_s == tuple(bank.register(k, b).n_s for k in range(sc.K) for b in (1, -1))
-        # At K = 17 the lowest and highest mask bits; the scalar reference
-        # takes about 1.5 s per register there.
-        users = range(sc.K) if sc.K < 10 else (0, 1, sc.K - 2, sc.K - 1)
-        reference = {}
-        for k in users:
-            for bit in (1, -1):
-                reg = enumerate_hypotheses(sc, k, bit)
-                assert reg.members.dtype == np.int64 and not reg.members.flags.writeable
-                assert bank.register(k, bit) == reg
-                if sc.K < 10 or (k, bit) == (sc.K - 1, -1):
-                    assert reg.members.tolist() == sorted(reference_hypotheses(sc, k, bit))
-                reference[register_bit(k, bit)] = reg
-        probes = np.concatenate([indices, indices + 1, [0, (1 << sc.register_bits) - 1]])
-        probes = probes[probes < 1 << sc.register_bits]
-        # Both sides of every bucket edge, every stored low part in the
-        # buckets on either side, and the first index outside each end.
-        edges = np.arange(1, bank.starts.size) << 16
-        probes = np.concatenate([probes, edges - 1, edges, indices - (1 << 16),
-                                 indices + (1 << 16), [-1, 1 << sc.register_bits]])
+        regs = width_enumerations(case)
+        # At K = 17 the scalar reference takes about 1.5 s per register:
+        # it checks the highest mask bit there, above bit 32.
+        for k, bit in itertools.product(range(sc.K), (1, -1)):
+            reg = regs[register_bit(k, bit)]
+            assert reg.members.dtype == np.int64 and not reg.members.flags.writeable
+            if sc.K < 10 or (k, bit) == (sc.K - 1, -1):
+                assert reg.members.tolist() == sorted(reference_hypotheses(sc, k, bit))
+        assert bank.n_s == tuple(regs[j].n_s for j in range(2 * sc.K))
+        if sc.register_bits <= 20:
+            # Every index of the register width: a set equality.
+            probes = np.arange(1 << sc.register_bits)
+        else:
+            members = union(regs)
+            probes = np.concatenate([members, members - 1, members + 1,
+                                     [-1, 1 << sc.register_bits]])
         contains = bank.contains(probes)
-        for j, reg in reference.items():
-            assert np.array_equal(contains[:, j], reg.contains(probes))
+        for j, reg in regs.items():
+            assert np.array_equal(contains[:, j], np.isin(probes, reg.members))
+        # Bitsets of 64 rows per word, with no bit set past the last row.
+        # The table has 2**K rows per box, one box per delay variant, and
+        # every user's delay-0 variant shares one box.
+        boxes = sum(len(shift_variants(sig, sc.delays)) for sig in sc.signatures)
+        rows = (boxes - (sc.K - 1 if 0 in sc.delays else 0)) << sc.K
+        assert bank.allow.shape == (sc.PG, sc.quantizer.levels, -(-rows // 64))
+        assert bank.rows.shape == (-(-rows // 64), 2 * sc.K)
+        assert bank.allow.dtype == bank.rows.dtype == np.uint64
+        if rows % 64:
+            assert not np.any(bank.allow[..., -1] >> np.uint64(rows % 64))
+            assert not np.any(bank.rows[-1] >> np.uint64(rows % 64))
 
     @pytest.mark.parametrize("case", WIDTH_CASES)
     def test_slices_join_to_the_one_slice_bank(self, case):
         sc = WIDTH_CASES[case][0]
         whole = build_bank_in_slices(sc, 1 << 62)
         for slice_bytes in (registers.SLICE_BYTES, 3000, 1):
-            # A 1-byte cap grows the bank once per distinct index.
+            # A 1-byte cap counts one slice per distinct index.
             bank = build_bank_in_slices(sc, slice_bytes)
             assert bank.n_s == whole.n_s
-            assert all(a.flags.owndata and a.size == bank.members.size
-                       for a in (bank.members, bank.masks))
-            for got, want in ((bank.members, whole.members), (bank.starts, whole.starts),
-                              (bank.masks, whole.masks)):
+            for got, want in ((bank.allow, whole.allow), (bank.rows, whole.rows)):
                 assert got.dtype == want.dtype and np.array_equal(got, want)
                 assert not got.flags.writeable
 
     @pytest.mark.parametrize("case", WIDTH_CASES)
-    def test_key_width(self, case, monkeypatch):
+    def test_probe_chunks_join_to_one_lookup(self, case):
+        # A cap of 1 byte looks up one probe per chunk, 3000 bytes a few.
         sc = WIDTH_CASES[case][0]
+        bank = build_bank(sc)
+        reg = width_enumerations(case)[register_bit(0, 1)]
+        probes = np.concatenate([reg.members, reg.members + 1, np.random.default_rng(5).integers(
+            -1, (1 << sc.register_bits) + 1, 1000)]).reshape(-1, 2)
+        whole = bank.contains(probes)
+        assert np.array_equal(whole[..., register_bit(0, 1)], reg.contains(probes))
+        for slice_bytes in (3000, 1):
+            with mock.patch.object(registers, "SLICE_BYTES", slice_bytes):
+                assert np.array_equal(bank.contains(probes), whole)
+
+    @pytest.mark.parametrize("case", WIDTH_CASES)
+    def test_key_width(self, case, monkeypatch):
+        sc, mask_dtype = WIDTH_CASES[case]
         slices = []
         real = registers._collapse
 
         def recording(keys, row_masks, bits):
             # _collapse sorts its keys in place: keep a copy of what it was given.
-            slices.append((keys.copy(), len(row_masks), bits))
+            slices.append((keys.copy(), row_masks.dtype, len(row_masks), bits))
             return real(keys, row_masks, bits)
 
         monkeypatch.setattr(registers, "_collapse", recording)
-        bank = build_bank(sc)
+        build_bank(sc)
         assert slices
-        for keys, rows, bits in slices:
+        for keys, row_mask_dtype, rows, bits in slices:
             assert keys.dtype == KEY_DTYPES[case]
+            assert row_mask_dtype == mask_dtype
             assert bits == (rows - 1).bit_length()
             assert (keys.dtype == np.uint32) == (sc.register_bits + bits <= 32)
             assert np.all(keys & ((1 << bits) - 1) < rows)
         if sc.delays == (0,):
             # One box of 2**K rows: B = K row-id bits.
-            assert slices[0][1] == 1 << sc.K and slices[0][2] == sc.K
-        # The stored indices are the keys' indices, in 16-bit members whatever
-        # the key width.
-        indices = np.unique(np.concatenate([keys.reshape(-1) >> bits for keys, _, bits in slices]))
-        assert bank.members.dtype == np.uint16
-        assert np.array_equal(stored_indices(bank), indices)
+            assert slices[0][2] == 1 << sc.K and slices[0][3] == sc.K
+        # The slices hold every index of every register, each in one slice
+        # and in increasing order across slices.
+        indices = np.concatenate([registers._distinct(np.sort(keys.reshape(-1) >> bits))
+                                  for keys, _, _, bits in slices])
+        assert np.array_equal(indices, union(width_enumerations(case)))
 
     def test_slice_rule(self, two_user_scenario):
         # 2**8 rows x 3**(8 - h) uint32 keys fit in 256 KiB from h = 3 on,
@@ -511,13 +532,13 @@ class TestRegisterBank:
             assert _slicing(two_user_scenario, 1 << 2, 4) == (two_user_scenario.PG, 1)
 
     def test_contains_reports_indices_outside_the_width_as_absent(self):
-        # 24-bit indices in uint16 members: a probe cast without a range
-        # check would wrap 2**32 + m onto the stored m.
+        # 24-bit indices: a probe cast to 32 bits without a range check
+        # would wrap 2**32 + m onto the stored m.
         sc = make_orthogonal(K=8, PG=8)
         bank = build_bank(sc)
-        assert bank.n_q == 24 and bank.members.dtype == np.uint16
-        m = int(stored_indices(bank)[5])
-        regs = {register_bit(k, b): bank.register(k, b) for k in range(sc.K) for b in (1, -1)}
+        assert bank.n_q == 24
+        regs = enumerations(sc)
+        m = int(regs[0].members[5])
         values = [m, -1, -m, 1 << 24, (1 << 24) + m, (1 << 32) + m, (1 << 33) + m,
                   2**63 - 1, -(2**63), np.int64(m), np.uint32(m), np.int32(-1),
                   np.int64((1 << 32) + m), np.uint64((1 << 32) + m), np.uint64(2**64 - 1),
