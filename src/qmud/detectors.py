@@ -59,15 +59,10 @@ def _check_condition(M: np.ndarray) -> None:
             f"matrix condition exceeds {CONDITION_LIMIT:g}; degenerate signature set")
 
 
-def check_optimal(R: np.ndarray) -> None:
-    """The optimal search's checks on R.
-
-    Raises KTooLarge above MAX_EXHAUSTIVE_USERS users and SingularMatrix
-    for a degenerate R.
-    """
+def check_user_cap(R: np.ndarray) -> None:
+    """Raises KTooLarge when R has more users than the optimal search's cap."""
     if len(R) > MAX_EXHAUSTIVE_USERS:
         raise KTooLarge(f"K={len(R)} exceeds exhaustive-search cap {MAX_EXHAUSTIVE_USERS}")
-    _check_condition(R)
 
 
 def _sign(x: np.ndarray) -> np.ndarray:
@@ -119,7 +114,8 @@ def optimal_detect(soft, R) -> np.ndarray:
     """
     soft = np.asarray(soft, dtype=float)
     R = np.asarray(R, dtype=float)
-    check_optimal(R)
+    check_user_cap(R)
+    _check_condition(R)
     return _optimal_rows(soft[None], R)[0]
 
 

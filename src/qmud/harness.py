@@ -2,12 +2,12 @@
 
 Every run and every sweep point takes one pipeline.  Each trial draws
 uniform bits, synthesizes the received waveform, runs the four classical
-detectors on the matched-filter outputs, quantizes the waveform into a
-basis index, and runs the quantum receiver per user against the
+detectors on the matched-filter outputs, quantizes the waveform into PG
+chip codes, and runs the quantum receiver per user against the
 scenario's hypothesis registers.  All 2K registers are built at once as
 one ``registers.RegisterBank``, once per scenario; a sweep builds it again
-only at points that change a field the registers depend on.  A block looks
-its received indices up in the bank once, which gives every user's
+only at points that change a field the registers depend on.  A block hands
+its received chip codes to the bank once, which gives every user's
 membership in both registers and every coverage miss.  Trial t's
 stream is seeded with derive_seed(master_seed, t); within a trial the draw
 order is fixed (K bit uniforms, PG noise normals, then the users'
@@ -40,10 +40,10 @@ import numpy as np
 
 from .cdma import correlation_matrix, matched_filter, noiseless_waveforms
 from .config import Scenario, check_seed, scenario_digest
-from .detectors import ALL_DETECTORS, DetectorKind, _check_condition, check_optimal, detect_rows
+from .detectors import ALL_DETECTORS, DetectorKind, _check_condition, check_user_cap, detect_rows
 from .errors import QmudError, UnknownParameter, ValidationError
 from .povm import DECISIONS, Decision, detect_user_rows
-from .registers import RegisterBank, build_bank, pack_basis, quantize_waveform, register_bit
+from .registers import RegisterBank, build_bank, quantize_waveform, register_bit
 from .rng import TrialStreams
 
 # benchmarks/traced_cli.py wraps these functions on this module, so they
@@ -51,7 +51,7 @@ from .rng import TrialStreams
 from .cdma import transmit  # noqa: F401
 from .detectors import decorrelate_detect, mmse_detect, optimal_detect, sud_detect  # noqa: F401
 from .povm import detect_user  # noqa: F401
-from .registers import enumerate_hypotheses  # noqa: F401
+from .registers import enumerate_hypotheses, pack_basis  # noqa: F401
 from .rng import derive_seed  # noqa: F401
 
 SWEEPABLE = ("noise_sigma", "reps_max", "gamma", "N_ch")
@@ -66,7 +66,7 @@ BLOCK_TRIALS = 1024
 class QmudStats:
     """Per-(trial, user) decision categories; they partition trials*K.
 
-    Slots whose received index escaped the true-bit register are counted
+    Slots whose received waveform escaped the true-bit register are counted
     only under coverage_miss; the remaining slots split by decision.
     false_decisions counts wrong bit decisions outside coverage misses and
     is provably zero.
@@ -121,12 +121,13 @@ class _RegisterCache:
 class _Prepared:
     """Everything a trial reads, built once per scenario.
 
-    Holds the scenario, R and the register bank.  The decorrelator's and
-    the optimal search's checks (SingularMatrix, KTooLarge) run first, in
-    that order, so they reject a degenerate scenario before the bank is
-    built and before trial 0.  The MMSE detector's matrix R + sigma^2 I
-    needs no check of its own: ``Scenario`` keeps its diagonal finite, and
-    for positive semidefinite R, cond(R + sigma^2 I) <= cond(R).
+    Holds the scenario, R and the register bank.  R's condition check
+    (SingularMatrix), which the decorrelator and the optimal search share,
+    runs once, then the optimal search's user cap (KTooLarge): they reject
+    a degenerate scenario before the bank is built and before trial 0.
+    The MMSE detector's matrix R + sigma^2 I needs no check of its own:
+    ``Scenario`` keeps its diagonal finite, and for positive semidefinite
+    R, cond(R + sigma^2 I) <= cond(R).
     """
 
     def __init__(self, scenario: Scenario, cache: _RegisterCache | None = None):
@@ -134,7 +135,7 @@ class _Prepared:
         self.R = correlation_matrix(scenario)
         self.noise_variance = scenario.noise_sigma ** 2
         _check_condition(self.R)
-        check_optimal(self.R)
+        check_user_cap(self.R)
         self.bank = (cache or _RegisterCache()).bank(scenario)
 
 
@@ -142,13 +143,14 @@ class _Prepared:
 class _Block:
     """A block's T trials as arrays with a leading trial axis.
 
-    ``decisions`` maps each detector kind to (T, K) bits; ``qmud`` codes
-    index povm.DECISIONS.
+    ``decisions`` maps each detector kind to (T, K) bits;
+    ``received_codes`` holds the (T, PG) chip codes of the received
+    waveforms; ``qmud`` codes index povm.DECISIONS.
     """
 
     bits: np.ndarray
     decisions: dict
-    received_index: np.ndarray
+    received_codes: np.ndarray
     qmud: np.ndarray
     reps: np.ndarray
     coverage_miss: np.ndarray
@@ -165,8 +167,8 @@ def _run_block(prep: _Prepared, master_seed: int, t0: int, count: int) -> _Block
     decisions = detect_rows(soft, prep.R, prep.noise_variance)
 
     bank = prep.bank
-    v = pack_basis(quantize_waveform(received, scenario.quantizer), scenario.quantizer)
-    stored = bank.contains(v)
+    chip_codes = quantize_waveform(received, scenario.quantizer)
+    stored = bank.contains(chip_codes)
     codes = np.empty((count, scenario.K), dtype=np.int64)
     reps = np.empty((count, scenario.K), dtype=np.int64)
     for k in range(scenario.K):
@@ -175,7 +177,7 @@ def _run_block(prep: _Prepared, master_seed: int, t0: int, count: int) -> _Block
             stored[:, one], stored[:, zero], bank.n_s[one], bank.n_s[zero],
             scenario.reps_max, streams)
     misses = ~np.take_along_axis(stored, register_bit(np.arange(scenario.K), bits), axis=1)
-    return _Block(bits, decisions, v, codes, reps, misses)
+    return _Block(bits, decisions, chip_codes, codes, reps, misses)
 
 
 def run_trials(scenario: Scenario, trials: int = 1000, master_seed: int = 0) -> MetricsReport:

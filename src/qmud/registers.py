@@ -1,9 +1,9 @@
 """Chip quantization and sparse hypothesis registers.
 
 Every candidate received waveform is quantized chip by chip, by one
-quantizer for arrays of any shape, and packed into a single basis index of
-an N_Q-bit register (N_Q = N_ch * PG); ``pack_basis`` packs one waveform's
-codes or an array of them.  A user's hypothesis register for
+quantizer for arrays of any shape, into PG chip codes: the digits of one
+basis index of an N_Q-bit register (N_Q = N_ch * PG), chip 0 most
+significant, which ``pack_basis`` packs.  A user's hypothesis register for
 bit b is the set of indices reachable from that bit: own-signature delay
 variants, every interferer bit pattern, and a bounded lattice of per-chip
 noise offsets.  Registers carry implicit uniform amplitudes 1/sqrt(N_s),
@@ -11,25 +11,26 @@ so membership alone fixes the state.
 
 One quantizer of boxes, ``_chip_codes``, turns bit patterns into chip
 codes: a pattern's box is its noiseless waveform under every lattice
-offset, and ``_pack_offsets`` packs the box into sorted indices, chip 0
-most significant.  ``enumerate_hypotheses`` builds one register from the
-boxes of the patterns that fix the user's bit, as a ``SparseRegister``: a
-read-only sorted ``np.int64`` array with duplicates collapsed by one sort.
+offset, and ``_pack_offsets`` packs the box into sorted indices.
+``enumerate_hypotheses`` builds one register from the boxes of the
+patterns that fix the user's bit, as a ``SparseRegister``: a read-only
+sorted ``np.int64`` array with duplicates collapsed by one sort.
 
 ``build_bank`` builds all 2K registers of a scenario at once as a
-``RegisterBank``, which stores no index.  Its table stacks every box's
-patterns as rows, each with a 2K-bit mask of the registers it belongs
-to: with delay 0, register (k, b) is the union of the boxes of the full
-patterns whose bit k is b, so the 2^K boxes are quantized once, and each
-other own-signature delay variant adds a box per pattern that sets only
-its own user's bit.  A box is a product of per-chip code sets, so an
-index lies in it when each of its chip codes lies in the box's set for
-that chip.  The bank keeps, for every (chip, code), the bitset of the
-rows that allow it, and for every register the bitset of its rows: a
-received index's PG chip codes pick PG bitsets, their AND holds the rows
-that reach it, and it is in every register that holds one of those rows.
-On the K=8, PG=8, gamma=1 ``dense_sweep`` scenario that is 2.5 KiB of
-bitsets in place of 594,210 stored indices.
+``RegisterBank``, which stores no index and is probed with chip codes.
+Its table stacks every box's patterns as rows, each with a 2K-bit mask
+of the registers it belongs to: with delay 0, register (k, b) is the
+union of the boxes of the full patterns whose bit k is b, so the 2^K
+boxes are quantized once, and each other own-signature delay variant
+adds a box per pattern that sets only its own user's bit.  A box is a
+product of per-chip code sets, so a waveform's codes lie in it when each
+lies in the box's set for its chip.  The bank keeps, for every (chip,
+code), the bitset of the rows that allow it, and for every register the
+bitset of its rows: a received waveform's PG chip codes pick PG bitsets,
+their AND holds the rows that reach them, and the waveform is in every
+register that holds one of those rows.  On the K=8, PG=8, gamma=1
+``dense_sweep`` scenario that is 2.5 KiB of bitsets in place of 594,210
+stored indices.
 
 N_s counts the distinct indices of a register, which its boxes may share,
 so it comes from a sort.  Sort keys are (index << B) | row id, where
@@ -331,36 +332,31 @@ class RegisterBank:
     bit r % 64 of its ``np.uint64`` word r // 64; the bits past the last
     row are zero.  ``allow[n, c]`` (PG, levels, words) is the bitset of the
     rows whose chip-n code set holds code c, and ``rows[:, register_bit(k, b)]``
-    (words, 2K) that of the rows of register (k, b).  An index lies in a
-    row's box when the row allows each of its chip codes, so the AND of its
-    PG ``allow`` bitsets holds the rows that reach it.
+    (words, 2K) that of the rows of register (k, b).  A waveform's chip
+    codes lie in a row's box when the row allows each of them, so the AND
+    of their PG ``allow`` bitsets holds the rows that reach them.
     ``n_s[register_bit(k, b)]`` is register (k, b)'s population N_s.
     """
 
     allow: np.ndarray
     rows: np.ndarray
     n_s: tuple[int, ...]
-    n_q: int
 
-    def contains(self, v) -> np.ndarray:
-        """Membership of every index of an integer array in every register.
+    def contains(self, codes) -> np.ndarray:
+        """Membership of chip codes (..., PG) in every register.
 
-        Returns bools of shape ``v.shape + (2K,)``; column ``register_bit(k, b)``
-        is the membership in register (k, b).  An index outside
-        [0, 2**n_q) is in no register.  Probes run in chunks of at most
+        ``codes`` are ``quantize_waveform`` codes, each in [0, levels).
+        Returns bools of shape (..., 2K); column ``register_bit(k, b)`` is
+        the membership in register (k, b).  Probes run in chunks of at most
         ``SLICE_BYTES`` of row bitsets.
         """
-        # Clipped, the cast to 32 bits wraps no probe around.  Comparing the
-        # cast with v itself rejects every probe outside [0, 2**n_q) and
-        # every fraction.
-        probe = np.asarray(np.clip(v, 0, (1 << self.n_q) - 1), dtype=np.uint32)
-        chips, levels, words = self.allow.shape
-        shifts = (levels.bit_length() - 1) * np.arange(chips - 1, -1, -1, dtype=np.uint32)
-        codes = (probe.reshape(-1, 1) >> shifts) & levels - 1
-        found = np.zeros((len(codes), len(self.n_s)), dtype=bool)
+        codes = np.asarray(codes)
+        chips, _, words = self.allow.shape
+        flat = codes.reshape(-1, chips)
+        found = np.zeros((len(flat), len(self.n_s)), dtype=bool)
         step = max(1, SLICE_BYTES // (8 * words))
-        for lo in range(0, len(codes), step):
-            part = codes[lo:lo + step]
+        for lo in range(0, len(flat), step):
+            part = flat[lo:lo + step]
             hit = self.allow[0, part[:, 0]]
             for n in range(1, chips):
                 hit &= self.allow[n, part[:, n]]
@@ -370,7 +366,7 @@ class RegisterBank:
             first = np.flatnonzero(np.diff(owner, prepend=-1))
             found[lo + owner[first]] = np.logical_or.reduceat(
                 hit[owner, word, None] & self.rows[word] != 0, first)
-        return found.reshape(probe.shape + (-1,)) & (probe == v)[..., None]
+        return found.reshape(codes.shape[:-1] + (-1,))
 
 
 def _distinct(values: np.ndarray) -> np.ndarray:
@@ -497,4 +493,4 @@ def build_bank(scenario: Scenario) -> RegisterBank:
                                                    1 << bits), row_masks, bits), 2 * K)
     allow.setflags(write=False)
     rows.setflags(write=False)
-    return RegisterBank(allow, rows, tuple(n_s.tolist()), scenario.register_bits)
+    return RegisterBank(allow, rows, tuple(n_s.tolist()))

@@ -6,14 +6,16 @@ each pattern's noiseless waveform adds the users in ascending index order
 (the own term at its own index), the order ``cdma.noiseless_waveforms``
 uses for the transmitter.
 
-``reference_trial``, ``reference_block`` and ``reference_report`` are the
+``reference_trial``, ``reference_rows`` and ``reference_report`` are the
 per-trial loop that ``harness`` ran before it ran trials in blocks: one
 ``SplitMix64`` per trial, drawn through the per-symbol ``transmit``,
 detectors and ``detect_user``, against registers that
 ``reference_registers`` builds one by one with ``enumerate_hypotheses``,
-not read from the harness's bank.  A trial comes out as a one-row
-``harness._Block``, so the engine's arrays are compared with
-``block_lists`` field by field.
+not read from the harness's bank, and probed with ``pack_basis`` indices.
+A trial comes out as a one-row ``harness._Block``; ``stack_rows`` stacks
+trials into one block, so the engine's arrays are compared with
+``block_lists`` field by field, and ``reference_report`` aggregates the
+rows of trials 0 .. T - 1 as ``run_trials`` does.
 """
 
 import itertools
@@ -97,19 +99,24 @@ def reference_trial(prep, registers, trial_index: int, master_seed: int) -> harn
     received = transmit(scenario, bits, rng)
     soft = matched_filter(received, scenario)
     decisions = {kind: np.array([dec]) for kind, dec in reference_detectors(soft, prep).items()}
-    v = pack_basis(quantize_waveform(received, scenario.quantizer), scenario.quantizer)
+    chip_codes = quantize_waveform(received, scenario.quantizer)
+    v = pack_basis(chip_codes, scenario.quantizer)
     per_user = [detect_user(registers[(k, 1)], registers[(k, -1)], v, scenario.reps_max, rng)
                 for k in range(scenario.K)]
     codes = [DECISIONS.index(d.kind) for d in per_user]
     reps = [d.reps_used for d in per_user]
     misses = [v not in registers[(k, bits[k])] for k in range(scenario.K)]
-    return harness._Block(np.array([bits]), decisions, np.array([v]), np.array([codes]),
+    return harness._Block(np.array([bits]), decisions, chip_codes[None], np.array([codes]),
                           np.array([reps]), np.array([misses]))
 
 
-def reference_block(prep, registers, t0: int, count: int, master_seed: int) -> harness._Block:
-    """Trials t0 .. t0 + count - 1, each through reference_trial, stacked into one block."""
-    rows = [reference_trial(prep, registers, t, master_seed) for t in range(t0, t0 + count)]
+def reference_rows(prep, registers, t0: int, count: int, master_seed: int) -> list:
+    """Trials t0 .. t0 + count - 1, each through reference_trial, as one-row blocks."""
+    return [reference_trial(prep, registers, t, master_seed) for t in range(t0, t0 + count)]
+
+
+def stack_rows(rows: list) -> harness._Block:
+    """One block of the one-row blocks ``rows``, in order."""
     stacked = {}
     for field in fields(harness._Block):
         column = [getattr(row, field.name) for row in rows]
@@ -129,16 +136,14 @@ def block_lists(block: harness._Block) -> dict:
             for name, value in out.items()}
 
 
-def reference_report(scenario, trials: int, master_seed: int) -> MetricsReport:
-    """run_trials as the per-trial loop over reference_trial."""
-    prep = harness._Prepared(scenario)
-    registers = reference_registers(scenario)
+def reference_report(scenario, rows: list, master_seed: int) -> MetricsReport:
+    """run_trials as the per-trial loop, from ``reference_rows`` of trials 0 .. T - 1."""
+    trials = len(rows)
     bit_errors = {k: 0 for k in ALL_DETECTORS}
     correct = false_dec = no_msg = ambiguous = inconclusive = miss_count = 0
     reps_total = 0
 
-    for t in range(trials):
-        rec = reference_trial(prep, registers, t, master_seed)
+    for rec in rows:
         bits = rec.bits[0].tolist()
         for kind in ALL_DETECTORS:
             bit_errors[kind] += sum(d != b for d, b in zip(rec.decisions[kind][0].tolist(), bits))

@@ -19,8 +19,8 @@ from qmud.errors import (BudgetExceeded, KTooLarge, SingularMatrix, UnknownParam
                          ValidationError)
 from qmud.harness import ALL_DETECTORS, BLOCK_TRIALS, _Prepared, _RegisterCache, _run_block
 from qmud.povm import DECISIONS
-from scalar_reference import (block_lists, reference_block, reference_hypotheses,
-                              reference_registers, reference_report)
+from scalar_reference import (block_lists, reference_hypotheses, reference_registers,
+                              reference_report, reference_rows, stack_rows)
 
 
 def _count_builds(monkeypatch) -> list:
@@ -87,7 +87,8 @@ class TestRunTrials:
         prep = _Prepared(sc)
         regs = reference_registers(sc)
         block = _run_block(prep, 11, 0, 300)
-        for v, codes in zip(block.received_index.tolist(), block.qmud.tolist()):
+        indices = registers.pack_basis(block.received_codes, sc.quantizer)
+        for v, codes in zip(indices.tolist(), block.qmud.tolist()):
             for k in range(sc.K):
                 kind = DECISIONS[codes[k]]
                 in1 = v in regs[(k, 1)].members
@@ -128,6 +129,18 @@ class TestRunTrials:
         report = run_trials(two_user_scenario, trials=10, master_seed=0)
         assert tuple(report.detector_bit_errors) == ALL_DETECTORS
         assert isinstance(report.qmud, harness.QmudStats)
+
+    def test_run_path_never_packs(self, monkeypatch):
+        # The bank reads the received chip codes as they are: neither a run
+        # nor a sweep that rebuilds the bank at each point packs an index.
+        def packing(*args):
+            raise AssertionError("chip codes packed on the run path")
+
+        monkeypatch.setattr(registers, "pack_basis", packing)
+        monkeypatch.setattr(harness, "pack_basis", packing)
+        sc = _nonorthogonal_noisy()
+        assert run_trials(sc, trials=50, master_seed=1).trials == 50
+        assert len(sweep(sc, "gamma", [0, 1], trials=50, master_seed=1)) == 2
 
     def test_trial_errors_carry_trial_context(self, monkeypatch):
         # Trials run in blocks, so an error raised while a block is built
@@ -298,22 +311,22 @@ class TestDegenerateScenarios:
 
     @pytest.mark.parametrize("kind", [DetectorKind.DECORRELATOR, DetectorKind.OPTIMAL])
     def test_each_inverting_detector_is_checked(self, monkeypatch, kind):
-        # A singular R fails the decorrelator's check, the first; R = I at
-        # K=21 passes it and fails the optimal search's user cap, the last.
+        # A singular R fails the condition check, the first; R = I at K=21
+        # passes it and fails the optimal search's user cap, the last.
         # Either way a sweep stops before any build.
         scenario, error, detect, checks = {
             DetectorKind.DECORRELATOR: (make_scenario(**self.SINGULAR), SingularMatrix,
                                         detectors.decorrelate_detect, ["condition"]),
             DetectorKind.OPTIMAL: (make_scenario(**self.TOO_MANY), KTooLarge,
-                                   detectors.optimal_detect, ["condition", "optimal"])}[kind]
+                                   detectors.optimal_detect, ["condition", "user cap"])}[kind]
         with pytest.raises(error):
             detect(np.zeros(scenario.K), correlation_matrix(scenario))
         order = []
-        real_condition, real_optimal = harness._check_condition, harness.check_optimal
+        real_condition, real_cap = harness._check_condition, harness.check_user_cap
         monkeypatch.setattr(harness, "_check_condition",
                             lambda M: order.append("condition") or real_condition(M))
-        monkeypatch.setattr(harness, "check_optimal",
-                            lambda R: order.append("optimal") or real_optimal(R))
+        monkeypatch.setattr(harness, "check_user_cap",
+                            lambda R: order.append("user cap") or real_cap(R))
         builds = _count_builds(monkeypatch)
         with pytest.raises(error):
             sweep(scenario, "noise_sigma", [0.1], trials=3, master_seed=0)
@@ -338,19 +351,20 @@ class TestDegenerateScenarios:
             assert np.linalg.cond(M) <= np.linalg.cond(R)
 
     def test_setup_checks_run_in_detector_order(self, monkeypatch):
-        # The decorrelator's and the optimal search's checks run in that
-        # order, and both before the bank is built.
+        # The condition check of R, which the decorrelator and the optimal
+        # search share, runs once, then the optimal search's user cap, and
+        # both before the bank is built.
         order = []
-        real_condition, real_optimal, real_build = (harness._check_condition,
-                                                    harness.check_optimal, harness.build_bank)
+        real_condition, real_cap, real_build = (harness._check_condition,
+                                                harness.check_user_cap, harness.build_bank)
         monkeypatch.setattr(harness, "_check_condition",
                             lambda M: order.append("condition") or real_condition(M))
-        monkeypatch.setattr(harness, "check_optimal",
-                            lambda R: order.append("optimal") or real_optimal(R))
+        monkeypatch.setattr(harness, "check_user_cap",
+                            lambda R: order.append("user cap") or real_cap(R))
         monkeypatch.setattr(harness, "build_bank",
                             lambda sc: order.append("build") or real_build(sc))
         _Prepared(_nonorthogonal_noisy())
-        assert order == ["condition", "optimal", "build"]
+        assert order == ["condition", "user cap", "build"]
         # 21 users on one chip: R is all ones, singular, and too large for
         # the exhaustive search; the decorrelator's check fails first, with
         # or without noise, so the optimal search's KTooLarge never shows.
@@ -443,27 +457,31 @@ def _engine_cases(draw):
         gamma=draw(st.integers(0, 2)),
         delays=tuple(sorted(draw(st.sets(st.integers(0, PG - 1), min_size=1)))),
         reps_max=draw(st.integers(1, 8)))
-    return (scenario, draw(st.sampled_from([1, BLOCK_TRIALS - 1, BLOCK_TRIALS + 1])),
-            draw(st.integers(1, 2**40)), draw(st.integers(0, 2**64 - 1)))
+    trials = draw(st.sampled_from([1, BLOCK_TRIALS - 1, BLOCK_TRIALS + 1]))
+    return scenario, trials, draw(st.integers(0, trials - 1)), draw(st.integers(0, 2**64 - 1))
 
 
 class TestBlockEngine:
     @given(_engine_cases())
     @settings(max_examples=50, deadline=None)
     def test_blocks_equal_the_per_trial_loop(self, case):
+        # The per-trial loop runs once, over trials 0 .. trials - 1: the
+        # block from trial 0, the block from a later trial t0 and the
+        # run_trials report all compare with its rows.
         scenario, trials, t0, seed = case
         prep = _Prepared(scenario)
-        regs = reference_registers(scenario)
-        assert block_lists(_run_block(prep, seed, t0, trials)) == block_lists(
-            reference_block(prep, regs, t0, trials, seed))
-        assert run_trials(scenario, trials, seed) == reference_report(scenario, trials, seed)
+        rows = reference_rows(prep, reference_registers(scenario), 0, trials, seed)
+        assert block_lists(_run_block(prep, seed, 0, trials)) == block_lists(stack_rows(rows))
+        assert block_lists(_run_block(prep, seed, t0, trials - t0)) == block_lists(
+            stack_rows(rows[t0:]))
+        assert run_trials(scenario, trials, seed) == reference_report(scenario, rows, seed)
 
     def test_one_trial_block_is_the_per_trial_loop(self):
         prep = _Prepared(_nonorthogonal_noisy())
         regs = reference_registers(prep.scenario)
         for t in (0, 1, 2**33):
             assert block_lists(_run_block(prep, 5, t, 1)) == block_lists(
-                reference_block(prep, regs, t, 1, 5))
+                stack_rows(reference_rows(prep, regs, t, 1, 5)))
 
     def test_condition_checked_only_before_trial_0(self, monkeypatch):
         calls = []
@@ -472,7 +490,7 @@ class TestBlockEngine:
         sc = _nonorthogonal_noisy()
         _Prepared(sc)
         warm_up = len(calls)
-        assert warm_up == 2  # decorrelator, optimal
+        assert warm_up == 1  # R's one condition check, shared by decorrelator and optimal
         run_trials(sc, trials=500, master_seed=1)
         assert len(calls) == 2 * warm_up
 

@@ -332,7 +332,7 @@ WIDTH_CASES = {
     "8-bit-masks": (make_orthogonal(K=4, PG=4, gamma=1), np.uint8),
     # 2K = 10 is the fewest register bits past a uint8 mask; delay-variant boxes too.
     "16-bit-masks": (make_orthogonal(K=5, PG=8, delays=(0, 2)), np.uint16),
-    # N_Q = 20, the widest register that the tests probe index by index.
+    # N_Q = 20, the widest register that the tests probe at every code tuple.
     "n_q-20": (make_scenario(gamma=1, quantizer=QuantizerSpec(n_ch=5, amplitude=1.5)), np.uint8),
     # 9 boxes of 2**4 rows: 144 rows fill two words and 16 bits of a third.
     "word-boundary": (make_orthogonal(K=4, PG=4, gamma=1, delays=(0, 1, 2)), np.uint8),
@@ -364,6 +364,17 @@ def union(regs):
     return registers._distinct(np.sort(np.concatenate([reg.members for reg in regs.values()])))
 
 
+def codes_of(v, sc):
+    """Chip codes (..., PG) of the indices ``v``, chip 0 most significant, as pack_basis packs."""
+    return np.stack(np.unravel_index(v, (sc.quantizer.levels,) * sc.PG), axis=-1)
+
+
+def with_neighbours(members, sc):
+    """``members`` and their -1 and +1 neighbours inside the register width, once each, sorted."""
+    probes = np.unique(np.concatenate([members - 1, members, members + 1]))
+    return probes[(probes >= 0) & (probes < 1 << sc.register_bits)]
+
+
 def build_bank_in_slices(sc, slice_bytes):
     """build_bank with the slice cap set to ``slice_bytes``; 1 makes every chip a leading chip."""
     with mock.patch.object(registers, "SLICE_BYTES", slice_bytes):
@@ -386,9 +397,9 @@ class TestRegisterBank:
         for k, bit in itertools.product(range(sc.K), (1, -1)):
             reg = regs[register_bit(k, bit)]
             assert reg.members.tolist() == sorted(reference_hypotheses(sc, k, bit))
-        # Membership of every index of the register width, stored or not.
+        # Membership of every code tuple of the register width, stored or not.
         v = np.arange(1 << sc.register_bits)
-        contains = bank.contains(v)
+        contains = bank.contains(codes_of(v, sc))
         assert contains.shape == (v.size, 2 * sc.K)
         for j, reg in regs.items():
             assert bank.n_s[j] == reg.n_s
@@ -424,9 +435,8 @@ class TestRegisterBank:
         assert peak <= 4 * registers.SLICE_BYTES
         for j, reg in regs.items():
             assert bank.n_s[j] == reg.n_s
-        members = union(regs)
-        probes = np.concatenate([members, members + 1])
-        contains = bank.contains(probes)
+        probes = with_neighbours(union(regs), sc)
+        contains = bank.contains(codes_of(probes, sc))
         for j, reg in regs.items():
             assert np.array_equal(contains[:, j], reg.contains(probes))
 
@@ -444,13 +454,11 @@ class TestRegisterBank:
                 assert reg.members.tolist() == sorted(reference_hypotheses(sc, k, bit))
         assert bank.n_s == tuple(regs[j].n_s for j in range(2 * sc.K))
         if sc.register_bits <= 20:
-            # Every index of the register width: a set equality.
+            # Every code tuple of the register width: a set equality.
             probes = np.arange(1 << sc.register_bits)
         else:
-            members = union(regs)
-            probes = np.concatenate([members, members - 1, members + 1,
-                                     [-1, 1 << sc.register_bits]])
-        contains = bank.contains(probes)
+            probes = with_neighbours(union(regs), sc)
+        contains = bank.contains(codes_of(probes, sc))
         for j, reg in regs.items():
             assert np.array_equal(contains[:, j], np.isin(probes, reg.members))
         # Bitsets of 64 rows per word, with no bit set past the last row.
@@ -483,13 +491,17 @@ class TestRegisterBank:
         sc = WIDTH_CASES[case][0]
         bank = build_bank(sc)
         reg = width_enumerations(case)[register_bit(0, 1)]
-        probes = np.concatenate([reg.members, reg.members + 1, np.random.default_rng(5).integers(
-            -1, (1 << sc.register_bits) + 1, 1000)]).reshape(-1, 2)
-        whole = bank.contains(probes)
+        probes = np.concatenate([with_neighbours(reg.members, sc), np.random.default_rng(5)
+                                 .integers(0, 1 << sc.register_bits, 1000)])
+        # Two leading axes: codes of shape (n, 2, PG).
+        probes = np.stack([probes, probes[::-1]], axis=1)
+        codes = codes_of(probes, sc)
+        whole = bank.contains(codes)
+        assert whole.shape == probes.shape + (2 * sc.K,)
         assert np.array_equal(whole[..., register_bit(0, 1)], reg.contains(probes))
         for slice_bytes in (3000, 1):
             with mock.patch.object(registers, "SLICE_BYTES", slice_bytes):
-                assert np.array_equal(bank.contains(probes), whole)
+                assert np.array_equal(bank.contains(codes), whole)
 
     @pytest.mark.parametrize("case", WIDTH_CASES)
     def test_key_width(self, case, monkeypatch):
@@ -530,28 +542,6 @@ class TestRegisterBank:
         assert _slicing(two_user_scenario, 1 << 2, 4)[0] == 0
         with mock.patch.object(registers, "SLICE_BYTES", 1):
             assert _slicing(two_user_scenario, 1 << 2, 4) == (two_user_scenario.PG, 1)
-
-    def test_contains_reports_indices_outside_the_width_as_absent(self):
-        # 24-bit indices: a probe cast to 32 bits without a range check
-        # would wrap 2**32 + m onto the stored m.
-        sc = make_orthogonal(K=8, PG=8)
-        bank = build_bank(sc)
-        assert bank.n_q == 24
-        regs = enumerations(sc)
-        m = int(regs[0].members[5])
-        values = [m, -1, -m, 1 << 24, (1 << 24) + m, (1 << 32) + m, (1 << 33) + m,
-                  2**63 - 1, -(2**63), np.int64(m), np.uint32(m), np.int32(-1),
-                  np.int64((1 << 32) + m), np.uint64((1 << 32) + m), np.uint64(2**64 - 1),
-                  (1 << 64) + m, 2**70, float(m), m + 0.5]
-        for v in values:
-            expected = [bool(regs[j].contains(v)) for j in range(2 * sc.K)]
-            assert bank.contains(v).tolist() == expected, v
-        assert bank.contains(m).any()
-        ints = np.array([m, -1, 1 << 24, (1 << 32) + m, 2**63 - 1, -(2**63) + m])
-        contains = bank.contains(ints)
-        for j, reg in regs.items():
-            assert contains[:, j].tolist() == reg.contains(ints).tolist()
-        assert not contains[1:].any()
 
 
 class TestSparseRegisterApi:
