@@ -37,7 +37,7 @@ def main():
     print(f"{'detector':<14}{'bit errors':>12}{'BER':>12}")
     for kind in ALL_DETECTORS:
         errors = report.detector_bit_errors[kind]
-        print(f"{kind.value:<14}{errors:>12}{errors / bits:>12.4f}")
+        print(f"{kind.value:<14}{errors:>12}{report.ber(kind):>12.4f}")
 
     q = report.qmud
     print(f"\nquantum receiver over {bits} user-slots "

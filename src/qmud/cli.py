@@ -119,7 +119,7 @@ def _report_rows(report: MetricsReport) -> list[str]:
         errors = report.detector_bit_errors[kind]
         rows.append(",".join([
             common[0], kind.value, common[1], common[2], common[3],
-            str(errors), _fmt(errors / decided), str(decided - errors),
+            str(errors), _fmt(report.ber(kind)), str(decided - errors),
             "0", "0", "0", "0", "", str(report.seed),
         ]))
     q = report.qmud
@@ -182,20 +182,18 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="qmud", description="DS-CDMA multi-user detection simulator")
     sub = parser.add_subparsers(dest="command")
 
-    run_p = sub.add_parser("run", help="run one Monte Carlo experiment")
-    run_p.add_argument("--config", required=True)
-    run_p.add_argument("--out", required=True)
-    run_p.add_argument("--trials", type=int, default=1000)
-    run_p.add_argument("--seed", type=int, default=None,
-                       help="override the scenario seed")
+    experiment = argparse.ArgumentParser(add_help=False)
+    experiment.add_argument("--config", required=True)
+    experiment.add_argument("--out", required=True)
+    experiment.add_argument("--trials", type=int, default=1000)
+    experiment.add_argument("--seed", type=int, default=None,
+                            help="override the scenario seed")
 
-    sweep_p = sub.add_parser("sweep", help="sweep one scenario parameter")
-    sweep_p.add_argument("--config", required=True)
-    sweep_p.add_argument("--out", required=True)
+    sub.add_parser("run", parents=[experiment], help="run one Monte Carlo experiment")
+    sweep_p = sub.add_parser("sweep", parents=[experiment],
+                             help="sweep one scenario parameter")
     sweep_p.add_argument("--param", required=True)
     sweep_p.add_argument("--values", required=True)
-    sweep_p.add_argument("--trials", type=int, default=1000)
-    sweep_p.add_argument("--seed", type=int, default=None)
 
     tab_p = sub.add_parser("povm-table", help="analytic outcome probabilities")
     tab_p.add_argument("--ns", required=True, help="comma-separated populations")
@@ -211,20 +209,18 @@ def main(argv=None) -> int:
         parser.print_usage(sys.stderr)
         return 1
     try:
-        if args.command == "run":
+        if args.command in ("run", "sweep"):
             scenario = _load_scenario(args.config)
             seed = args.seed if args.seed is not None else scenario.seed
-            report = run_trials(scenario, trials=args.trials, master_seed=seed)
-            write_csv([report], args.out)
-            print(f"wrote {args.out}: scenario {report.scenario_id}, "
-                  f"{args.trials} trials, seed {seed}")
-        elif args.command == "sweep":
-            scenario = _load_scenario(args.config)
-            seed = args.seed if args.seed is not None else scenario.seed
-            values = _parse_number_list(args.values, float, "--values")
-            reports = sweep(scenario, args.param, values, args.trials, seed)
+            if args.command == "run":
+                reports = [run_trials(scenario, trials=args.trials, master_seed=seed)]
+                summary = f"scenario {reports[0].scenario_id}, {args.trials} trials, seed {seed}"
+            else:
+                values = _parse_number_list(args.values, float, "--values")
+                reports = sweep(scenario, args.param, values, args.trials, seed)
+                summary = f"{len(reports)} sweep points over {args.param}"
             write_csv(reports, args.out)
-            print(f"wrote {args.out}: {len(reports)} sweep points over {args.param}")
+            print(f"wrote {args.out}: {summary}")
         else:
             n_s_values = _parse_number_list(args.ns, int, "--ns")
             betas = _parse_number_list(args.beta, float, "--beta")

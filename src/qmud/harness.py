@@ -5,10 +5,10 @@ uniform bits, synthesizes the received waveform, runs the four classical
 detectors on the matched-filter outputs, quantizes the waveform into PG
 chip codes, and runs the quantum receiver per user against the
 scenario's hypothesis registers.  All 2K registers are built at once as
-one ``registers.RegisterBank``, once per scenario; a sweep builds it again
-only at points that change a field the registers depend on.  A block hands
-its received chip codes to the bank once, which gives every user's
-membership in both registers and every coverage miss.  Trial t's
+one ``registers.RegisterBank``, once per scenario; a sweep checks R and
+builds the bank again only at points that change a field they depend on.
+A block hands its received chip codes to the bank once, which gives every
+user's membership in both registers and every coverage miss.  Trial t's
 stream is seeded with derive_seed(master_seed, t); within a trial the draw
 order is fixed (K bit uniforms, PG noise normals, then the users'
 measurement draws in ascending user order), so every aggregate is
@@ -43,7 +43,7 @@ from .config import Scenario, check_seed, scenario_digest
 from .detectors import ALL_DETECTORS, DetectorKind, _check_condition, check_user_cap, detect_rows
 from .errors import QmudError, UnknownParameter, ValidationError
 from .povm import DECISIONS, Decision, detect_user_rows
-from .registers import RegisterBank, build_bank, quantize_waveform, register_bit
+from .registers import build_bank, quantize_waveform, register_bit
 from .rng import TrialStreams
 
 # benchmarks/traced_cli.py wraps these functions on this module, so they
@@ -96,32 +96,12 @@ class MetricsReport:
         return self.detector_bit_errors[kind] / (self.trials * self.users)
 
 
-class _RegisterCache:
-    """The register bank for the most recent register-defining fields.
-
-    The key holds every scenario field build_bank reads, so a noise_sigma
-    or reps_max sweep builds its bank once.  A new key drops the old bank
-    before building its own: two banks never coexist.
-    """
-
-    def __init__(self):
-        self._key = None
-        self._bank = None
-
-    def bank(self, scenario: Scenario) -> RegisterBank:
-        key = (scenario.signatures, scenario.energies, scenario.gains,
-               scenario.quantizer, scenario.gamma, scenario.delays)
-        if key != self._key:
-            self._key = self._bank = None
-            self._bank = build_bank(scenario)
-            self._key = key
-        return self._bank
-
-
 class _Prepared:
     """Everything a trial reads, built once per scenario.
 
-    Holds the scenario, R and the register bank.  R's condition check
+    Holds the scenario, R and the register bank.  A sweep point whose
+    ``key``, every field that R and build_bank read, equals the one of
+    ``previous`` takes its R and bank.  Otherwise R's condition check
     (SingularMatrix), which the decorrelator and the optimal search share,
     runs once, then the optimal search's user cap (KTooLarge): they reject
     a degenerate scenario before the bank is built and before trial 0.
@@ -130,13 +110,18 @@ class _Prepared:
     R, cond(R + sigma^2 I) <= cond(R).
     """
 
-    def __init__(self, scenario: Scenario, cache: _RegisterCache | None = None):
+    def __init__(self, scenario: Scenario, previous: _Prepared | None = None):
         self.scenario = scenario
-        self.R = correlation_matrix(scenario)
         self.noise_variance = scenario.noise_sigma ** 2
-        _check_condition(self.R)
-        check_user_cap(self.R)
-        self.bank = (cache or _RegisterCache()).bank(scenario)
+        self.key = (scenario.signatures, scenario.energies, scenario.gains,
+                    scenario.quantizer, scenario.gamma, scenario.delays)
+        if previous is not None and previous.key == self.key:
+            self.R, self.bank = previous.R, previous.bank
+        else:
+            self.R = correlation_matrix(scenario)
+            _check_condition(self.R)
+            check_user_cap(self.R)
+            self.bank = build_bank(scenario)
 
 
 @dataclass(frozen=True)
@@ -182,7 +167,7 @@ def _run_block(prep: _Prepared, master_seed: int, t0: int, count: int) -> _Block
 
 def run_trials(scenario: Scenario, trials: int = 1000, master_seed: int = 0) -> MetricsReport:
     """Run the full pipeline for `trials` symbols and aggregate counts."""
-    return _run_trials(scenario, trials, master_seed, _RegisterCache())
+    return _run_trials(scenario, trials, master_seed)[0]
 
 
 # Bit value of each povm.DECISIONS code; 0 for the codes that decide no bit.
@@ -190,11 +175,12 @@ _DECIDED_BIT = np.array([d.bit_value or 0 for d in DECISIONS])
 
 
 def _run_trials(scenario: Scenario, trials: int, master_seed: int,
-                cache: _RegisterCache) -> MetricsReport:
+                previous: _Prepared | None = None) -> tuple[MetricsReport, _Prepared]:
+    """The report of `trials` symbols, and the _Prepared that they ran on."""
     if trials < 1:
         raise ValidationError(f"trials must be >= 1, got {trials}")
     master_seed = check_seed(master_seed)
-    prep = _Prepared(scenario, cache)
+    prep = _Prepared(scenario, previous)
 
     bit_errors = dict.fromkeys(ALL_DETECTORS, 0)
     categories = np.zeros(len(DECISIONS), dtype=np.int64)
@@ -219,8 +205,9 @@ def _run_trials(scenario: Scenario, trials: int, master_seed: int,
     qmud_stats = QmudStats(correct, false_dec, counts[Decision.NO_MESSAGE],
                            counts[Decision.AMBIGUOUS], counts[Decision.INCONCLUSIVE],
                            miss_count, reps_total / (trials * scenario.K))
-    return MetricsReport(scenario_digest(scenario), scenario.K, trials, master_seed,
-                         bit_errors, qmud_stats)
+    report = MetricsReport(scenario_digest(scenario), scenario.K, trials, master_seed,
+                           bit_errors, qmud_stats)
+    return report, prep
 
 
 def _apply_parameter(scenario: Scenario, name: str, value) -> Scenario:
@@ -234,15 +221,15 @@ def sweep(scenario: Scenario, parameter: str, values, trials: int,
           master_seed: int) -> list[MetricsReport]:
     """One report per parameter value, in order, under common random numbers.
 
-    Consecutive points that agree on every register-defining field share
-    one register bank.
+    Each point inherits R and the register bank from the previous point
+    when the two agree on every register-defining field.
     """
     if parameter not in SWEEPABLE:
         raise UnknownParameter(f"cannot sweep {parameter!r}; choose one of {SWEEPABLE}")
-    cache = _RegisterCache()
+    prep = None
     reports = []
     for value in values:
         modified = _apply_parameter(scenario, parameter, value)
-        report = _run_trials(modified, trials, master_seed, cache)
+        report, prep = _run_trials(modified, trials, master_seed, prep)
         reports.append(replace(report, param_name=parameter, param_value=float(value)))
     return reports

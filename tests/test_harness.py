@@ -1,7 +1,5 @@
-import gc
 import math
 import tracemalloc
-import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -17,7 +15,7 @@ from qmud.config import default_amplitude
 from qmud.detectors import RESIDUAL_BYTES
 from qmud.errors import (BudgetExceeded, KTooLarge, SingularMatrix, UnknownParameter,
                          ValidationError)
-from qmud.harness import ALL_DETECTORS, BLOCK_TRIALS, _Prepared, _RegisterCache, _run_block
+from qmud.harness import ALL_DETECTORS, BLOCK_TRIALS, _Prepared, _run_block
 from qmud.povm import DECISIONS
 from scalar_reference import (block_lists, reference_hypotheses, reference_registers,
                               reference_report, reference_rows, stack_rows)
@@ -235,18 +233,39 @@ class TestSweep:
 
 
 class TestRegisterReuse:
+    @staticmethod
+    def _spy(monkeypatch):
+        """Record every condition check, every bank build and each block's _Prepared."""
+        conds, preps = [], []
+        real_cond, real_block = np.linalg.cond, harness._run_block
+        monkeypatch.setattr(np.linalg, "cond", lambda M: conds.append(M) or real_cond(M))
+        monkeypatch.setattr(harness, "_run_block",
+                            lambda prep, *args: preps.append(prep) or real_block(prep, *args))
+        return conds, _count_builds(monkeypatch), preps
+
     @pytest.mark.parametrize("param,values", [("noise_sigma", [0.0, 0.1, 0.2]),
                                               ("reps_max", [1, 3, 6])])
     def test_register_neutral_sweep_builds_once(self, monkeypatch, param, values):
-        builds = _count_builds(monkeypatch)
+        # Each point inherits R and the bank from the point before it, so R
+        # is checked once, and keeps its own scenario and noise variance.
+        conds, builds, preps = self._spy(monkeypatch)
         sweep(_nonorthogonal_noisy(), param, values, trials=20, master_seed=1)
-        assert len(builds) == 1
+        assert len(conds) == len(builds) == 1
+        assert len(preps) == len({id(p) for p in preps}) == len(values)
+        assert all(p.R is preps[0].R and p.bank is preps[0].bank for p in preps)
+        assert [getattr(p.scenario, param) for p in preps] == values
+        assert [p.noise_variance for p in preps] == [
+            p.scenario.noise_sigma ** 2 for p in preps]
 
-    @pytest.mark.parametrize("param,values", [("gamma", [0, 1, 2]), ("N_ch", [2, 3, 4])])
+    @pytest.mark.parametrize("param,values", [("gamma", [0, 1, 2]), ("N_ch", [2, 3, 4]),
+                                              ("gamma", [0, 1, 0]), ("N_ch", [2, 3, 2])])
     def test_register_defining_sweep_rebuilds_every_point(self, monkeypatch, param, values):
-        builds = _count_builds(monkeypatch)
+        # Reuse comes from the previous point only: a value met again two
+        # points later is checked and built again.
+        conds, builds, preps = self._spy(monkeypatch)
         sweep(_nonorthogonal_noisy(), param, values, trials=20, master_seed=1)
-        assert len(builds) == len(values)
+        assert len(conds) == len(builds) == len(values)
+        assert len({id(p.bank) for p in preps}) == len(values)
 
     def test_run_trials_builds_its_own_bank(self, monkeypatch):
         builds = _count_builds(monkeypatch)
@@ -270,22 +289,6 @@ class TestRegisterReuse:
                 point = sc.with_overrides(**{param: value})
             alone = run_trials(point, trials=150, master_seed=13)
             assert report == replace(alone, param_name=param, param_value=float(value))
-
-    def test_new_key_frees_the_old_bank_before_building(self, monkeypatch):
-        cache = _RegisterCache()
-        old = weakref.ref(cache.bank(_nonorthogonal_noisy(gamma=0)))
-        alive_at_build = []
-        real = harness.build_bank
-
-        def probing(scenario):
-            gc.collect()
-            alive_at_build.append(old() is not None)
-            return real(scenario)
-
-        monkeypatch.setattr(harness, "build_bank", probing)
-        new = cache.bank(_nonorthogonal_noisy(gamma=1))
-        assert alive_at_build == [False]
-        assert cache.bank(_nonorthogonal_noisy(gamma=1, noise_sigma=0.0)) is new
 
 
 class TestDegenerateScenarios:
