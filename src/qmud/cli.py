@@ -177,10 +177,17 @@ def _parse_number_list(raw: str, caster, flag: str):
         raise ValidationError(f"{flag}: expected a comma-separated number list") from exc
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Exits 1 with an ``error:`` line on a bad command line, as do its subparsers."""
+
+    def error(self, message):
+        self.exit(1, f"{self.format_usage()}error: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="qmud", description="DS-CDMA multi-user detection simulator")
-    sub = parser.add_subparsers(dest="command")
+    sub = parser.add_subparsers(dest="command", required=True)
 
     experiment = argparse.ArgumentParser(add_help=False)
     experiment.add_argument("--config", required=True)
@@ -205,9 +212,6 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if args.command is None:
-        parser.print_usage(sys.stderr)
-        return 1
     try:
         if args.command in ("run", "sweep"):
             scenario = _load_scenario(args.config)

@@ -167,21 +167,27 @@ def _run_block(prep: _Prepared, master_seed: int, t0: int, count: int) -> _Block
 
 def run_trials(scenario: Scenario, trials: int = 1000, master_seed: int = 0) -> MetricsReport:
     """Run the full pipeline for `trials` symbols and aggregate counts."""
-    return _run_trials(scenario, trials, master_seed)[0]
+    return _run_points([scenario], trials, master_seed)[0]
 
 
 # Bit value of each povm.DECISIONS code; 0 for the codes that decide no bit.
 _DECIDED_BIT = np.array([d.bit_value or 0 for d in DECISIONS])
 
 
-def _run_trials(scenario: Scenario, trials: int, master_seed: int,
-                previous: _Prepared | None = None) -> tuple[MetricsReport, _Prepared]:
-    """The report of `trials` symbols, and the _Prepared that they ran on."""
+def _run_points(scenarios, trials: int, master_seed: int) -> list[MetricsReport]:
+    """One report per scenario; trials, the seed and every _Prepared are checked before trial 0."""
     if trials < 1:
         raise ValidationError(f"trials must be >= 1, got {trials}")
     master_seed = check_seed(master_seed)
-    prep = _Prepared(scenario, previous)
+    preps = []
+    for scenario in scenarios:
+        preps.append(_Prepared(scenario, preps[-1] if preps else None))
+    return [_run_trials(prep, trials, master_seed) for prep in preps]
 
+
+def _run_trials(prep: _Prepared, trials: int, master_seed: int) -> MetricsReport:
+    """The report of `trials` symbols on ``prep``."""
+    scenario = prep.scenario
     bit_errors = dict.fromkeys(ALL_DETECTORS, 0)
     categories = np.zeros(len(DECISIONS), dtype=np.int64)
     correct = false_dec = miss_count = reps_total = 0
@@ -205,9 +211,8 @@ def _run_trials(scenario: Scenario, trials: int, master_seed: int,
     qmud_stats = QmudStats(correct, false_dec, counts[Decision.NO_MESSAGE],
                            counts[Decision.AMBIGUOUS], counts[Decision.INCONCLUSIVE],
                            miss_count, reps_total / (trials * scenario.K))
-    report = MetricsReport(scenario_digest(scenario), scenario.K, trials, master_seed,
-                           bit_errors, qmud_stats)
-    return report, prep
+    return MetricsReport(scenario_digest(scenario), scenario.K, trials, master_seed,
+                         bit_errors, qmud_stats)
 
 
 def _apply_parameter(scenario: Scenario, name: str, value) -> Scenario:
@@ -221,15 +226,14 @@ def sweep(scenario: Scenario, parameter: str, values, trials: int,
           master_seed: int) -> list[MetricsReport]:
     """One report per parameter value, in order, under common random numbers.
 
-    Each point inherits R and the register bank from the previous point
-    when the two agree on every register-defining field.
+    Every point is prepared, after trials and the seed are checked, before
+    trial 0.  Each point inherits R and the register bank from the previous
+    point when the two agree on every register-defining field; a ``gamma``
+    or ``N_ch`` sweep keeps every point's bank alive until it returns.
     """
     if parameter not in SWEEPABLE:
         raise UnknownParameter(f"cannot sweep {parameter!r}; choose one of {SWEEPABLE}")
-    prep = None
-    reports = []
-    for value in values:
-        modified = _apply_parameter(scenario, parameter, value)
-        report, prep = _run_trials(modified, trials, master_seed, prep)
-        reports.append(replace(report, param_name=parameter, param_value=float(value)))
-    return reports
+    values = list(values)
+    points = (_apply_parameter(scenario, parameter, value) for value in values)
+    return [replace(report, param_name=parameter, param_value=float(value))
+            for report, value in zip(_run_points(points, trials, master_seed), values)]

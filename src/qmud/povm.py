@@ -19,12 +19,13 @@ symmetric operating point.  The receiver runs one block bank against the
 bit-1 register and one against the bit-0 register, repeating inconclusive
 banks up to a budget, and maps the pair of verdicts to a user decision.
 
-The operators are the model, sampled shot by shot by ``measurement_block``;
-``detect_user`` reproduces its draws and verdicts by register membership
-plus one threshold compare per block, and the tests check it against them.
-``detect_user_rows`` runs ``detect_user`` for a block of trials at once,
-each on its own stream, from the memberships and populations the harness
-reads from its register bank; it sees no register.
+The operators are the model: ``measurement_block`` samples them shot by
+shot, and ``detect_user`` runs it on every open bank each round.  The
+harness runs ``detect_user_rows``, which takes the same draws and reaches
+the same decisions for a block of trials at once, each on its own stream,
+by one threshold compare per bank and round on the memberships and
+populations read from its register bank; the tests check it against
+``detect_user``.
 """
 
 from __future__ import annotations
@@ -36,8 +37,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DomainError, InternalInconsistency, NotPositive, ValidationError
-from .registers import QubitState, SparseRegister, present_qubit_amplitudes, reduce_to_qubit
+from .errors import DomainError, EmptyRegister, InternalInconsistency, NotPositive, ValidationError
+from .registers import SparseRegister
 from .rng import SplitMix64, TrialStreams
 
 # Eigenvalue slack accepted before an operator is rejected as indefinite;
@@ -71,6 +72,49 @@ class Decision(enum.Enum):
 class UserDecision:
     kind: Decision
     reps_used: int
+
+
+@dataclass(frozen=True)
+class QubitState:
+    """Two-level reduction of a register relative to one basis index."""
+
+    c0: float
+    c1: float
+
+    def __post_init__(self):
+        if abs(self.c0 * self.c0 + self.c1 * self.c1 - 1.0) > 1e-12:
+            raise ValidationError(f"qubit amplitudes not normalized: ({self.c0}, {self.c1})")
+
+    @classmethod
+    def absent(cls) -> "QubitState":
+        return cls(1.0, 0.0)
+
+    @classmethod
+    def present(cls, n_s: int) -> "QubitState":
+        return cls(*present_qubit_amplitudes(n_s))
+
+
+@lru_cache(maxsize=None)
+def present_qubit_amplitudes(n_s: int) -> tuple[float, float]:
+    """(c0, c1) of the reduced qubit when the probed index is stored.
+
+    Shared by the register reduction and the measurement operators so both
+    sides use bit-identical floats; the unambiguous-discrimination zero
+    probabilities then cancel exactly.
+    """
+    if n_s < 1:
+        raise EmptyRegister("population must be >= 1")
+    return math.sqrt((n_s - 1.0) / n_s), math.sqrt(1.0 / n_s)
+
+
+def reduce_to_qubit(reg: SparseRegister, v: int) -> QubitState:
+    """Collapse the register to the two-level state seen by the measurement.
+
+    The component along |v> carries amplitude 1/sqrt(N_s) if stored, else
+    the state is exactly the reference state (1, 0).
+    """
+    present = QubitState.present(reg.n_s)  # raises EmptyRegister for N_s = 0
+    return present if v in reg else QubitState.absent()
 
 
 @dataclass(frozen=True)
@@ -213,52 +257,34 @@ def measurement_block(reg: SparseRegister, v: int, rng: SplitMix64) -> Measureme
 
 def select_decision(bank1: MeasurementOutcome, bank0: MeasurementOutcome) -> Decision:
     """Map the two conclusive bank verdicts to a user decision."""
-    pair = (bank1, bank0)
-    if pair == (MeasurementOutcome.E1, MeasurementOutcome.E2):
-        return Decision.BIT_ONE
-    if pair == (MeasurementOutcome.E2, MeasurementOutcome.E1):
-        return Decision.BIT_ZERO
-    if pair == (MeasurementOutcome.E2, MeasurementOutcome.E2):
-        return Decision.NO_MESSAGE
-    if pair == (MeasurementOutcome.E1, MeasurementOutcome.E1):
-        return Decision.AMBIGUOUS
-    raise ValidationError(f"bank verdicts must be conclusive, got {pair}")
+    e1, e2 = MeasurementOutcome.E1, MeasurementOutcome.E2
+    decision = {(e1, e2): Decision.BIT_ONE, (e2, e1): Decision.BIT_ZERO,
+                (e2, e2): Decision.NO_MESSAGE, (e1, e1): Decision.AMBIGUOUS}.get((bank1, bank0))
+    if decision is None:
+        raise ValidationError(f"bank verdicts must be conclusive, got {(bank1, bank0)}")
+    return decision
 
 
 def detect_user(reg1: SparseRegister, reg0: SparseRegister, v: int,
                 reps_max: int, rng: SplitMix64) -> UserDecision:
     """Full receiver for one user: two block banks plus selection.
 
-    Each round re-measures every still-inconclusive bank (bank1 before
-    bank0, fresh independent shots, registers unchanged) until both banks
-    are conclusive or the budget runs out.  reps_used reports the larger
-    of the two banks' block counts.  A block draws the confirm and then the
-    reject uniform, as measurement_block does.  Membership fixes the one
-    outcome a bank can reach: E1 if v is stored, when the confirm uniform
-    is below c1*c1, else E2, when the reject uniform is.
+    Each round runs measurement_block on every still-inconclusive bank
+    (bank1 before bank0, fresh independent shots, registers unchanged)
+    until both banks are conclusive or the budget runs out.  reps_used
+    reports the larger of the two banks' block counts.
     """
     if reps_max < 1:
         raise ValidationError(f"reps_max must be >= 1, got {reps_max}")
 
-    banks = []
-    for reg in (reg1, reg0):
-        c1 = present_qubit_amplitudes(reg.n_s)[1]  # raises EmptyRegister for N_s = 0
-        banks.append((v in reg, c1 * c1))  # the float sample_outcome compares with
-    done = [False, False]
-    reps = [0, 0]
+    verdicts = [MeasurementOutcome.E3, MeasurementOutcome.E3]
     for rep in range(1, reps_max + 1):
-        for b, (stored, threshold) in enumerate(banks):
-            if not done[b]:
-                u_confirm, u_reject = rng.uniform(), rng.uniform()
-                done[b] = (u_confirm if stored else u_reject) < threshold
-                reps[b] = rep
-        if done[0] and done[1]:
-            break
-    if not (done[0] and done[1]):
-        return UserDecision(Decision.INCONCLUSIVE, max(reps))
-    verdicts = [MeasurementOutcome.E1 if stored else MeasurementOutcome.E2
-                for stored, _ in banks]
-    return UserDecision(select_decision(*verdicts), max(reps))
+        for b, reg in enumerate((reg1, reg0)):
+            if verdicts[b] is MeasurementOutcome.E3:
+                verdicts[b] = measurement_block(reg, v, rng)
+        if MeasurementOutcome.E3 not in verdicts:
+            return UserDecision(select_decision(*verdicts), rep)
+    return UserDecision(Decision.INCONCLUSIVE, reps_max)
 
 
 # detect_user_rows' decision codes: a conclusive user gets
@@ -276,8 +302,9 @@ def detect_user_rows(stored1: np.ndarray, stored0: np.ndarray, n_s1: int, n_s0: 
     index; row t draws from row t of ``streams``.  Returns (decision code,
     reps_used) arrays; a code indexes DECISIONS.  Each round, every
     still-open bank of every row draws its confirm and then its reject
-    uniform, bank1 before bank0, so each row takes the draws detect_user
-    takes from its stream and reaches its decision.
+    uniform, bank1 before bank0.  Membership fixes the one outcome a bank
+    can reach: E1 if the index is stored, when the confirm uniform is below
+    c1*c1, else E2, when the reject uniform is.
     """
     if reps_max < 1:
         raise ValidationError(f"reps_max must be >= 1, got {reps_max}")

@@ -7,7 +7,7 @@ significant, which ``pack_basis`` packs.  A user's hypothesis register for
 bit b is the set of indices reachable from that bit: own-signature delay
 variants, every interferer bit pattern, and a bounded lattice of per-chip
 noise offsets.  Registers carry implicit uniform amplitudes 1/sqrt(N_s),
-so membership alone fixes the state.
+so membership alone fixes the qubit that ``povm.reduce_to_qubit`` gives.
 
 One quantizer of boxes, ``_chip_codes``, turns bit patterns into chip
 codes: a pattern's box is its noiseless waveform under every lattice
@@ -62,16 +62,13 @@ sweep and a new one at each point of a ``gamma`` or ``N_ch`` sweep.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from .cdma import noiseless_waveforms
 from .config import QuantizerSpec, Scenario
-from .errors import (BudgetExceeded, CodeOutOfRange, DelayOutOfRange,
-                     EmptyRegister, ValidationError)
+from .errors import BudgetExceeded, CodeOutOfRange, DelayOutOfRange, ValidationError
 
 # Cap on delays x interferer patterns x noise-lattice points per register.
 ENUMERATION_BUDGET = 10**6
@@ -172,52 +169,6 @@ class SparseRegister:
     @property
     def n_s(self) -> int:
         return self.members.size
-
-
-@dataclass(frozen=True)
-class QubitState:
-    """Two-level reduction of a register relative to one basis index."""
-
-    c0: float
-    c1: float
-
-    def __post_init__(self):
-        if abs(self.c0 * self.c0 + self.c1 * self.c1 - 1.0) > 1e-12:
-            raise ValidationError(f"qubit amplitudes not normalized: ({self.c0}, {self.c1})")
-
-    @classmethod
-    def absent(cls) -> "QubitState":
-        return cls(1.0, 0.0)
-
-    @classmethod
-    def present(cls, n_s: int) -> "QubitState":
-        return cls(*present_qubit_amplitudes(n_s))
-
-
-@lru_cache(maxsize=None)
-def present_qubit_amplitudes(n_s: int) -> tuple[float, float]:
-    """(c0, c1) of the reduced qubit when the probed index is stored.
-
-    Shared by the register reduction and the measurement operators so both
-    sides use bit-identical floats; the unambiguous-discrimination zero
-    probabilities then cancel exactly.
-    """
-    if n_s < 1:
-        raise EmptyRegister("population must be >= 1")
-    return math.sqrt((n_s - 1.0) / n_s), math.sqrt(1.0 / n_s)
-
-
-def reduce_to_qubit(reg: SparseRegister, v: int) -> QubitState:
-    """Collapse the register to the two-level state seen by the measurement.
-
-    The component along |v> carries amplitude 1/sqrt(N_s) if stored, else
-    the state is exactly the reference state (1, 0).
-    """
-    if reg.n_s == 0:
-        raise EmptyRegister("register holds no states")
-    if v in reg:
-        return QubitState.present(reg.n_s)
-    return QubitState.absent()
 
 
 def hypothesis_budget(scenario: Scenario) -> int:

@@ -12,6 +12,9 @@ per-trial loop that ``harness`` ran before it ran trials in blocks: one
 detectors and ``detect_user``, against registers that
 ``reference_registers`` builds one by one with ``enumerate_hypotheses``,
 not read from the harness's bank, and probed with ``pack_basis`` indices.
+``detect_user`` measures with the operator algebra, ``measurement_block``
+per open bank and round, so the engine's receiver is compared with the
+operator model itself, decision, reps and draws alike.
 A trial comes out as a one-row ``harness._Block``; ``stack_rows`` stacks
 trials into one block, so the engine's arrays are compared with
 ``block_lists`` field by field, and ``reference_report`` aggregates the

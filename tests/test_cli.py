@@ -198,8 +198,11 @@ class TestMainExitCodes:
         assert "scenario" in capsys.readouterr().out
 
     def test_no_arguments_prints_usage(self, capsys):
-        assert main([]) == 1
-        assert "usage" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            main([])
+        assert exc.value.code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage") and "\nerror: " in err
 
     def test_missing_config_file(self, tmp_path):
         assert main(["run", "--config", str(tmp_path / "nope.json"),
@@ -353,6 +356,41 @@ class TestMainExitCodes:
             if command[0] == "sweep" else []
         assert main([*command, *extra, "--out", str(out)]) == 1
         assert "expected at least one number" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "--seed", "abc"],
+        ["run", "--seed", "1.5"],
+        ["run", "--trials", "abc"],
+        ["sweep", "--param", "gamma"],
+        ["run", "--bogus", "1"],
+        ["bogus"]])
+    def test_bad_command_line_exits_1(self, tmp_path, capsys, argv):
+        cfg = self._write_config(tmp_path, MINIMAL_ONE_USER)
+        out = tmp_path / "r.csv"
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--config", cfg, "--out", str(out)])
+        assert exc.value.code == 1
+        assert any(line.startswith("error: ") for line in capsys.readouterr().err.splitlines())
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [["--help"], ["sweep", "--help"]])
+    def test_help_exits_0(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        assert "usage" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("values,code,prefix", [("0,1.5", 1, "error: "),
+                                                    ("0,1000", 2, "runtime error: ")])
+    def test_sweep_fails_on_a_late_bad_value_before_writing(self, tmp_path, capsys,
+                                                             values, code, prefix):
+        # gamma = 1.5 is not a count; gamma = 1000 is over the enumeration budget.
+        cfg = self._write_config(tmp_path, GOLDEN_CONFIG)
+        out = tmp_path / "s.csv"
+        assert main(["sweep", "--config", cfg, "--param", "gamma", "--values", values,
+                     "--trials", "5", "--out", str(out)]) == code
+        assert capsys.readouterr().err.startswith(prefix)
         assert not out.exists()
 
     def test_sweep_writes_param_columns(self, tmp_path):

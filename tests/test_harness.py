@@ -8,8 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_orthogonal, make_scenario, random_unit_signatures
-from qmud import (Decision, DetectorKind, QuantizerSpec, detectors, harness, registers,
-                  run_trials, sweep, walsh_hadamard_signatures)
+from qmud import (Decision, DetectorKind, QuantizerSpec, SplitMix64, detectors,
+                  enumerate_hypotheses, harness, povm, registers, run_trials, sweep,
+                  walsh_hadamard_signatures)
 from qmud.cdma import correlation_matrix
 from qmud.config import default_amplitude
 from qmud.detectors import RESIDUAL_BYTES
@@ -230,6 +231,20 @@ class TestSweep:
     def test_non_integer_value_for_integer_parameter(self, two_user_scenario):
         with pytest.raises(ValidationError):
             sweep(two_user_scenario, "gamma", [1.5], 5, 0)
+
+    # isqrt(budget) noise offsets per chip side put (2*gamma + 1)**PG alone
+    # over the budget at PG = 2.
+    @pytest.mark.parametrize("values,error", [
+        ([0, 1.5], ValidationError),
+        ([0, math.isqrt(registers.ENUMERATION_BUDGET)], BudgetExceeded)])
+    def test_every_point_checked_before_trial_0(self, monkeypatch, values, error):
+        blocks = []
+        real = harness._run_block
+        monkeypatch.setattr(harness, "_run_block",
+                            lambda *args: blocks.append(args) or real(*args))
+        with pytest.raises(error):
+            sweep(_nonorthogonal_noisy(), "gamma", values, trials=5, master_seed=0)
+        assert blocks == []
 
 
 class TestRegisterReuse:
@@ -485,6 +500,23 @@ class TestBlockEngine:
         for t in (0, 1, 2**33):
             assert block_lists(_run_block(prep, 5, t, 1)) == block_lists(
                 stack_rows(reference_rows(prep, regs, t, 1, 5)))
+
+    def test_engine_never_builds_the_operator_algebra(self, monkeypatch):
+        # The operator algebra is the model the tests check the engine
+        # against; no trial of a run or a sweep may reach it.
+        def forbidden(*args):
+            raise AssertionError("the engine reached the operator algebra")
+
+        for name in ("measurement_block", "sample_outcome", "reduce_to_qubit",
+                     "confirm_reject_pair", "build_povm"):
+            monkeypatch.setattr(povm, name, forbidden)
+        sc = _nonorthogonal_noisy()
+        assert run_trials(sc, trials=300, master_seed=11).qmud.correct > 0
+        reports = sweep(sc, "reps_max", [1, 4], trials=300, master_seed=11)
+        assert reports[0].qmud.mean_reps == 1.0 < reports[1].qmud.mean_reps
+        with pytest.raises(AssertionError, match="operator algebra"):
+            povm.detect_user(enumerate_hypotheses(sc, 0, 1), enumerate_hypotheses(sc, 0, -1),
+                             0, 1, SplitMix64(0))
 
     def test_condition_checked_only_before_trial_0(self, monkeypatch):
         calls = []

@@ -9,11 +9,11 @@ from qmud import (Decision, MeasurementOutcome, QubitState, SparseRegister,
                   build_povm, detect_user, measurement_block,
                   outcome_probabilities, sample_outcome, solve_alpha_for_beta,
                   symmetric_gain, confirm_reject_pair)
-from qmud import povm
 from qmud.errors import (DomainError, EmptyRegister, InternalInconsistency,
                          NotPositive, ValidationError)
-from qmud.povm import UserDecision, combine_block_outcomes, select_decision
-from qmud.rng import SplitMix64
+from qmud.povm import (DECISIONS, UserDecision, combine_block_outcomes, detect_user_rows,
+                       select_decision)
+from qmud.rng import _GAMMA, _MASK64, SplitMix64, TrialStreams, derive_seed
 
 BETA_GRID = [round(0.1 * i, 1) for i in range(11)]
 NS_GRID = [1, 2, 4, 16, 256]
@@ -312,53 +312,28 @@ class TestDetectUser:
             assert abs(stuck / n - p_stuck) <= 3 * sigma
 
 
-def test_detect_user_never_builds_the_operator_algebra(monkeypatch):
-    def forbidden(*args):
-        raise AssertionError("detect_user reached the operator algebra")
-
-    for name in ("sample_outcome", "reduce_to_qubit", "confirm_reject_pair"):
-        monkeypatch.setattr(povm, name, forbidden)
-    reg1 = SparseRegister(frozenset({1, 2, 3, 4}), n_q=4)
-    reg0 = SparseRegister(frozenset({8, 9}), n_q=4)
-    rng = SplitMix64(11)
-    kinds = {detect_user(reg1, reg0, v, 8, rng).kind for v in (1, 8, 12) for _ in range(200)}
-    assert kinds == {Decision.BIT_ONE, Decision.BIT_ZERO, Decision.NO_MESSAGE,
-                     Decision.INCONCLUSIVE}
-    with pytest.raises(AssertionError, match="operator algebra"):
-        measurement_block(reg1, 1, rng)
-
-
-def _detect_user_block_by_block(reg1, reg0, v, reps_max, rng):
-    """detect_user as a plain loop of measurement_block calls."""
-    verdicts = {1: None, 0: None}
-    reps = {1: 0, 0: 0}
-    for rep in range(1, reps_max + 1):
-        for bank, reg in ((1, reg1), (0, reg0)):
-            if verdicts[bank] is None:
-                out = measurement_block(reg, v, rng)
-                reps[bank] = rep
-                if out is not MeasurementOutcome.E3:
-                    verdicts[bank] = out
-        if None not in verdicts.values():
-            break
-    used = max(reps.values())
-    if None in verdicts.values():
-        return UserDecision(Decision.INCONCLUSIVE, used)
-    return UserDecision(select_decision(verdicts[1], verdicts[0]), used)
-
-
 @given(st.sets(st.integers(0, 15), min_size=1), st.sets(st.integers(0, 15), min_size=1),
-       st.integers(0, 15), st.integers(1, 8), st.integers(0, 2**64 - 1))
-@example({3}, {3}, 3, 2, 1)
-@example({3}, {5}, 3, 2, 2)
-@example({3}, {5}, 5, 2, 3)
-@example({3}, {5}, 9, 2, 4)
+       st.integers(0, 15), st.integers(1, 8), st.integers(0, 2**64 - 1),
+       st.integers(0, 2**40), st.integers(1, 16))
+@example({3}, {3}, 3, 2, 1, 0, 1)
+@example({3}, {5}, 3, 2, 2, 0, 1)
+@example({3}, {5}, 5, 2, 3, 0, 1)
+@example({3}, {5}, 9, 2, 4, 0, 1)
+@example({1, 2, 3, 4}, {3, 8}, 0, 8, 5, 7, 16)
 @settings(max_examples=300, deadline=None)
-def test_detect_user_equals_block_by_block_receiver(members1, members0, v, reps_max, seed):
-    # Deciding by membership and one threshold per bank must leave every draw
-    # and verdict exactly as measuring block by block does.
+def test_engine_equals_the_operator_model(members1, members0, v, reps_max, master, t0, T):
+    # Row t probes its own index v_t on the stream of trial t0 + t.  The
+    # engine's threshold compares must give every row the decision, the
+    # reps and the number of draws that measuring block by block gives.
     reg1, reg0 = SparseRegister(members1, n_q=4), SparseRegister(members0, n_q=4)
-    fast, slow = SplitMix64(seed), SplitMix64(seed)
-    assert detect_user(reg1, reg0, v, reps_max, fast) == _detect_user_block_by_block(
-        reg1, reg0, v, reps_max, slow)
-    assert fast.uniform() == slow.uniform()
+    v_t = (v + np.arange(T)) % 16
+    streams = TrialStreams(master, t0, T)
+    codes, reps = detect_user_rows(reg1.contains(v_t), reg0.contains(v_t), reg1.n_s, reg0.n_s,
+                                   reps_max, streams)
+    for t in range(T):
+        seed = derive_seed(master, t0 + t)
+        rng = SplitMix64(seed)
+        decision = detect_user(reg1, reg0, int(v_t[t]), reps_max, rng)
+        assert UserDecision(DECISIONS[codes[t]], int(reps[t])) == decision
+        # A stream's state is its seed advanced by one gamma per draw taken.
+        assert rng._state == (seed + int(streams.draws[t]) * _GAMMA) & _MASK64
