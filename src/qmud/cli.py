@@ -1,4 +1,4 @@
-"""Command-line front end: scenario parsing, experiments, CSV emission.
+"""Command-line front end: experiments and CSV emission.
 
 Subcommands:
 
@@ -6,18 +6,17 @@ Subcommands:
 * ``sweep``      the same experiment across one swept parameter
 * ``povm-table`` analytic outcome probabilities for a gain grid
 
+Scenario files are read by ``config.parse_config``, which names every key.
+
 Exit codes: 0 success, 1 config or validation problems, 2 runtime failures.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
-import math
 import sys
-import warnings
 
-from .config import QuantizerSpec, Scenario, _real, default_amplitude
+from .config import Scenario, parse_config
 from .errors import (DomainError, IoError, ParseError, QmudError,
                      UnknownParameter, ValidationError)
 from .harness import ALL_DETECTORS, MetricsReport, run_trials, sweep
@@ -25,81 +24,6 @@ from .povm import povm_table_rows
 
 RESULTS_HEADER = ("scenario_id,detector,param_name,param_value,trials,bit_errors,ber,"
                   "correct,no_message,ambiguous,inconclusive,coverage_miss,mean_reps,seed")
-
-_REQUIRED_KEYS = {"K", "PG", "signatures", "energies", "gains", "noise_sigma",
-                  "N_ch", "gamma", "reps_max", "seed"}
-_OPTIONAL_KEYS = {"amplitude_A", "delays"}
-
-
-def parse_config(text: str) -> Scenario:
-    """Build a validated Scenario from scenario JSON text.
-
-    Signatures are re-normalized to unit norm, with a warning when the
-    input norm is off by more than 1e-6.  Unknown keys are rejected.
-    """
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"config is not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ParseError("config must be a single JSON object")
-
-    unknown = set(doc) - _REQUIRED_KEYS - _OPTIONAL_KEYS
-    if unknown:
-        raise ValidationError(f"unknown config keys: {sorted(unknown)}")
-    missing = _REQUIRED_KEYS - set(doc)
-    if missing:
-        raise ValidationError(f"missing config keys: {sorted(missing)}")
-
-    signatures = doc["signatures"]
-    if not isinstance(signatures, list):
-        raise ValidationError("signatures: expected a list of chip sequences")
-    normalized = []
-    for k, sig in enumerate(signatures):
-        sig = _real(f"signatures[{k}]", sig, sequence=True)
-        # A vector whose peak chip lies outside [2**-500, 2**500] is scaled
-        # by the exact power of two 2**-e that brings its peak into [0.5, 1),
-        # so no square overflows or underflows; every other vector keeps
-        # e = 0 and the plain sum of squares.
-        peak = max(map(abs, sig), default=0.0)
-        e = 0 if peak == 0 or 2.0 ** -500 <= peak <= 2.0 ** 500 else math.frexp(peak)[1]
-        sig = tuple(math.ldexp(c, -e) for c in sig)
-        norm = math.sqrt(sum(c ** 2 for c in sig))
-        if norm == 0:
-            raise ValidationError(f"signatures[{k}]: zero vector cannot be normalized")
-        # The input's norm, 2**e times the scaled one, in two factors so that
-        # it reads inf where it overflows.
-        input_norm = norm * 2.0 * 2.0 ** (e - 1)
-        if abs(input_norm - 1.0) > 1e-6:
-            warnings.warn(f"signatures[{k}]: norm {input_norm:.6g} re-normalized to 1")
-        normalized.append(tuple(c / norm for c in sig))
-
-    # Counts, ranges and integrality are Scenario's and QuantizerSpec's to check;
-    # a missing amplitude_A is derived only from lengths Scenario has accepted.
-    try:
-        amplitude = doc.get("amplitude_A")
-        scenario = Scenario(
-            K=doc["K"],
-            PG=doc["PG"],
-            signatures=tuple(normalized),
-            energies=doc["energies"],
-            gains=doc["gains"],
-            noise_sigma=doc["noise_sigma"],
-            quantizer=QuantizerSpec(doc["N_ch"], 1.0 if amplitude is None else amplitude),
-            gamma=doc["gamma"],
-            delays=doc.get("delays", [0]),
-            reps_max=doc["reps_max"],
-            seed=doc["seed"],
-        )
-        if amplitude is not None:
-            return scenario
-        derived = default_amplitude(scenario.signatures, scenario.energies, scenario.gains)
-        return scenario.with_overrides(
-            quantizer=QuantizerSpec(scenario.quantizer.n_ch, derived))
-    except ValidationError:
-        raise
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"invalid config value: {exc}") from exc
 
 
 def _fmt(x) -> str:

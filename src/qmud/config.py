@@ -1,4 +1,4 @@
-"""Scenario configuration: the full description of one experiment.
+"""Scenario configuration: the full description of one experiment, and its document.
 
 A ``Scenario`` bundles everything needed to synthesize, receive and detect
 one synchronous symbol: user signatures, energies, channel gains, chip
@@ -6,6 +6,11 @@ noise level, the chip quantizer, the bounded noise lattice used when
 building hypothesis registers, candidate path delays, and the measurement
 repetition budget.  Instances are immutable; each builds its signature
 matrix and amplitude vector once.
+
+A scenario's config document has a key per ``Scenario`` field but the
+quantizer, whose fields take ``N_ch`` and ``amplitude_A``.  ``CONFIG_KEYS``
+names them, here only; the parser, the digest and every sweep point read
+the document through ``scenario_document`` and ``scenario_from_document``.
 """
 
 from __future__ import annotations
@@ -13,11 +18,12 @@ from __future__ import annotations
 import json
 import math
 import numbers
-from dataclasses import dataclass, replace
+import warnings
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ParseError, ValidationError
 
 # CPython's built-in SHA-256 before hashlib, as the stdlib random module
 # takes its sha512; scenario_digest gives the reason.
@@ -225,29 +231,95 @@ def default_amplitude(signatures, energies, gains) -> float:
     return 1.5 * peak
 
 
+# Every Scenario field but the quantizer, then each QuantizerSpec field's key.
+_SCENARIO_KEYS = tuple(f.name for f in fields(Scenario) if f.name != "quantizer")
+_QUANTIZER_KEYS = {"n_ch": "N_ch", "amplitude": "amplitude_A"}
+CONFIG_KEYS = _SCENARIO_KEYS + tuple(_QUANTIZER_KEYS.values())
+OPTIONAL_KEYS = ("amplitude_A", "delays")
+
+
+def scenario_document(scenario: Scenario) -> dict:
+    """The scenario's document: each of CONFIG_KEYS mapped to its value."""
+    doc = {key: getattr(scenario, key) for key in _SCENARIO_KEYS}
+    doc.update((key, getattr(scenario.quantizer, name)) for name, key in _QUANTIZER_KEYS.items())
+    return doc
+
+
+def scenario_from_document(doc: dict) -> Scenario:
+    """The Scenario of a document that holds every one of CONFIG_KEYS."""
+    quantizer = QuantizerSpec(**{name: doc[key] for name, key in _QUANTIZER_KEYS.items()})
+    return Scenario(quantizer=quantizer, **{key: doc[key] for key in _SCENARIO_KEYS})
+
+
+def parse_config(text: str) -> Scenario:
+    """Build a validated Scenario from scenario JSON text.
+
+    Unknown keys are rejected.  A key of OPTIONAL_KEYS takes its default
+    only when it is missing; a null is checked like any other value.
+    Signatures are re-normalized to unit norm, with a warning when the
+    input norm is off by more than 1e-6.
+    """
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"config is not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ParseError("config must be a single JSON object")
+
+    unknown = set(doc) - set(CONFIG_KEYS)
+    if unknown:
+        raise ValidationError(f"unknown config keys: {sorted(unknown)}")
+    missing = set(CONFIG_KEYS) - set(OPTIONAL_KEYS) - set(doc)
+    if missing:
+        raise ValidationError(f"missing config keys: {sorted(missing)}")
+
+    signatures = doc["signatures"]
+    if not isinstance(signatures, list):
+        raise ValidationError("signatures: expected a list of chip sequences")
+    normalized = []
+    for k, sig in enumerate(signatures):
+        sig = _real(f"signatures[{k}]", sig, sequence=True)
+        # A vector whose peak chip lies outside [2**-500, 2**500] is scaled
+        # by the exact power of two 2**-e that brings its peak into [0.5, 1),
+        # so no square overflows or underflows; every other vector keeps
+        # e = 0 and the plain sum of squares.
+        peak = max(map(abs, sig), default=0.0)
+        e = 0 if peak == 0 or 2.0 ** -500 <= peak <= 2.0 ** 500 else math.frexp(peak)[1]
+        sig = tuple(math.ldexp(c, -e) for c in sig)
+        norm = math.sqrt(sum(c ** 2 for c in sig))
+        if norm == 0:
+            raise ValidationError(f"signatures[{k}]: zero vector cannot be normalized")
+        # The input's norm, 2**e times the scaled one, in two factors so that
+        # it reads inf where it overflows.
+        input_norm = norm * 2.0 * 2.0 ** (e - 1)
+        if abs(input_norm - 1.0) > 1e-6:
+            warnings.warn(f"signatures[{k}]: norm {input_norm:.6g} re-normalized to 1")
+        normalized.append(tuple(c / norm for c in sig))
+
+    # Counts, ranges and integrality are Scenario's and QuantizerSpec's to check;
+    # a missing amplitude_A is derived only from lengths Scenario has accepted.
+    try:
+        scenario = scenario_from_document(
+            {"amplitude_A": 1.0, "delays": (0,), **doc, "signatures": tuple(normalized)})
+        if "amplitude_A" in doc:
+            return scenario
+        derived = default_amplitude(scenario.signatures, scenario.energies, scenario.gains)
+        return scenario_from_document({**scenario_document(scenario), "amplitude_A": derived})
+    except ValidationError:
+        raise
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"invalid config value: {exc}") from exc
+
+
 def scenario_digest(scenario: Scenario) -> str:
     """Short stable identifier for a scenario (12 hex chars).
 
-    The first 12 hex digits of the SHA-256 of the scenario's sorted JSON.
-    SHA-256 is the same function in every module; it comes from CPython's
-    lean built-in module where there is one, because ``hashlib`` loads
-    OpenSSL's libcrypto, about 3.7 MB resident.  Imported lazily it would
-    still load during the run: the digest is taken for every report, while
-    the register bank is alive.
+    The first 12 hex digits of the SHA-256 of the scenario's document as
+    sorted JSON.  SHA-256 is the same function in every module; it comes
+    from CPython's lean built-in module where there is one, because
+    ``hashlib`` loads OpenSSL's libcrypto, about 3.7 MB resident.  Imported
+    lazily it would still load during the run: the digest is taken for
+    every report, while the register bank is alive.
     """
-    payload = {
-        "K": scenario.K,
-        "PG": scenario.PG,
-        "signatures": scenario.signatures,
-        "energies": scenario.energies,
-        "gains": scenario.gains,
-        "noise_sigma": scenario.noise_sigma,
-        "N_ch": scenario.quantizer.n_ch,
-        "amplitude_A": scenario.quantizer.amplitude,
-        "gamma": scenario.gamma,
-        "delays": scenario.delays,
-        "reps_max": scenario.reps_max,
-        "seed": scenario.seed,
-    }
-    blob = json.dumps(payload, sort_keys=True).encode()
+    blob = json.dumps(scenario_document(scenario), sort_keys=True).encode()
     return sha256(blob).hexdigest()[:12]

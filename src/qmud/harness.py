@@ -5,8 +5,10 @@ uniform bits, synthesizes the received waveform, runs the four classical
 detectors on the matched-filter outputs, quantizes the waveform into PG
 chip codes, and runs the quantum receiver per user against the
 scenario's hypothesis registers.  All 2K registers are built at once as
-one ``registers.RegisterBank``, once per scenario; a sweep checks R and
-builds the bank again only at points that change a field they depend on.
+one ``registers.RegisterBank``, once per scenario.  A sweep point is the
+scenario's config document (``config.scenario_document``) with the swept
+key replaced; the sweep checks R and builds the bank again only at points
+that change a key outside ``_TRIAL_ONLY``, the keys that neither reads.
 A block hands its received chip codes to the bank once, which gives every
 user's membership in both registers and every coverage miss.  Trial t's
 stream is seeded with derive_seed(master_seed, t); within a trial the draw
@@ -39,7 +41,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .cdma import correlation_matrix, matched_filter, noiseless_waveforms
-from .config import Scenario, check_seed, scenario_digest
+from .config import (Scenario, check_seed, scenario_digest, scenario_document,
+                     scenario_from_document)
 from .detectors import ALL_DETECTORS, DetectorKind, _check_condition, check_user_cap, detect_rows
 from .errors import QmudError, UnknownParameter, ValidationError
 from .povm import DECISIONS, Decision, detect_user_rows
@@ -55,6 +58,10 @@ from .registers import enumerate_hypotheses, pack_basis  # noqa: F401
 from .rng import derive_seed  # noqa: F401
 
 SWEEPABLE = ("noise_sigma", "reps_max", "gamma", "N_ch")
+
+# The config keys that neither R nor the register bank reads.  A key left
+# out of this list costs a rebuild at each sweep point, never a stale bank.
+_TRIAL_ONLY = ("noise_sigma", "reps_max", "seed")
 
 # Trials per block.  A block's arrays grow with it: one 1024-trial block
 # peaks at 0.53 MB under tracemalloc for the K=4 nearfar_reps scenario and
@@ -100,8 +107,8 @@ class _Prepared:
     """Everything a trial reads, built once per scenario.
 
     Holds the scenario, R and the register bank.  A sweep point whose
-    ``key``, every field that R and build_bank read, equals the one of
-    ``previous`` takes its R and bank.  Otherwise R's condition check
+    ``key``, its config document without the ``_TRIAL_ONLY`` keys, equals
+    the one of ``previous`` takes its R and bank.  Otherwise R's condition check
     (SingularMatrix), which the decorrelator and the optimal search share,
     runs once, then the optimal search's user cap (KTooLarge): they reject
     a degenerate scenario before the bank is built and before trial 0.
@@ -113,8 +120,8 @@ class _Prepared:
     def __init__(self, scenario: Scenario, previous: _Prepared | None = None):
         self.scenario = scenario
         self.noise_variance = scenario.noise_sigma ** 2
-        self.key = (scenario.signatures, scenario.energies, scenario.gains,
-                    scenario.quantizer, scenario.gamma, scenario.delays)
+        self.key = {key: value for key, value in scenario_document(scenario).items()
+                    if key not in _TRIAL_ONLY}
         if previous is not None and previous.key == self.key:
             self.R, self.bank = previous.R, previous.bank
         else:
@@ -215,25 +222,20 @@ def _run_trials(prep: _Prepared, trials: int, master_seed: int) -> MetricsReport
                          bit_errors, qmud_stats)
 
 
-def _apply_parameter(scenario: Scenario, name: str, value) -> Scenario:
-    # Scenario and QuantizerSpec reject a fractional count.
-    if name == "N_ch":
-        return scenario.with_overrides(quantizer=replace(scenario.quantizer, n_ch=value))
-    return scenario.with_overrides(**{name: value})
-
-
 def sweep(scenario: Scenario, parameter: str, values, trials: int,
           master_seed: int) -> list[MetricsReport]:
     """One report per parameter value, in order, under common random numbers.
 
     Every point is prepared, after trials and the seed are checked, before
     trial 0.  Each point inherits R and the register bank from the previous
-    point when the two agree on every register-defining field; a ``gamma``
-    or ``N_ch`` sweep keeps every point's bank alive until it returns.
+    point when the two agree on every key outside ``_TRIAL_ONLY``; a
+    ``gamma`` or ``N_ch`` sweep keeps every point's bank alive until it
+    returns.
     """
     if parameter not in SWEEPABLE:
         raise UnknownParameter(f"cannot sweep {parameter!r}; choose one of {SWEEPABLE}")
     values = list(values)
-    points = (_apply_parameter(scenario, parameter, value) for value in values)
+    doc = scenario_document(scenario)
+    points = (scenario_from_document({**doc, parameter: value}) for value in values)
     return [replace(report, param_name=parameter, param_value=float(value))
             for report, value in zip(_run_points(points, trials, master_seed), values)]

@@ -7,12 +7,15 @@ import os
 import subprocess
 import sys
 import warnings
+from dataclasses import fields
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
 from qmud import config, outcome_probabilities, QubitState, build_povm, solve_alpha_for_beta
 from qmud.cli import main, parse_config, write_csv
+from qmud.config import CONFIG_KEYS, OPTIONAL_KEYS, QuantizerSpec, Scenario, scenario_document
 from qmud.errors import ParseError, ValidationError
 from qmud.harness import run_trials
 
@@ -53,6 +56,8 @@ GOLDEN_CSV = """scenario_id,detector,param_name,param_value,trials,bit_errors,be
 
 ROOT = Path(__file__).resolve().parent.parent
 BENCH_SCENARIOS = sorted((ROOT / "benchmarks" / "scenarios").glob("*.json"))
+SHIPPED_SCENARIOS = [*sorted((ROOT / "scenarios").glob("*.json")),
+                     *sorted((ROOT / "tests" / "golden").glob("*.json")), *BENCH_SCENARIOS]
 
 
 def _doc(**overrides):
@@ -131,17 +136,27 @@ class TestParseConfig:
         assert all(type(n) is int for n in (sc.K, sc.PG, sc.quantizer.n_ch, sc.gamma,
                                             sc.reps_max, sc.seed, *sc.delays))
 
-    def test_round_trip_of_defaults(self):
-        sc = parse_config(_doc())
-        echo = {
-            "K": sc.K, "PG": sc.PG,
-            "signatures": [list(s) for s in sc.signatures],
-            "energies": list(sc.energies), "gains": list(sc.gains),
-            "noise_sigma": sc.noise_sigma, "N_ch": sc.quantizer.n_ch,
-            "amplitude_A": sc.quantizer.amplitude, "gamma": sc.gamma,
-            "delays": list(sc.delays), "reps_max": sc.reps_max, "seed": sc.seed,
-        }
-        assert parse_config(json.dumps(echo)) == sc
+    @pytest.mark.parametrize("key", OPTIONAL_KEYS)
+    def test_null_optional_key_is_rejected_not_defaulted(self, key):
+        with pytest.raises(ValidationError, match=key):
+            parse_config(_doc(**{key: None}))
+
+    def test_document_covers_the_scenario(self):
+        # A distinct value in every Scenario field but the quantizer, and in
+        # both QuantizerSpec fields, must land under exactly one key each.
+        own = {f.name: object() for f in fields(Scenario) if f.name != "quantizer"}
+        quantizer = {f.name: object() for f in fields(QuantizerSpec)}
+        doc = scenario_document(SimpleNamespace(**own, quantizer=SimpleNamespace(**quantizer)))
+        assert len(set(CONFIG_KEYS)) == len(CONFIG_KEYS) and set(doc) == set(CONFIG_KEYS)
+        assert all(doc[name] is value for name, value in own.items())
+        assert sorted(map(id, doc.values())) == sorted(map(id, [*own.values(),
+                                                                *quantizer.values()]))
+
+    @pytest.mark.parametrize("path", [None, *SHIPPED_SCENARIOS],
+                             ids=lambda p: "defaults" if p is None else str(p.relative_to(ROOT)))
+    def test_round_trip_of_defaults(self, path):
+        sc = parse_config(_doc() if path is None else path.read_text())
+        assert parse_config(json.dumps(scenario_document(sc))) == sc
 
 
 class TestWriteCsv:
