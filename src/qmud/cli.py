@@ -20,7 +20,6 @@ from .config import Scenario, parse_config
 from .errors import (DomainError, IoError, ParseError, QmudError,
                      UnknownParameter, ValidationError)
 from .harness import ALL_DETECTORS, MetricsReport, run_trials, sweep
-from .povm import povm_table_rows
 
 RESULTS_HEADER = ("scenario_id,detector,param_name,param_value,trials,bit_errors,ber,"
                   "correct,no_message,ambiguous,inconclusive,coverage_miss,mean_reps,seed")
@@ -65,6 +64,7 @@ def write_csv(reports, out_path) -> None:
 
 
 def write_povm_table(n_s_values, betas, out_path) -> None:
+    from .povm import povm_table_rows  # the operator model; run and sweep never load it
     rows = povm_table_rows(n_s_values, betas)
     lines = ["n_s,beta,alpha,state,p1,p2,p3"]
     for n_s, beta, alpha, label, p1, p2, p3 in rows:

@@ -3,12 +3,13 @@
 Every run and every sweep point takes one pipeline.  Each trial draws
 uniform bits, synthesizes the received waveform, runs the four classical
 detectors on the matched-filter outputs, quantizes the waveform into PG
-chip codes, and runs the quantum receiver per user against the
-scenario's hypothesis registers.  All 2K registers are built at once as
-one ``registers.RegisterBank``, once per scenario.  A sweep point is the
-scenario's config document (``config.scenario_document``) with the swept
-key replaced; the sweep checks R and builds the bank again only at points
-that change a key outside ``_TRIAL_ONLY``, the keys that neither reads.
+chip codes, and runs the quantum receiver, ``detect_user_rows``, per user
+against the scenario's hypothesis registers.  All 2K registers are built
+at once as one ``registers.RegisterBank``, once per scenario.  A sweep
+point is the scenario's config document (``config.scenario_document``)
+with the swept key replaced; the sweep checks R and builds the bank again
+only at points that change a key outside ``_TRIAL_ONLY``, the keys that
+neither reads.
 A block hands its received chip codes to the bank once, which gives every
 user's membership in both registers and every coverage miss.  Trial t's
 stream is seeded with derive_seed(master_seed, t); within a trial the draw
@@ -26,7 +27,9 @@ one row; they skip the per-call condition check, and the scenario's one
 check runs in ``_Prepared`` before its register bank is built.  The
 optimal search reads only R and the rows: its filter ranks a block's
 candidates with one matrix product per slice of rows and chunk of
-candidates, so a block's memory stays small at any K.
+candidates, so a block's memory stays small at any K.  The tests check
+the receiver, row by row and draw by draw, against the operator model
+``povm.detect_user``, which this module loads only on demand.
 
 Sweeps reuse the same master seed at every parameter value: matching trial
 indices see identical bits and identical standard-normal noise (common
@@ -36,7 +39,10 @@ low-variance.
 
 from __future__ import annotations
 
+import enum
+import math
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -44,8 +50,7 @@ from .cdma import correlation_matrix, matched_filter, noiseless_waveforms
 from .config import (Scenario, check_seed, scenario_digest, scenario_document,
                      scenario_from_document)
 from .detectors import ALL_DETECTORS, DetectorKind, _check_condition, check_user_cap, detect_rows
-from .errors import QmudError, UnknownParameter, ValidationError
-from .povm import DECISIONS, Decision, detect_user_rows
+from .errors import EmptyRegister, QmudError, UnknownParameter, ValidationError
 from .registers import build_bank, quantize_waveform, register_bit
 from .rng import TrialStreams
 
@@ -53,9 +58,17 @@ from .rng import TrialStreams
 # stay importable from it; the block engine calls none of them.
 from .cdma import transmit  # noqa: F401
 from .detectors import decorrelate_detect, mmse_detect, optimal_detect, sud_detect  # noqa: F401
-from .povm import detect_user  # noqa: F401
 from .registers import enumerate_hypotheses, pack_basis  # noqa: F401
 from .rng import derive_seed  # noqa: F401
+
+
+def __getattr__(name):
+    """``detect_user`` loads the operator model on first use; ``run`` and ``sweep`` never do."""
+    if name == "detect_user":
+        from .povm import detect_user
+        return detect_user
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 SWEEPABLE = ("noise_sigma", "reps_max", "gamma", "N_ch")
 
@@ -67,6 +80,78 @@ _TRIAL_ONLY = ("noise_sigma", "reps_max", "seed")
 # peaks at 0.53 MB under tracemalloc for the K=4 nearfar_reps scenario and
 # at 1.7 MB for the K=8 dense_sweep one (256 trials: 0.15 and 0.8 MB).
 BLOCK_TRIALS = 1024
+
+
+class Decision(enum.Enum):
+    BIT_ONE = "bit_one"
+    BIT_ZERO = "bit_zero"
+    NO_MESSAGE = "no_message"
+    AMBIGUOUS = "ambiguous"
+    INCONCLUSIVE = "inconclusive"
+
+    @property
+    def bit_value(self) -> int | None:
+        if self is Decision.BIT_ONE:
+            return 1
+        if self is Decision.BIT_ZERO:
+            return -1
+        return None
+
+
+# detect_user_rows' decision codes: a conclusive user gets
+# 2 * (v in bit-1 register) + (v in bit-0 register), an inconclusive one 4.
+DECISIONS = (Decision.NO_MESSAGE, Decision.BIT_ZERO, Decision.BIT_ONE,
+             Decision.AMBIGUOUS, Decision.INCONCLUSIVE)
+
+# Bit value of each DECISIONS code; 0 for the codes that decide no bit.
+_DECIDED_BIT = np.array([d.bit_value or 0 for d in DECISIONS])
+
+
+@lru_cache(maxsize=None)
+def present_qubit_amplitudes(n_s: int) -> tuple[float, float]:
+    """(c0, c1) of the reduced qubit when the probed index is stored.
+
+    Shared by the receiver's thresholds and the model's register reduction
+    and measurement operators, so all use bit-identical floats; the
+    unambiguous-discrimination zero probabilities then cancel exactly.
+    """
+    if n_s < 1:
+        raise EmptyRegister("population must be >= 1")
+    return math.sqrt((n_s - 1.0) / n_s), math.sqrt(1.0 / n_s)
+
+
+def detect_user_rows(stored1: np.ndarray, stored0: np.ndarray, n_s1: int, n_s0: int,
+                     reps_max: int, streams: TrialStreams) -> tuple[np.ndarray, np.ndarray]:
+    """The receiver for one user on every row, given v[t]'s membership in both registers.
+
+    ``stored1[t]`` and ``stored0[t]`` say whether the bit-1 and the bit-0
+    register, of populations ``n_s1`` and ``n_s0``, store row t's received
+    index; row t draws from row t of ``streams``.  Returns (decision code,
+    reps_used) arrays; a code indexes DECISIONS.  Each round, every
+    still-open bank of every row draws its confirm and then its reject
+    uniform, bank1 before bank0.  Membership fixes the one outcome a bank
+    can reach: E1 if the index is stored, when the confirm uniform is below
+    c1*c1, else E2, when the reject uniform is.
+    """
+    if reps_max < 1:
+        raise ValidationError(f"reps_max must be >= 1, got {reps_max}")
+
+    banks = []
+    for stored, n_s in ((stored1, n_s1), (stored0, n_s0)):
+        c1 = present_qubit_amplitudes(n_s)[1]  # raises EmptyRegister for N_s = 0
+        banks.append((stored, c1 * c1))
+    done = np.zeros((2, stored1.size), dtype=bool)
+    reps = np.zeros((2, stored1.size), dtype=np.int64)
+    for rep in range(1, reps_max + 1):
+        for b, (stored, threshold) in enumerate(banks):
+            rows = np.flatnonzero(~done[b])
+            u = streams.uniforms(2, rows)
+            done[b, rows] = np.where(stored[rows], u[:, 0], u[:, 1]) < threshold
+            reps[b, rows] = rep
+        if done.all():
+            break
+    codes = np.where(done.all(axis=0), 2 * stored1 + stored0, 4)
+    return codes, reps.max(axis=0)
 
 
 @dataclass(frozen=True)
@@ -137,7 +222,7 @@ class _Block:
 
     ``decisions`` maps each detector kind to (T, K) bits;
     ``received_codes`` holds the (T, PG) chip codes of the received
-    waveforms; ``qmud`` codes index povm.DECISIONS.
+    waveforms; ``qmud`` codes index DECISIONS.
     """
 
     bits: np.ndarray
@@ -175,10 +260,6 @@ def _run_block(prep: _Prepared, master_seed: int, t0: int, count: int) -> _Block
 def run_trials(scenario: Scenario, trials: int = 1000, master_seed: int = 0) -> MetricsReport:
     """Run the full pipeline for `trials` symbols and aggregate counts."""
     return _run_points([scenario], trials, master_seed)[0]
-
-
-# Bit value of each povm.DECISIONS code; 0 for the codes that decide no bit.
-_DECIDED_BIT = np.array([d.bit_value or 0 for d in DECISIONS])
 
 
 def _run_points(scenarios, trials: int, master_seed: int) -> list[MetricsReport]:

@@ -1,4 +1,4 @@
-"""Three-outcome unambiguous discrimination and the per-user receiver.
+"""The operator model: three-outcome unambiguous discrimination per user.
 
 The reduced register qubit is one of two non-orthogonal states: the
 reference state (1, 0) when the probed index is absent, or the tilted
@@ -19,13 +19,12 @@ symmetric operating point.  The receiver runs one block bank against the
 bit-1 register and one against the bit-0 register, repeating inconclusive
 banks up to a budget, and maps the pair of verdicts to a user decision.
 
-The operators are the model: ``measurement_block`` samples them shot by
-shot, and ``detect_user`` runs it on every open bank each round.  The
-harness runs ``detect_user_rows``, which takes the same draws and reaches
-the same decisions for a block of trials at once, each on its own stream,
-by one threshold compare per bank and round on the memberships and
-populations read from its register bank; the tests check it against
-``detect_user``.
+``measurement_block`` samples the operators shot by shot, and
+``detect_user`` runs it on every open bank each round.  ``qmud run`` and
+``qmud sweep`` never load this module: the block engine's receiver,
+``harness.detect_user_rows``, takes the same draws and reaches the same
+decisions by one threshold compare per bank and round, and the tests
+check it against ``detect_user``.
 """
 
 from __future__ import annotations
@@ -37,9 +36,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DomainError, EmptyRegister, InternalInconsistency, NotPositive, ValidationError
+from .errors import DomainError, InternalInconsistency, NotPositive, ValidationError
+from .harness import Decision, present_qubit_amplitudes
 from .registers import SparseRegister
-from .rng import SplitMix64, TrialStreams
+from .rng import SplitMix64
 
 # Eigenvalue slack accepted before an operator is rejected as indefinite;
 # rank-deficient 2x2 matrices jitter at ~1e-16 but never near this.
@@ -50,22 +50,6 @@ class MeasurementOutcome(enum.Enum):
     E1 = "E1"
     E2 = "E2"
     E3 = "E3"
-
-
-class Decision(enum.Enum):
-    BIT_ONE = "bit_one"
-    BIT_ZERO = "bit_zero"
-    NO_MESSAGE = "no_message"
-    AMBIGUOUS = "ambiguous"
-    INCONCLUSIVE = "inconclusive"
-
-    @property
-    def bit_value(self) -> int | None:
-        if self is Decision.BIT_ONE:
-            return 1
-        if self is Decision.BIT_ZERO:
-            return -1
-        return None
 
 
 @dataclass(frozen=True)
@@ -92,19 +76,6 @@ class QubitState:
     @classmethod
     def present(cls, n_s: int) -> "QubitState":
         return cls(*present_qubit_amplitudes(n_s))
-
-
-@lru_cache(maxsize=None)
-def present_qubit_amplitudes(n_s: int) -> tuple[float, float]:
-    """(c0, c1) of the reduced qubit when the probed index is stored.
-
-    Shared by the register reduction and the measurement operators so both
-    sides use bit-identical floats; the unambiguous-discrimination zero
-    probabilities then cancel exactly.
-    """
-    if n_s < 1:
-        raise EmptyRegister("population must be >= 1")
-    return math.sqrt((n_s - 1.0) / n_s), math.sqrt(1.0 / n_s)
 
 
 def reduce_to_qubit(reg: SparseRegister, v: int) -> QubitState:
@@ -285,46 +256,6 @@ def detect_user(reg1: SparseRegister, reg0: SparseRegister, v: int,
         if MeasurementOutcome.E3 not in verdicts:
             return UserDecision(select_decision(*verdicts), rep)
     return UserDecision(Decision.INCONCLUSIVE, reps_max)
-
-
-# detect_user_rows' decision codes: a conclusive user gets
-# 2 * (v in bit-1 register) + (v in bit-0 register), an inconclusive one 4.
-DECISIONS = (Decision.NO_MESSAGE, Decision.BIT_ZERO, Decision.BIT_ONE,
-             Decision.AMBIGUOUS, Decision.INCONCLUSIVE)
-
-
-def detect_user_rows(stored1: np.ndarray, stored0: np.ndarray, n_s1: int, n_s0: int,
-                     reps_max: int, streams: TrialStreams) -> tuple[np.ndarray, np.ndarray]:
-    """detect_user for every row, given v[t]'s membership in both registers.
-
-    ``stored1[t]`` and ``stored0[t]`` say whether the bit-1 and the bit-0
-    register, of populations ``n_s1`` and ``n_s0``, store row t's received
-    index; row t draws from row t of ``streams``.  Returns (decision code,
-    reps_used) arrays; a code indexes DECISIONS.  Each round, every
-    still-open bank of every row draws its confirm and then its reject
-    uniform, bank1 before bank0.  Membership fixes the one outcome a bank
-    can reach: E1 if the index is stored, when the confirm uniform is below
-    c1*c1, else E2, when the reject uniform is.
-    """
-    if reps_max < 1:
-        raise ValidationError(f"reps_max must be >= 1, got {reps_max}")
-
-    banks = []
-    for stored, n_s in ((stored1, n_s1), (stored0, n_s0)):
-        c1 = present_qubit_amplitudes(n_s)[1]  # raises EmptyRegister for N_s = 0
-        banks.append((stored, c1 * c1))
-    done = np.zeros((2, stored1.size), dtype=bool)
-    reps = np.zeros((2, stored1.size), dtype=np.int64)
-    for rep in range(1, reps_max + 1):
-        for b, (stored, threshold) in enumerate(banks):
-            rows = np.flatnonzero(~done[b])
-            u = streams.uniforms(2, rows)
-            done[b, rows] = np.where(stored[rows], u[:, 0], u[:, 1]) < threshold
-            reps[b, rows] = rep
-        if done.all():
-            break
-    codes = np.where(done.all(axis=0), 2 * stored1 + stored0, 4)
-    return codes, reps.max(axis=0)
 
 
 def povm_table_rows(n_s_values, betas) -> list[tuple]:

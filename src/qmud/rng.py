@@ -83,11 +83,10 @@ class SplitMix64:
 
 
 def _mix64_array(z: np.ndarray) -> np.ndarray:
-    """mix64 over a uint64 array; the products wrap modulo 2**64 as intended."""
-    with np.errstate(over="ignore"):
-        z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-        z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-        return z ^ (z >> np.uint64(31))
+    """mix64 over a uint64 array; numpy wraps array products modulo 2**64 without a warning."""
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return z ^ (z >> np.uint64(31))
 
 
 class TrialStreams:
@@ -102,8 +101,7 @@ class TrialStreams:
         if t0 < 0:
             raise ValueError("index must be non-negative")
         index = np.arange(t0 + 1, t0 + count + 1, dtype=np.uint64)
-        with np.errstate(over="ignore"):
-            start = np.uint64(master_seed & _MASK64) + index * np.uint64(_GAMMA)
+        start = np.uint64(master_seed & _MASK64) + index * np.uint64(_GAMMA)
         self._seeds = _mix64_array(start)
         self.draws = np.zeros(count, dtype=np.uint64)
 
@@ -116,8 +114,7 @@ class TrialStreams:
         rows = slice(None) if rows is None else rows
         taken = self.draws[rows]
         counters = taken[:, None] + np.arange(1, n + 1, dtype=np.uint64)
-        with np.errstate(over="ignore"):
-            state = self._seeds[rows][:, None] + counters * np.uint64(_GAMMA)
+        state = self._seeds[rows][:, None] + counters * np.uint64(_GAMMA)
         self.draws[rows] = taken + np.uint64(n)
         return (_mix64_array(state) >> np.uint64(11)) * 1.1102230246251565e-16  # 2**-53
 

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from qmud import QuantizerSpec, Scenario, detectors, walsh_hadamard_signatures
+from qmud import detectors
+from qmud.cdma import walsh_hadamard_signatures
+from qmud.config import QuantizerSpec, Scenario
 
 
 def make_scenario(**overrides) -> Scenario:

@@ -31,8 +31,8 @@ from qmud.cdma import matched_filter, transmit
 from qmud.config import scenario_digest
 from qmud.detectors import (DetectorKind, decorrelate_detect, mmse_detect, optimal_detect,
                             sud_detect)
-from qmud.harness import ALL_DETECTORS, MetricsReport, QmudStats
-from qmud.povm import DECISIONS, Decision, detect_user
+from qmud.harness import ALL_DETECTORS, DECISIONS, Decision, MetricsReport, QmudStats
+from qmud.povm import detect_user
 from qmud.registers import enumerate_hypotheses, pack_basis, quantize_waveform, shift_variants
 from qmud.rng import SplitMix64, derive_seed
 

@@ -14,16 +14,15 @@ import numpy as np
 import pytest
 
 from conftest import make_orthogonal
-from qmud import (DetectorKind, MeasurementOutcome, QubitState,
-                  SparseRegister, build_povm, decorrelate_detect, detect_user,
-                  matched_filter, measurement_block, mlse_objective,
-                  mmse_detect, optimal_detect, outcome_probabilities,
-                  sample_outcome, solve_alpha_for_beta, sud_detect,
-                  symmetric_gain, confirm_reject_pair, transmit)
-from qmud.cdma import correlation_matrix
+from qmud.cdma import correlation_matrix, matched_filter, transmit
 from qmud.cli import main, parse_config
+from qmud.detectors import (DetectorKind, decorrelate_detect, mlse_objective, mmse_detect,
+                            optimal_detect, sud_detect)
 from qmud.harness import run_trials
-from qmud.registers import pack_basis, quantize_waveform
+from qmud.povm import (MeasurementOutcome, QubitState, build_povm, confirm_reject_pair,
+                       detect_user, measurement_block, outcome_probabilities, sample_outcome,
+                       solve_alpha_for_beta, symmetric_gain)
+from qmud.registers import SparseRegister, pack_basis, quantize_waveform
 from qmud.rng import SplitMix64
 from scalar_reference import reference_registers
 

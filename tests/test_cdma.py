@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_orthogonal, make_scenario, random_unit_signatures
-from qmud import (correlation_matrix, matched_filter, noiseless_waveforms, transmit,
-                  walsh_hadamard_signatures)
+from qmud.cdma import (correlation_matrix, matched_filter, noiseless_waveforms, transmit,
+                       walsh_hadamard_signatures)
 from qmud.errors import ValidationError
 from qmud.rng import SplitMix64
 

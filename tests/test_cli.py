@@ -13,11 +13,13 @@ from types import SimpleNamespace
 
 import pytest
 
-from qmud import config, outcome_probabilities, QubitState, build_povm, solve_alpha_for_beta
+from qmud import config
 from qmud.cli import main, parse_config, write_csv
 from qmud.config import CONFIG_KEYS, OPTIONAL_KEYS, QuantizerSpec, Scenario, scenario_document
+from qmud.detectors import DetectorKind
 from qmud.errors import ParseError, ValidationError
 from qmud.harness import run_trials
+from qmud.povm import QubitState, build_povm, outcome_probabilities, solve_alpha_for_beta
 
 MINIMAL_ONE_USER = {
     "K": 1, "PG": 2,
@@ -186,7 +188,6 @@ class TestWriteCsv:
         assert int(rows["qmud"]["inconclusive"]) == q.inconclusive
         assert int(rows["qmud"]["coverage_miss"]) == q.coverage_miss
         assert float(rows["qmud"]["mean_reps"]) == pytest.approx(q.mean_reps, rel=1e-5)
-        from qmud import DetectorKind
         for kind in DetectorKind:
             assert int(rows[kind.value]["bit_errors"]) == report.detector_bit_errors[kind]
 
@@ -493,3 +494,22 @@ for path in {paths!r}:
         monkeypatch.setattr(config, "sha256", hashlib.sha256)
         assert len(paths) == 3 and out[1:] == [
             config.scenario_digest(parse_config(Path(p).read_text())) for p in paths]
+
+
+def test_run_and_sweep_never_load_the_operator_model(tmp_path):
+    common = ["--config", str(ROOT / "scenarios" / "two_user.json"), "--trials", "20",
+              "--seed", "1"]
+    run = ["run", *common, "--out", str(tmp_path / "run.csv")]
+    sweep = ["sweep", *common, "--param", "reps_max", "--values", "1,2",
+             "--out", str(tmp_path / "sweep.csv")]
+    table = ["povm-table", "--ns", "2", "--beta", "0", "--out", str(tmp_path / "table.csv")]
+    _run_python(f"""
+import sys
+from qmud.cli import main
+assert main({run!r}) == 0 and main({sweep!r}) == 0
+assert "qmud.povm" not in sys.modules, "run or sweep loaded the operator model"
+assert main({table!r}) == 0 and "qmud.povm" in sys.modules
+import qmud.harness, qmud.povm
+assert qmud.harness.detect_user is qmud.povm.detect_user
+assert not hasattr(qmud.harness, "no_such_name")
+""")

@@ -8,11 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import ill_conditioned_rows, random_unit_signatures, spy_exact_search
-from qmud import (DetectorKind, decorrelate_detect, detectors, mlse_objective,
-                  mmse_detect, optimal_detect, run_trials, sud_detect, sweep)
+from qmud import detectors
 from qmud.cli import parse_config
-from qmud.detectors import ALL_DETECTORS, detect_rows
+from qmud.detectors import (ALL_DETECTORS, DetectorKind, decorrelate_detect, detect_rows,
+                            mlse_objective, mmse_detect, optimal_detect, sud_detect)
 from qmud.errors import KTooLarge, SingularMatrix
+from qmud.harness import run_trials, sweep
 
 R2 = np.array([[1.0, 0.5], [0.5, 1.0]])
 SOFT2 = np.array([0.5, -0.5])

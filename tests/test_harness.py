@@ -8,16 +8,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_orthogonal, make_scenario, random_unit_signatures
-from qmud import (Decision, DetectorKind, QuantizerSpec, SplitMix64, detectors,
-                  enumerate_hypotheses, harness, povm, registers, run_trials, sweep,
-                  walsh_hadamard_signatures)
-from qmud.cdma import correlation_matrix
-from qmud.config import default_amplitude
-from qmud.detectors import RESIDUAL_BYTES
+from qmud import detectors, harness, povm, registers
+from qmud.cdma import correlation_matrix, walsh_hadamard_signatures
+from qmud.config import QuantizerSpec, default_amplitude
+from qmud.detectors import RESIDUAL_BYTES, DetectorKind
 from qmud.errors import (BudgetExceeded, KTooLarge, SingularMatrix, UnknownParameter,
                          ValidationError)
-from qmud.harness import ALL_DETECTORS, BLOCK_TRIALS, _Prepared, _run_block
-from qmud.povm import DECISIONS
+from qmud.harness import (ALL_DETECTORS, BLOCK_TRIALS, DECISIONS, Decision, _Prepared,
+                          _run_block, run_trials, sweep)
+from qmud.registers import enumerate_hypotheses
+from qmud.rng import SplitMix64
 from scalar_reference import (block_lists, reference_hypotheses, reference_registers,
                               reference_report, reference_rows, stack_rows)
 

@@ -5,14 +5,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qmud import (Decision, MeasurementOutcome, QubitState, SparseRegister,
-                  build_povm, detect_user, measurement_block,
-                  outcome_probabilities, sample_outcome, solve_alpha_for_beta,
-                  symmetric_gain, confirm_reject_pair)
 from qmud.errors import (DomainError, EmptyRegister, InternalInconsistency,
                          NotPositive, ValidationError)
-from qmud.povm import (DECISIONS, UserDecision, combine_block_outcomes, detect_user_rows,
-                       select_decision)
+from qmud.harness import DECISIONS, Decision, detect_user_rows
+from qmud.povm import (MeasurementOutcome, QubitState, UserDecision, build_povm,
+                       combine_block_outcomes, confirm_reject_pair, detect_user,
+                       measurement_block, outcome_probabilities, sample_outcome,
+                       select_decision, solve_alpha_for_beta, symmetric_gain)
+from qmud.registers import SparseRegister
 from qmud.rng import _GAMMA, _MASK64, SplitMix64, TrialStreams, derive_seed
 
 BETA_GRID = [round(0.1 * i, 1) for i in range(11)]

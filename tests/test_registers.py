@@ -10,13 +10,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import make_orthogonal, make_scenario, random_unit_signatures
-from qmud import (QuantizerSpec, QubitState, Scenario, SparseRegister, enumerate_hypotheses,
-                  pack_basis, quantize_waveform, reduce_to_qubit, shift_variants, transmit)
 from qmud import registers
-from qmud.config import default_amplitude
+from qmud.cdma import transmit
+from qmud.config import QuantizerSpec, Scenario, default_amplitude
 from qmud.errors import (BudgetExceeded, CodeOutOfRange, DelayOutOfRange,
                          EmptyRegister, ValidationError)
-from qmud.registers import _slicing, build_bank, register_bit
+from qmud.povm import QubitState, reduce_to_qubit
+from qmud.registers import (SparseRegister, _slicing, build_bank, enumerate_hypotheses,
+                            pack_basis, quantize_waveform, register_bit, shift_variants)
 from qmud.rng import SplitMix64
 from scalar_reference import reference_hypotheses
 
