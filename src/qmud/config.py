@@ -59,9 +59,12 @@ def _sequence(name: str, value) -> tuple:
 def _real(name: str, value, sequence: bool = False):
     """value as a float, or with ``sequence`` as a tuple of floats; never coerces a bool or str."""
     if not sequence:
-        if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        if not isinstance(value, numbers.Real) or isinstance(value, bool):
+            raise ValidationError(f"{name} must be a real number, got {value!r}")
+        try:
             return float(value)
-        raise ValidationError(f"{name} must be a real number, got {value!r}")
+        except OverflowError as exc:
+            raise ValidationError(f"{name} lies outside the float range") from exc
     return tuple(_real(f"{name}[{i}]", v) for i, v in enumerate(_sequence(name, value)))
 
 
@@ -261,7 +264,7 @@ def parse_config(text: str) -> Scenario:
     """
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer past int's digit limit
         raise ParseError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ParseError("config must be a single JSON object")

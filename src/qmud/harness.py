@@ -141,17 +141,18 @@ def detect_user_rows(stored1: np.ndarray, stored0: np.ndarray, n_s1: int, n_s0: 
         c1 = present_qubit_amplitudes(n_s)[1]  # raises EmptyRegister for N_s = 0
         banks.append((stored, c1 * c1))
     done = np.zeros((2, stored1.size), dtype=bool)
-    reps = np.zeros((2, stored1.size), dtype=np.int64)
+    # The last round in which either bank of a row drew.
+    reps = np.zeros(stored1.size, dtype=np.int64)
     for rep in range(1, reps_max + 1):
         for b, (stored, threshold) in enumerate(banks):
             rows = np.flatnonzero(~done[b])
             u = streams.uniforms(2, rows)
             done[b, rows] = np.where(stored[rows], u[:, 0], u[:, 1]) < threshold
-            reps[b, rows] = rep
+            reps[rows] = rep
         if done.all():
             break
     codes = np.where(done.all(axis=0), 2 * stored1 + stored0, 4)
-    return codes, reps.max(axis=0)
+    return codes, reps
 
 
 @dataclass(frozen=True)

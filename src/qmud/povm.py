@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -100,6 +101,12 @@ class PovmTriple:
     n_s: int
 
 
+def _check_population(n_s: int) -> None:
+    """Raises DomainError unless 1 <= n_s <= the largest float, as every gain formula needs."""
+    if not 1 <= n_s <= sys.float_info.max:
+        raise DomainError(f"population must lie in [1, {sys.float_info.max:.6g}], got {n_s}")
+
+
 def solve_alpha_for_beta(beta: float, n_s: int) -> float:
     """Largest confirm gain keeping E3 positive: alpha = (1-beta)/(1-beta/N_s).
 
@@ -109,8 +116,7 @@ def solve_alpha_for_beta(beta: float, n_s: int) -> float:
     """
     if not 0.0 <= beta <= 1.0:
         raise DomainError(f"beta must lie in [0, 1], got {beta}")
-    if n_s < 1:
-        raise DomainError(f"population must be >= 1, got {n_s}")
+    _check_population(n_s)
     if n_s == 1:
         return 1.0
     return (1.0 - beta) / (1.0 - beta / n_s)
@@ -119,12 +125,12 @@ def solve_alpha_for_beta(beta: float, n_s: int) -> float:
 def symmetric_gain(n_s: int) -> float:
     """The equal-gain operating point alpha = beta = N_s - sqrt(N_s(N_s-1)).
 
-    Evaluated in the rationalized form N_s / (N_s + sqrt(N_s(N_s-1))) to
-    avoid cancellation; decreases from 1 toward 1/2 as N_s grows.
+    Evaluated in the rationalized form 1 / (1 + sqrt(1 - 1/N_s)), which
+    avoids cancellation and, unlike a product N_s(N_s-1), overflows at no
+    population; decreases from 1 toward 1/2 as N_s grows.
     """
-    if n_s < 1:
-        raise DomainError(f"population must be >= 1, got {n_s}")
-    return n_s / (n_s + math.sqrt(n_s * (n_s - 1.0)))
+    _check_population(n_s)
+    return 1.0 / (1.0 + math.sqrt(1.0 - 1.0 / n_s))
 
 
 def build_povm(alpha: float, beta: float, n_s: int) -> PovmTriple:
@@ -133,8 +139,7 @@ def build_povm(alpha: float, beta: float, n_s: int) -> PovmTriple:
         raise DomainError(f"alpha must lie in [0, 1], got {alpha}")
     if not 0.0 <= beta <= 1.0:
         raise DomainError(f"beta must lie in [0, 1], got {beta}")
-    if n_s < 1:
-        raise DomainError(f"population must be >= 1, got {n_s}")
+    _check_population(n_s)
     c0, c1 = present_qubit_amplitudes(n_s)
     psi = np.array([c1, -c0])
     e1 = np.array([[0.0, 0.0], [0.0, alpha]])
@@ -198,20 +203,17 @@ def sample_outcome(povm: PovmTriple, state: QubitState, rng: SplitMix64) -> Meas
 
 def combine_block_outcomes(confirm: MeasurementOutcome,
                            reject: MeasurementOutcome) -> MeasurementOutcome:
-    """Decision logic of one block: any E1 wins, else any E2, else E3.
+    """Decision logic of one block: the conclusive outcome of either branch, else E3.
 
-    A simultaneous (E1, E2) has probability exactly zero under every input
-    state; seeing one means the sampler or operators are corrupted.
+    Two different conclusive outcomes, (E1, E2) in either order, have
+    probability exactly zero under every input state; seeing one means the
+    sampler or operators are corrupted.
     """
-    pair = {confirm, reject}
-    if MeasurementOutcome.E1 in pair and MeasurementOutcome.E2 in pair:
+    e3 = MeasurementOutcome.E3
+    if confirm is not e3 and reject is not e3 and confirm is not reject:
         raise InternalInconsistency(
             "confirm and reject branches fired together; this event has probability 0")
-    if MeasurementOutcome.E1 in pair:
-        return MeasurementOutcome.E1
-    if MeasurementOutcome.E2 in pair:
-        return MeasurementOutcome.E2
-    return MeasurementOutcome.E3
+    return reject if confirm is e3 else confirm
 
 
 def measurement_block(reg: SparseRegister, v: int, rng: SplitMix64) -> MeasurementOutcome:

@@ -418,9 +418,9 @@ def build_bank(scenario: Scenario) -> RegisterBank:
     row = np.arange(len(table))
     word, bit = row // 64, np.uint64(1) << (row % 64).astype(np.uint64)
     allow = np.zeros((scenario.PG, spec.levels, -(-len(table) // 64)), dtype=np.uint64)
-    for n in range(scenario.PG):
-        # Row r allows every code of its chip-n lattice, table[r, n, :].
-        np.bitwise_or.at(allow[n], (table[:, n], word[:, None]), bit[:, None])
+    # Row r allows, at every chip n, every code of its lattice table[r, n, :].
+    np.bitwise_or.at(allow, (np.arange(scenario.PG)[:, None], table, word[:, None, None]),
+                     bit[:, None, None])
     rows = np.zeros((allow.shape[-1], 2 * K), dtype=np.uint64)
     for j in range(2 * K):
         held = (row_masks >> j) & 1 == 1

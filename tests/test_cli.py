@@ -13,6 +13,7 @@ from types import SimpleNamespace
 
 import pytest
 
+from conftest import make_scenario
 from qmud import config
 from qmud.cli import main, parse_config, write_csv
 from qmud.config import CONFIG_KEYS, OPTIONAL_KEYS, QuantizerSpec, Scenario, scenario_document
@@ -124,6 +125,15 @@ class TestParseConfig:
         with pytest.raises(ValidationError):
             parse_config(_doc(reps_max="many"))
 
+    @pytest.mark.parametrize("overrides,message", [
+        ({"signatures": 0.5}, "signatures: expected a list of chip sequences"),
+        ({"signatures": [[0.0, 0.0]]}, r"signatures\[0\]: zero vector"),
+        ({"energies": [0.0]}, "amplitude_A: cannot derive a default from an all-zero signal"),
+    ])
+    def test_unusable_signatures_rejected(self, overrides, message):
+        with pytest.raises(ValidationError, match=message):
+            parse_config(_doc(**overrides))
+
     def test_off_norm_signature_is_renormalized_with_warning(self):
         with pytest.warns(UserWarning, match="re-normalized"):
             sc = parse_config(_doc(signatures=[[1.0, 1.0]]))
@@ -159,6 +169,28 @@ class TestParseConfig:
     def test_round_trip_of_defaults(self, path):
         sc = parse_config(_doc() if path is None else path.read_text())
         assert parse_config(json.dumps(scenario_document(sc))) == sc
+
+
+class TestScenarioRejects:
+    """Each invariant ``Scenario`` checks, on a scenario built directly, not parsed."""
+
+    @pytest.mark.parametrize("overrides,message", [
+        ({"K": 0, "signatures": (), "energies": (), "gains": ()}, "K must be >= 1"),
+        ({"PG": 0, "signatures": ((), ())}, "PG must be >= 1"),
+        ({"signatures": ((0.5,) * 4, (1.0, 0.0))}, r"signatures\[1\]: expected 4 chips"),
+        ({"signatures": ((math.nan,) * 4, (0.5,) * 4)}, r"signatures\[0\]: non-finite chip"),
+        ({"signatures": ((1.0, 1.0, 0.0, 0.0), (0.5,) * 4)},
+         r"signatures\[0\]: must have unit norm"),
+        ({"energies": (-1.0, 1.0)}, "energies: must be finite and >= 0"),
+        ({"gains": (1.0, math.inf)}, "gains: must be finite"),
+        ({"gamma": -1}, "gamma must be >= 0"),
+        ({"delays": ()}, "delays: must not be empty"),
+        ({"delays": (0, 4)}, r"delays: each must lie in \[0, 4\)"),
+        ({"reps_max": 0}, "reps_max must be >= 1"),
+    ])
+    def test_invariant_rejected(self, overrides, message):
+        with pytest.raises(ValidationError, match=message):
+            make_scenario(**overrides)
 
 
 class TestWriteCsv:
@@ -251,12 +283,20 @@ class TestMainExitCodes:
         ("energies", {"energies": 1.0}),
         ("delays", {"delays": 0}),
         ("delays", {"delays": "1"}),
+        # 10**400 has 401 digits: float() of it raises OverflowError.
+        ("noise_sigma", {"noise_sigma": 10**400}),
+        ("energies[1]", {"energies": [1.0, 10**400]}),
+        ("gains[0]", {"gains": [10**400, 1.0]}),
+        ("amplitude_A", {"amplitude_A": 10**400}),
+        ("signatures[1][0]", {"signatures": [[1.0, 0.0], [10**400, 0.5]]}),
     ])
     def test_non_real_values_rejected(self, tmp_path, capsys, field, override):
         cfg = self._write_config(tmp_path, dict(GOLDEN_CONFIG, **override))
-        assert main(["run", "--config", cfg, "--trials", "1",
-                     "--out", str(tmp_path / "r.csv")]) == 1
-        assert field in capsys.readouterr().err
+        out = tmp_path / "r.csv"
+        assert main(["run", "--config", cfg, "--trials", "1", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and field in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("noise_sigma,command", [
         (1e200, ["run"]),
@@ -280,6 +320,17 @@ class TestMainExitCodes:
         assert main(["run", "--config", cfg, "--trials", "2", "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "energies/gains" in err
+        assert not out.exists()
+
+    def test_integer_past_the_digit_limit_rejected(self, tmp_path, capsys):
+        # 5000 digits: past the 4300-digit limit of int parsing where the
+        # interpreter has one, else past the float range.
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(dict(GOLDEN_CONFIG, noise_sigma=0)).replace(
+            '"noise_sigma": 0', '"noise_sigma": ' + "1" * 5000))
+        out = tmp_path / "r.csv"
+        assert main(["run", "--config", str(path), "--trials", "2", "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
         assert not out.exists()
 
     def test_mmse_diagonal_that_overflows_rejected(self, tmp_path, capsys):
@@ -451,6 +502,13 @@ class TestPovmTable:
     def test_bad_number_list(self, tmp_path):
         assert main(["povm-table", "--ns", "x", "--beta", "0",
                      "--out", str(tmp_path / "t.csv")]) == 1
+
+    def test_population_beyond_float_range_rejected(self, tmp_path, capsys):
+        out = tmp_path / "t.csv"
+        assert main(["povm-table", "--ns", "2," + "1" * 401, "--beta", "0,0.5",
+                     "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: population") and not out.exists()
 
 
 def _run_python(code: str) -> str:

@@ -75,10 +75,24 @@ class TestSymmetricGain:
         assert all(0.5 < v <= 1.0 for v in values)
         assert all(a > b for a, b in zip(values, values[1:]))
 
+    def test_population_whose_square_overflows(self):
+        # 10**160 squared is past the float range.
+        assert symmetric_gain(10**160) == pytest.approx(0.5, abs=1e-12)
+
     def test_series_tail(self):
         # Large-population expansion: gain ~ 1/2 + 1/(8 N_s).
         for n_s in (100, 1000, 10_000):
             assert symmetric_gain(n_s) - 0.5 == pytest.approx(1 / (8 * n_s), rel=0.01)
+
+
+@pytest.mark.parametrize("n_s", [0, 10**400], ids=["0", "10**400"])
+@pytest.mark.parametrize("formula", [lambda n_s: solve_alpha_for_beta(0.5, n_s), symmetric_gain,
+                                     lambda n_s: build_povm(0.5, 0.5, n_s)],
+                         ids=["solve_alpha_for_beta", "symmetric_gain", "build_povm"])
+def test_population_outside_float_range_or_below_one_rejected(formula, n_s):
+    # 10**400 is past the largest float, where each formula would raise OverflowError.
+    with pytest.raises(DomainError, match="population must lie in"):
+        formula(n_s)
 
 
 class TestBuildPovm:
@@ -239,6 +253,11 @@ class TestDetectUser:
         assert select_decision(E1_, E1_) is Decision.AMBIGUOUS
         with pytest.raises(ValidationError):
             select_decision(E3_, E1_)
+
+    def test_rows_receiver_rejects_an_empty_budget(self):
+        stored = np.array([True, False])
+        with pytest.raises(ValidationError, match="reps_max must be >= 1"):
+            detect_user_rows(stored, ~stored, 1, 1, 0, TrialStreams(0, 0, 2))
 
     def test_singleton_registers_decide_in_one_round(self):
         reg1 = SparseRegister(frozenset({5}), n_q=4)

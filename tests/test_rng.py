@@ -32,6 +32,11 @@ def test_derive_seed_rejects_negative_index():
         derive_seed(1, -1)
 
 
+def test_trial_streams_reject_a_negative_first_trial():
+    with pytest.raises(ValueError, match="index must be non-negative"):
+        TrialStreams(1, -1, 3)
+
+
 def test_mix64_golden_values():
     # Regression pin: these must never change, or every seeded result moves.
     assert mix64(0) == 0
