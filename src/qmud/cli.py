@@ -9,10 +9,17 @@ Subcommands:
 Scenario files are read by ``config.parse_config``, which names every key.
 
 Exit codes: 0 success, 1 config or validation problems, 2 runtime failures.
+
+``main`` returns, or exits through argparse, with the collector's heap
+frozen (``gc.freeze``): the interpreter's final collection at exit then
+skips numpy's and qmud's module graphs, which it would otherwise traverse
+for nothing just before the process ends.  An in-process caller that lives
+on can call ``gc.unfreeze()`` to let the collector see those objects again.
 """
 
 from __future__ import annotations
 
+import gc
 import sys
 
 from .config import Scenario, parse_config
@@ -133,9 +140,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    """Run one command line and return its exit code.
+
+    Every way out, argparse's own ``SystemExit`` included, leaves the
+    collector's heap frozen, so the exit that follows skips collecting it.
+    A caller that lives on can undo it with ``gc.unfreeze()``.
+    """
     try:
+        args = _build_parser().parse_args(argv)
         if args.command in ("run", "sweep"):
             scenario = _load_scenario(args.config)
             seed = args.seed if args.seed is not None else scenario.seed
@@ -159,6 +171,8 @@ def main(argv=None) -> int:
     except QmudError as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        gc.freeze()
     return 0
 
 

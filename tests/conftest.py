@@ -1,3 +1,5 @@
+import gc
+
 import numpy as np
 import pytest
 
@@ -73,3 +75,15 @@ def spy_exact_search(monkeypatch) -> list:
 @pytest.fixture
 def two_user_scenario():
     return make_scenario()
+
+
+@pytest.fixture(autouse=True)
+def _thaw_the_heap():
+    """Undo the ``gc.freeze()`` that ``qmud.cli.main`` leaves behind.
+
+    The collector never visits a frozen object.  Without this, the cyclic
+    garbage pending at each in-process ``main`` call, and every frozen cycle
+    that dies later, would stay in memory for the rest of the session.
+    """
+    yield
+    gc.unfreeze()

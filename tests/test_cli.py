@@ -511,10 +511,15 @@ class TestPovmTable:
         assert err.startswith("error: population") and not out.exists()
 
 
-def _run_python(code: str) -> str:
-    """Run ``code`` in a fresh interpreter on this checkout's package; return its stdout."""
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env=dict(os.environ, PYTHONPATH=str(ROOT / "src")), timeout=120)
+def _run_python(*args: str) -> str:
+    """Run a fresh interpreter with ``args`` on this checkout's package; return its stdout.
+
+    Its stdout is a block-buffered pipe, so output that is never flushed at
+    exit is missing here.
+    """
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    proc = subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env=dict(env, PYTHONPATH=str(ROOT / "src")), timeout=120)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
 
@@ -525,7 +530,7 @@ class TestScenarioDigest:
             pytest.skip("no lean SHA-256 module in this Python")
         args = ["run", "--config", str(BENCH_SCENARIOS[0]), "--trials", "50", "--seed", "1",
                 "--out", str(tmp_path / "out.csv")]
-        _run_python(f"""
+        _run_python("-c", f"""
 import sys
 from qmud.cli import main
 assert main({args!r}) == 0
@@ -537,7 +542,7 @@ assert "_hashlib" not in sys.modules, "the run loaded OpenSSL's _hashlib"
         # Blocking the lean modules walks config's import fallbacks down to
         # hashlib, so one Python runs every branch.
         paths = [str(p) for p in BENCH_SCENARIOS]
-        out = _run_python(f"""
+        out = _run_python("-c", f"""
 import sys
 for name in {blocked!r}:
     sys.modules[name] = None
@@ -561,7 +566,7 @@ def test_run_and_sweep_never_load_the_operator_model(tmp_path):
     sweep = ["sweep", *common, "--param", "reps_max", "--values", "1,2",
              "--out", str(tmp_path / "sweep.csv")]
     table = ["povm-table", "--ns", "2", "--beta", "0", "--out", str(tmp_path / "table.csv")]
-    _run_python(f"""
+    _run_python("-c", f"""
 import sys
 from qmud.cli import main
 assert main({run!r}) == 0 and main({sweep!r}) == 0
@@ -571,3 +576,44 @@ import qmud.harness, qmud.povm
 assert qmud.harness.detect_user is qmud.povm.detect_user
 assert not hasattr(qmud.harness, "no_such_name")
 """)
+
+
+TWO_USER = str(ROOT / "scenarios" / "two_user.json")
+
+
+@pytest.mark.parametrize("code,argv", [
+    (0, ["run", "--config", TWO_USER, "--trials", "20", "--out", "{tmp}/run.csv"]),
+    (0, ["sweep", "--config", TWO_USER, "--param", "reps_max", "--values", "1,2",
+         "--trials", "20", "--out", "{tmp}/sweep.csv"]),
+    (1, ["run", "--config", "{tmp}/unknown.json", "--out", "{tmp}/unknown.csv"]),
+    (2, ["run", "--config", TWO_USER, "--trials", "20", "--out", "{tmp}/missing/run.csv"]),
+    (1, ["run", "--config", TWO_USER, "--seed", "abc", "--out", "{tmp}/abc.csv"]),
+    (0, ["povm-table", "--ns", "1,2", "--beta", "0,0.5", "--out", "{tmp}/table.csv"]),
+], ids=["run", "sweep", "unknown-key", "missing-out-dir", "argparse-exit", "povm-table"])
+def test_main_leaves_the_heap_frozen_on_every_way_out(tmp_path, code, argv):
+    # What main froze is skipped by the collection at interpreter exit.
+    doc = json.loads(Path(TWO_USER).read_text())
+    (tmp_path / "unknown.json").write_text(json.dumps(dict(doc, bogus_key=1)))
+    argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]
+    _run_python("-c", f"""
+import gc
+from qmud.cli import main
+assert gc.get_freeze_count() == 0
+try:
+    code = main({argv!r})
+except SystemExit as exc:
+    code = exc.code
+assert code == {code!r}, code
+assert gc.get_freeze_count() > 0, "main left nothing frozen"
+""")
+
+
+def test_module_run_flushes_its_piped_stdout(tmp_path, capsys):
+    # The heap freeze keeps the interpreter's exit: buffered stdout still reaches the pipe.
+    args = ["run", "--config", TWO_USER, "--trials", "50", "--seed", "3"]
+    child, here = tmp_path / "child.csv", tmp_path / "here.csv"
+    out = _run_python("-m", "qmud.cli", *args, "--out", str(child))
+    assert out.startswith(f"wrote {child}: ")
+    assert main([*args, "--out", str(here)]) == 0
+    assert capsys.readouterr().out == out.replace(str(child), str(here))
+    assert child.read_bytes() == here.read_bytes()
