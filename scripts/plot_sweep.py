@@ -31,7 +31,6 @@ def main():
     with open(args.csv_path, newline="") as fh:
         for row in csv.DictReader(fh):
             x = float(row["param_value"]) if row["param_value"] else 0.0
-            slots = int(row["trials"]) * 1.0
             if row["detector"] == "qmud":
                 total = sum(int(row[c]) for c in ("correct", "no_message", "ambiguous",
                                                   "inconclusive", "coverage_miss",

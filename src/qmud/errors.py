@@ -25,10 +25,6 @@ class CodeOutOfRange(QmudError):
     """A chip code does not fit in the configured bits-per-chip."""
 
 
-class DelayOutOfRange(QmudError):
-    """A chip delay lies outside [0, PG)."""
-
-
 class BudgetExceeded(QmudError):
     """Hypothesis enumeration would exceed the configured budget."""
 

@@ -24,7 +24,9 @@ order: a block gives each trial exactly the bits, noise, decisions and
 measurement draws that trial gets when run alone.  The block's detectors
 are ``detect_rows``, the row code that the per-symbol detectors run on
 one row; they skip the per-call condition check, and the scenario's one
-check runs in ``_Prepared`` before its register bank is built.  The
+check runs in ``_Prepared`` before its register bank is built.  Every
+check, of the trial count, the seed, the scenario and its R, runs before
+trial 0, so a block re-checks nothing and raises no error of its own.  The
 optimal search reads only R and the rows: its filter ranks a block's
 candidates with one matrix product per slice of rows and chunk of
 candidates, so a block's memory stays small at any K.  The tests check
@@ -50,7 +52,7 @@ from .cdma import correlation_matrix, matched_filter, noiseless_waveforms
 from .config import (Scenario, check_seed, scenario_digest, scenario_document,
                      scenario_from_document)
 from .detectors import ALL_DETECTORS, DetectorKind, _check_condition, check_user_cap, detect_rows
-from .errors import EmptyRegister, QmudError, UnknownParameter, ValidationError
+from .errors import EmptyRegister, UnknownParameter, ValidationError
 from .registers import build_bank, quantize_waveform, register_bit
 from .rng import TrialStreams
 
@@ -138,7 +140,9 @@ def detect_user_rows(stored1: np.ndarray, stored0: np.ndarray, n_s1: int, n_s0: 
 
     banks = []
     for stored, n_s in ((stored1, n_s1), (stored0, n_s0)):
-        c1 = present_qubit_amplitudes(n_s)[1]  # raises EmptyRegister for N_s = 0
+        # The engine's bank registers each hold a box, so N_s >= 1 on the
+        # run path; present_qubit_amplitudes still raises EmptyRegister for 0.
+        c1 = present_qubit_amplitudes(n_s)[1]
         banks.append((stored, c1 * c1))
     done = np.zeros((2, stored1.size), dtype=bool)
     # The last round in which either bank of a row drew.
@@ -281,11 +285,7 @@ def _run_trials(prep: _Prepared, trials: int, master_seed: int) -> MetricsReport
     categories = np.zeros(len(DECISIONS), dtype=np.int64)
     correct = false_dec = miss_count = reps_total = 0
     for t0 in range(0, trials, BLOCK_TRIALS):
-        count = min(BLOCK_TRIALS, trials - t0)
-        try:
-            block = _run_block(prep, master_seed, t0, count)
-        except QmudError as exc:
-            raise type(exc)(f"trials {t0}–{t0 + count - 1}: {exc}") from exc
+        block = _run_block(prep, master_seed, t0, min(BLOCK_TRIALS, trials - t0))
         for kind in ALL_DETECTORS:
             bit_errors[kind] += int(np.count_nonzero(block.decisions[kind] != block.bits))
         reps_total += int(block.reps.sum())

@@ -11,7 +11,10 @@ so membership alone fixes the qubit that ``povm.reduce_to_qubit`` gives.
 
 One quantizer of boxes, ``_chip_codes``, turns bit patterns into chip
 codes: a pattern's box is its noiseless waveform under every lattice
-offset, and ``_pack_offsets`` packs the box into sorted indices.
+offset, and ``_pack_offsets`` packs the box into sorted indices.  Both
+builders take a user's delay variants from ``_delay_variants``: the
+signature matrix once per distinct right shift of the user's chips, for
+the delays that ``Scenario`` has already checked.
 ``enumerate_hypotheses`` builds one register from the boxes of the
 patterns that fix the user's bit, as a ``SparseRegister``: a read-only
 sorted ``np.int64`` array with duplicates collapsed by one sort.
@@ -68,7 +71,7 @@ import numpy as np
 
 from .cdma import noiseless_waveforms
 from .config import QuantizerSpec, Scenario
-from .errors import BudgetExceeded, CodeOutOfRange, DelayOutOfRange, ValidationError
+from .errors import BudgetExceeded, CodeOutOfRange, ValidationError
 
 # Cap on delays x interferer patterns x noise-lattice points per register.
 ENUMERATION_BUDGET = 10**6
@@ -104,24 +107,6 @@ def pack_basis(codes, spec: QuantizerSpec):
     return int(index) if index.ndim == 0 else index
 
 
-def shift_variants(chips, delays) -> list[tuple[float, ...]]:
-    """Right-shifted copies of a chip sequence, zero-filled, duplicates removed.
-
-    Shifts emulate delayed-path arrivals of a signature within the single
-    symbol window; there is no preceding chip to wrap around.
-    """
-    chips = tuple(float(x) for x in chips)
-    pg = len(chips)
-    variants: list[tuple[float, ...]] = []
-    for d in sorted(set(int(d) for d in delays)):
-        if not 0 <= d < pg:
-            raise DelayOutOfRange(f"delay {d} outside [0, {pg})")
-        shifted = (0.0,) * d + chips[: pg - d]
-        if shifted not in variants:
-            variants.append(shifted)
-    return variants
-
-
 @dataclass(frozen=True, eq=False)
 class SparseRegister:
     """Uniform-amplitude superposition stored as its sorted basis indices.
@@ -147,7 +132,7 @@ class SparseRegister:
             bad = values[0] if values[0] < 0 else values[-1]
             raise ValidationError(f"basis index {bad} outside [0, 2**{self.n_q})")
         if values.size:
-            values = values[np.concatenate(([True], values[1:] != values[:-1]))]
+            values = _distinct(values)
         values = values.astype(np.int64, copy=False)
         values.setflags(write=False)
         object.__setattr__(self, "members", values)
@@ -178,9 +163,9 @@ def hypothesis_budget(scenario: Scenario) -> int:
 
 
 def _check_budget(scenario: Scenario) -> None:
-    if hypothesis_budget(scenario) > ENUMERATION_BUDGET:
-        raise BudgetExceeded(
-            f"{hypothesis_budget(scenario)} hypotheses exceed budget {ENUMERATION_BUDGET}")
+    budget = hypothesis_budget(scenario)
+    if budget > ENUMERATION_BUDGET:
+        raise BudgetExceeded(f"{budget} hypotheses exceed budget {ENUMERATION_BUDGET}")
 
 
 def _slicing(scenario: Scenario, rows: int, key_bytes: int) -> tuple[int, int]:
@@ -196,6 +181,25 @@ def _slicing(scenario: Scenario, rows: int, key_bytes: int) -> tuple[int, int]:
               if rows * key_bytes * lattice ** (scenario.PG - h) <= SLICE_BYTES),
              scenario.PG)
     return h, max(1, SLICE_BYTES // (key_bytes * lattice ** (scenario.PG - h)))
+
+
+def _delay_variants(scenario: Scenario, k: int) -> list[np.ndarray]:
+    """The signature matrix once per distinct right shift of user k's chips, in delay order.
+
+    A shift by d emulates a delayed-path arrival within the single symbol
+    window: d zero chips, then the first PG - d chips, with no preceding
+    chip to wrap around.  ``Scenario`` gives sorted, distinct delays in
+    [0, PG), but two delays can still shift to the same chips, for example
+    a signature whose trailing chips are zero; such shifts give one matrix.
+    """
+    own = scenario.signatures[k]
+    shifts = dict.fromkeys((0.0,) * d + own[:scenario.PG - d] for d in scenario.delays)
+    variants = []
+    for shifted in shifts:
+        sig = scenario.signature_matrix().copy()
+        sig[k] = shifted
+        variants.append(sig)
+    return variants
 
 
 def _chip_codes(scenario: Scenario, signatures: np.ndarray, patterns: np.ndarray) -> np.ndarray:
@@ -240,8 +244,9 @@ def enumerate_hypotheses(scenario: Scenario, user: int, bit: int) -> SparseRegis
 
         sqrt(E_u) a_u b s_u^(d)  +  sum_{l != u} sqrt(E_l) a_l b_l s_l  +  eps
 
-    over own-signature delays d, all interferer bit patterns, and per-chip
-    noise offsets eps[n] in {-gamma*step, ..., 0, ..., +gamma*step}.
+    over the own-signature delay variants s_u^(d) of ``_delay_variants``,
+    all interferer bit patterns, and per-chip noise offsets
+    eps[n] in {-gamma*step, ..., 0, ..., +gamma*step}.
     Duplicate indices collapse.  ``build_bank`` builds all 2K registers of
     a scenario at once; this builds one.
     """
@@ -251,18 +256,14 @@ def enumerate_hypotheses(scenario: Scenario, user: int, bit: int) -> SparseRegis
         raise ValidationError(f"bit must be +1 or -1, got {bit}")
     _check_budget(scenario)
 
-    # Row `user` is overwritten once per delay variant below.
-    sig = scenario.signature_matrix().copy()
     # Every interferer bit pattern with the user's own bit fixed: (2**(K-1), K).
     patterns = np.array([p[:user] + (float(bit),) + p[user:]
                          for p in itertools.product((-1.0, 1.0), repeat=scenario.K - 1)])
     # One chunk per own-signature delay variant; the budget check above
     # bounds all chunks together to ENUMERATION_BUDGET indices.
-    chunks = []
-    for own in shift_variants(sig[user], scenario.delays):
-        sig[user] = own
-        codes = _chip_codes(scenario, sig, patterns)
-        chunks.append(_pack_offsets(codes, scenario.quantizer.levels).ravel())
+    levels = scenario.quantizer.levels
+    chunks = [_pack_offsets(_chip_codes(scenario, sig, patterns), levels).ravel()
+              for sig in _delay_variants(scenario, user)]
     return SparseRegister(np.concatenate(chunks), scenario.register_bits)
 
 
@@ -375,11 +376,11 @@ def build_bank(scenario: Scenario) -> RegisterBank:
 
     With delay 0 in ``delays``, register (k, b) holds the boxes of the full
     bit patterns whose bit k is b, each pattern setting one mask bit per
-    user.  Every other own-signature delay variant of user k adds a box over
-    all 2**K patterns that sets only bit (k, p_k).  The table of box rows,
-    its bitsets and the slices of the N_s count are described in the module
-    docstring.  Each register holds the indices of its
-    ``enumerate_hypotheses`` register.
+    user.  Every other delay variant of user k, from ``_delay_variants``,
+    adds a box over all 2**K patterns that sets only bit (k, p_k).  The
+    table of box rows, its bitsets and the slices of the N_s count are
+    described in the module docstring.  Each register holds the indices of
+    its ``enumerate_hypotheses`` register.
     """
     _check_budget(scenario)
     K = scenario.K
@@ -390,20 +391,17 @@ def build_bank(scenario: Scenario) -> RegisterBank:
     # narrowest unsigned width that holds 2K register bits.
     mask_dtype = np.min_scalar_type((1 << 2 * K) - 1)
     own_bits = (np.int64(1) << register_bit(np.arange(K), patterns)).astype(mask_dtype)
-    signatures = scenario.signature_matrix()
 
     # One (chip codes, mask each pattern sets) per box.
     boxes = []
     if 0 in scenario.delays:
-        boxes.append((_chip_codes(scenario, signatures, patterns),
+        boxes.append((_chip_codes(scenario, scenario.signature_matrix(), patterns),
                       own_bits.sum(axis=1, dtype=mask_dtype)))
     for k in range(K):
         # With delay 0, the first variant is the unshifted signature: the
         # shared box above covers it.
-        variants = shift_variants(signatures[k], scenario.delays)
-        for own in variants[1:] if 0 in scenario.delays else variants:
-            sig = signatures.copy()
-            sig[k] = own
+        variants = _delay_variants(scenario, k)
+        for sig in variants[1:] if 0 in scenario.delays else variants:
             boxes.append((_chip_codes(scenario, sig, patterns), own_bits[:, k]))
 
     # Row r of the table is one pattern of one box; with delays (0,), bits = K.

@@ -4,7 +4,8 @@
 ``enumerate_hypotheses`` used before it was vectorized, with one change:
 each pattern's noiseless waveform adds the users in ascending index order
 (the own term at its own index), the order ``cdma.noiseless_waveforms``
-uses for the transmitter.
+uses for the transmitter.  It shifts the own signature itself, so it shares
+no delay code with ``qmud.registers``; equal shifts fall into one set.
 
 ``reference_trial``, ``reference_rows`` and ``reference_report`` are the
 per-trial loop that ``harness`` ran before it ran trials in blocks: one
@@ -33,7 +34,7 @@ from qmud.detectors import (DetectorKind, decorrelate_detect, mmse_detect, optim
                             sud_detect)
 from qmud.harness import ALL_DETECTORS, DECISIONS, Decision, MetricsReport, QmudStats
 from qmud.povm import detect_user
-from qmud.registers import enumerate_hypotheses, pack_basis, quantize_waveform, shift_variants
+from qmud.registers import enumerate_hypotheses, pack_basis, quantize_waveform
 from qmud.rng import SplitMix64, derive_seed
 
 
@@ -52,12 +53,13 @@ def reference_hypotheses(scenario, user: int, bit: int) -> set[int]:
     )
 
     members: set[int] = set()
-    for own in shift_variants(sig[user], scenario.delays):
+    for d in scenario.delays:
+        own = np.concatenate([np.zeros(d), sig[user][:scenario.PG - d]])
         for pattern in itertools.product((-1.0, 1.0), repeat=scenario.K - 1):
             bits = pattern[:user] + (float(bit),) + pattern[user:]
             base = None
             for l, b_l in enumerate(bits):
-                term = amp[l] * b_l * (np.array(own) if l == user else sig[l])
+                term = amp[l] * b_l * (own if l == user else sig[l])
                 base = term if base is None else base + term
             waves = base[None, :] + offsets
             codes = np.clip(

@@ -186,6 +186,7 @@ class TestScenarioRejects:
         ({"gamma": -1}, "gamma must be >= 0"),
         ({"delays": ()}, "delays: must not be empty"),
         ({"delays": (0, 4)}, r"delays: each must lie in \[0, 4\)"),
+        ({"delays": (-1, 0)}, r"delays: each must lie in \[0, 4\)"),
         ({"reps_max": 0}, "reps_max must be >= 1"),
     ])
     def test_invariant_rejected(self, overrides, message):

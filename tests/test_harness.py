@@ -141,32 +141,17 @@ class TestRunTrials:
         assert run_trials(sc, trials=50, master_seed=1).trials == 50
         assert len(sweep(sc, "gamma", [0, 1], trials=50, master_seed=1)) == 2
 
-    def test_trial_errors_carry_trial_context(self, monkeypatch):
-        # Trials run in blocks, so an error raised while a block is built
-        # names the block's trial range.
-        def failing(*args):
-            raise SingularMatrix("injected")
-
-        monkeypatch.setattr(harness, "noiseless_waveforms", failing)
-        with pytest.raises(SingularMatrix, match="trials 0–4: injected"):
-            run_trials(make_scenario(), trials=5, master_seed=0)
-
-    def test_errors_name_the_failing_block(self, monkeypatch):
-        # A failure in the second block names that block's trials.
+    def test_trials_run_in_full_blocks_then_the_rest(self, monkeypatch):
         blocks = []
-        real = harness.noiseless_waveforms
+        real = harness._run_block
 
-        def failing_second(*args):
-            blocks.append(len(args[2]))
-            if len(blocks) == 2:
-                raise SingularMatrix("injected")
-            return real(*args)
+        def spy(prep, master_seed, t0, count):
+            blocks.append((t0, count))
+            return real(prep, master_seed, t0, count)
 
-        monkeypatch.setattr(harness, "noiseless_waveforms", failing_second)
-        with pytest.raises(SingularMatrix,
-                           match=f"trials {BLOCK_TRIALS}–{2 * BLOCK_TRIALS - 1}: injected"):
-            run_trials(make_scenario(), trials=2 * BLOCK_TRIALS + 5, master_seed=0)
-        assert blocks == [BLOCK_TRIALS, BLOCK_TRIALS]
+        monkeypatch.setattr(harness, "_run_block", spy)
+        run_trials(make_scenario(), trials=2 * BLOCK_TRIALS + 5, master_seed=0)
+        assert blocks == [(0, BLOCK_TRIALS), (BLOCK_TRIALS, BLOCK_TRIALS), (2 * BLOCK_TRIALS, 5)]
 
 
 class TestReceiverClosedForm:

@@ -13,11 +13,10 @@ from conftest import make_orthogonal, make_scenario, random_unit_signatures
 from qmud import registers
 from qmud.cdma import transmit
 from qmud.config import QuantizerSpec, Scenario, default_amplitude
-from qmud.errors import (BudgetExceeded, CodeOutOfRange, DelayOutOfRange,
-                         EmptyRegister, ValidationError)
+from qmud.errors import BudgetExceeded, CodeOutOfRange, EmptyRegister, ValidationError
 from qmud.povm import QubitState, reduce_to_qubit
-from qmud.registers import (SparseRegister, _slicing, build_bank, enumerate_hypotheses,
-                            pack_basis, quantize_waveform, register_bit, shift_variants)
+from qmud.registers import (SparseRegister, _delay_variants, _slicing, build_bank,
+                            enumerate_hypotheses, pack_basis, quantize_waveform, register_bit)
 from qmud.rng import SplitMix64
 from scalar_reference import reference_hypotheses
 
@@ -29,6 +28,11 @@ SPEC22 = QuantizerSpec(n_ch=2, amplitude=2.0)
 NEAR_FAR_EDGE = Scenario(
     K=3, PG=1, signatures=((1.0,),) * 3, energies=(1.0,) * 3, gains=(0.1, 0.2, 0.4),
     noise_sigma=0.0, quantizer=QuantizerSpec(n_ch=4, amplitude=0.8))
+
+# User 0's chips (0, 0, 1) shift by 1 and by 2 to the same zero chips, so
+# its two delays give one delay variant.
+DUPLICATE_SHIFT = make_scenario(K=2, PG=3, signatures=((0.0, 0.0, 1.0), (0.6, 0.8, 0.0)),
+                                gamma=1, delays=(1, 2))
 
 
 @st.composite
@@ -147,22 +151,28 @@ class TestPackBasis:
         assert len(seen) == spec.levels ** pg
 
 
-class TestShiftVariants:
+class TestDelayVariants:
     def test_worked_example(self):
-        out = shift_variants((1.0, 1.0, 0.0, 0.0), {0, 1})
-        assert out == [(1.0, 1.0, 0.0, 0.0), (0.0, 1.0, 1.0, 0.0)]
+        inv = 1.0 / math.sqrt(2.0)
+        sc = make_scenario(signatures=((inv, inv, 0.0, 0.0), (0.5, 0.5, -0.5, 0.5)),
+                           delays=(0, 1))
+        other = [0.5, 0.5, -0.5, 0.5]
+        # Right shifts, zero-filled, in delay order; the other user's row stays.
+        assert [v.tolist() for v in _delay_variants(sc, 0)] == [
+            [[inv, inv, 0.0, 0.0], other], [[0.0, inv, inv, 0.0], other]]
+        assert [v[1].tolist() for v in _delay_variants(sc, 1)] == [
+            other, [0.0, 0.5, 0.5, -0.5]]
 
-    def test_identity_shift(self):
-        assert shift_variants((1.0, 2.0), {0}) == [(1.0, 2.0)]
+    def test_identity_shift(self, two_user_scenario):
+        sig = two_user_scenario.signature_matrix()
+        for k in range(2):
+            (only,) = _delay_variants(two_user_scenario, k)
+            assert np.array_equal(only, sig)
 
-    def test_shift_invariant_input_deduplicates(self):
-        assert shift_variants((0.0, 0.0, 0.0), {0, 1, 2}) == [(0.0, 0.0, 0.0)]
-
-    def test_delay_out_of_range(self):
-        with pytest.raises(DelayOutOfRange):
-            shift_variants((1.0, 0.0), {2})
-        with pytest.raises(DelayOutOfRange):
-            shift_variants((1.0, 0.0), {-1})
+    def test_equal_shifts_collapse(self):
+        (only,) = _delay_variants(DUPLICATE_SHIFT, 0)
+        assert only.tolist() == [[0.0, 0.0, 0.0], [0.6, 0.8, 0.0]]
+        assert len(_delay_variants(DUPLICATE_SHIFT, 1)) == 2
 
 
 class TestEnumerateHypotheses:
@@ -389,6 +399,7 @@ class TestRegisterBank:
                            delays=(1,), quantizer=QuantizerSpec(n_ch=2, amplitude=0.3)), 1)
     @example(NEAR_FAR_EDGE, registers.SLICE_BYTES)
     @example(make_scenario(gamma=2, delays=(0, 1, 3)), 1)
+    @example(DUPLICATE_SHIFT, registers.SLICE_BYTES)
     @settings(max_examples=120, deadline=None)
     def test_every_register_equals_its_own_enumeration(self, sc, slice_bytes):
         # A slice cap of 1 byte splits even these small counts into one
@@ -465,7 +476,7 @@ class TestRegisterBank:
         # Bitsets of 64 rows per word, with no bit set past the last row.
         # The table has 2**K rows per box, one box per delay variant, and
         # every user's delay-0 variant shares one box.
-        boxes = sum(len(shift_variants(sig, sc.delays)) for sig in sc.signatures)
+        boxes = sum(len(_delay_variants(sc, k)) for k in range(sc.K))
         rows = (boxes - (sc.K - 1 if 0 in sc.delays else 0)) << sc.K
         assert bank.allow.shape == (sc.PG, sc.quantizer.levels, -(-rows // 64))
         assert bank.rows.shape == (-(-rows // 64), 2 * sc.K)
