@@ -40,25 +40,18 @@ def _fmt(x) -> str:
 
 
 def _report_rows(report: MetricsReport) -> list[str]:
+    """One row per detector in ``RESULTS_HEADER`` order; a classical one has no receiver counts."""
     decided = report.trials * report.users
-    rows = []
-    common = (report.scenario_id, report.param_name or "", _fmt(report.param_value),
-              str(report.trials))
-    for kind in ALL_DETECTORS:
-        errors = report.detector_bit_errors[kind]
-        rows.append(",".join([
-            common[0], kind.value, common[1], common[2], common[3],
-            str(errors), _fmt(report.ber(kind)), str(decided - errors),
-            "0", "0", "0", "0", "", str(report.seed),
-        ]))
+    errors = {kind.value: report.detector_bit_errors[kind] for kind in ALL_DETECTORS}
     q = report.qmud
-    rows.append(",".join([
-        common[0], "qmud", common[1], common[2], common[3],
-        str(q.false_decisions), _fmt(q.false_decisions / decided), str(q.correct),
-        str(q.no_message), str(q.ambiguous), str(q.inconclusive),
-        str(q.coverage_miss), _fmt(q.mean_reps), str(report.seed),
-    ]))
-    return rows
+    # Each outcome: detector, bit errors, correct, the four receiver categories, mean_reps.
+    outcomes = [(name, e, decided - e, 0, 0, 0, 0, None) for name, e in errors.items()]
+    outcomes.append(("qmud", q.false_decisions, q.correct, q.no_message, q.ambiguous,
+                     q.inconclusive, q.coverage_miss, q.mean_reps))
+    point = [report.param_name or "", _fmt(report.param_value), str(report.trials)]
+    return [",".join([report.scenario_id, detector, *point, str(e), _fmt(e / decided),
+                      *map(str, counts), _fmt(mean_reps), str(report.seed)])
+            for detector, e, *counts, mean_reps in outcomes]
 
 
 def write_csv(reports, out_path) -> None:

@@ -197,10 +197,9 @@ class Scenario:
         if self.reps_max < 1:
             raise ValidationError(f"reps_max must be >= 1, got {self.reps_max}")
         check_seed(self.seed)
-        n_q = self.quantizer.n_ch * self.PG
-        if n_q > MAX_REGISTER_BITS:
-            raise ValidationError(
-                f"N_ch*PG = {n_q} exceeds register cap {MAX_REGISTER_BITS}")
+        if self.register_bits > MAX_REGISTER_BITS:
+            raise ValidationError(f"N_ch*PG = {self.register_bits} exceeds register cap "
+                                  f"{MAX_REGISTER_BITS}")
 
     @property
     def register_bits(self) -> int:

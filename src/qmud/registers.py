@@ -13,8 +13,9 @@ One quantizer of boxes, ``_chip_codes``, turns bit patterns into chip
 codes: a pattern's box is its noiseless waveform under every lattice
 offset, and ``_pack_offsets`` packs the box into sorted indices.  Both
 builders take a user's delay variants from ``_delay_variants``: the
-signature matrix once per distinct right shift of the user's chips, for
-the delays that ``Scenario`` has already checked.
+signature matrix with the user's chips right-shifted, once per delay that
+``Scenario`` has already checked, so ``hypothesis_budget`` counts exactly
+the indices a register's boxes pack before duplicates collapse.
 ``enumerate_hypotheses`` builds one register from the boxes of the
 patterns that fix the user's bit, as a ``SparseRegister``: a read-only
 sorted ``np.int64`` array with duplicates collapsed by one sort.
@@ -157,7 +158,7 @@ class SparseRegister:
 
 
 def hypothesis_budget(scenario: Scenario) -> int:
-    """Number of raw waveform hypotheses per register, before dedup."""
+    """Raw hypotheses per register, one delay variant per delay: indices packed before dedup."""
     lattice = (2 * scenario.gamma + 1) ** scenario.PG
     return lattice * len(scenario.delays) * 2 ** (scenario.K - 1)
 
@@ -184,20 +185,19 @@ def _slicing(scenario: Scenario, rows: int, key_bytes: int) -> tuple[int, int]:
 
 
 def _delay_variants(scenario: Scenario, k: int) -> list[np.ndarray]:
-    """The signature matrix once per distinct right shift of user k's chips, in delay order.
+    """The signature matrix with user k's chips right-shifted, once per delay, in delay order.
 
     A shift by d emulates a delayed-path arrival within the single symbol
     window: d zero chips, then the first PG - d chips, with no preceding
     chip to wrap around.  ``Scenario`` gives sorted, distinct delays in
-    [0, PG), but two delays can still shift to the same chips, for example
-    a signature whose trailing chips are zero; such shifts give one matrix.
+    [0, PG).  Two of them shift to the same chips only when both push all
+    of user k's nonzero chips out of the window; their equal indices
+    collapse where each builder collapses duplicates.
     """
-    own = scenario.signatures[k]
-    shifts = dict.fromkeys((0.0,) * d + own[:scenario.PG - d] for d in scenario.delays)
     variants = []
-    for shifted in shifts:
+    for d in scenario.delays:
         sig = scenario.signature_matrix().copy()
-        sig[k] = shifted
+        sig[k] = (0.0,) * d + scenario.signatures[k][:scenario.PG - d]
         variants.append(sig)
     return variants
 
@@ -376,11 +376,11 @@ def build_bank(scenario: Scenario) -> RegisterBank:
 
     With delay 0 in ``delays``, register (k, b) holds the boxes of the full
     bit patterns whose bit k is b, each pattern setting one mask bit per
-    user.  Every other delay variant of user k, from ``_delay_variants``,
-    adds a box over all 2**K patterns that sets only bit (k, p_k).  The
-    table of box rows, its bitsets and the slices of the N_s count are
-    described in the module docstring.  Each register holds the indices of
-    its ``enumerate_hypotheses`` register.
+    user.  Every other delay variant of user k, one per delay from
+    ``_delay_variants``, adds a box over all 2**K patterns that sets only
+    bit (k, p_k).  The table of box rows, its bitsets and the slices of
+    the N_s count are described in the module docstring.  Each register
+    holds the indices of its ``enumerate_hypotheses`` register.
     """
     _check_budget(scenario)
     K = scenario.K

@@ -2,6 +2,7 @@ import functools
 import itertools
 import math
 import tracemalloc
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -12,11 +13,12 @@ from hypothesis import strategies as st
 from conftest import make_orthogonal, make_scenario, random_unit_signatures
 from qmud import registers
 from qmud.cdma import transmit
-from qmud.config import QuantizerSpec, Scenario, default_amplitude
+from qmud.config import QuantizerSpec, Scenario, default_amplitude, parse_config
 from qmud.errors import BudgetExceeded, CodeOutOfRange, EmptyRegister, ValidationError
 from qmud.povm import QubitState, reduce_to_qubit
 from qmud.registers import (SparseRegister, _delay_variants, _slicing, build_bank,
-                            enumerate_hypotheses, pack_basis, quantize_waveform, register_bit)
+                            enumerate_hypotheses, hypothesis_budget, pack_basis,
+                            quantize_waveform, register_bit)
 from qmud.rng import SplitMix64
 from scalar_reference import reference_hypotheses
 
@@ -30,9 +32,12 @@ NEAR_FAR_EDGE = Scenario(
     noise_sigma=0.0, quantizer=QuantizerSpec(n_ch=4, amplitude=0.8))
 
 # User 0's chips (0, 0, 1) shift by 1 and by 2 to the same zero chips, so
-# its two delays give one delay variant.
+# its two delay variants are equal.
 DUPLICATE_SHIFT = make_scenario(K=2, PG=3, signatures=((0.0, 0.0, 1.0), (0.6, 0.8, 0.0)),
                                 gamma=1, delays=(1, 2))
+
+GOLDEN_SCENARIOS = {path.stem: parse_config(path.read_text())
+                    for path in sorted((Path(__file__).parent / "golden").glob("*.json"))}
 
 
 @st.composite
@@ -169,10 +174,12 @@ class TestDelayVariants:
             (only,) = _delay_variants(two_user_scenario, k)
             assert np.array_equal(only, sig)
 
-    def test_equal_shifts_collapse(self):
-        (only,) = _delay_variants(DUPLICATE_SHIFT, 0)
-        assert only.tolist() == [[0.0, 0.0, 0.0], [0.6, 0.8, 0.0]]
-        assert len(_delay_variants(DUPLICATE_SHIFT, 1)) == 2
+    def test_one_variant_per_delay_in_delay_order(self):
+        # Equal shifts stay one variant each: both of user 0's are zero.
+        assert [v.tolist() for v in _delay_variants(DUPLICATE_SHIFT, 0)] == [
+            [[0.0, 0.0, 0.0], [0.6, 0.8, 0.0]]] * 2
+        assert [v.tolist() for v in _delay_variants(DUPLICATE_SHIFT, 1)] == [
+            [[0.0, 0.0, 1.0], [0.0, 0.6, 0.8]], [[0.0, 0.0, 1.0], [0.0, 0.0, 0.6]]]
 
 
 class TestEnumerateHypotheses:
@@ -230,6 +237,17 @@ class TestEnumerateHypotheses:
         sc = make_scenario(gamma=20)  # 41**4 * 2 > 1e6
         with pytest.raises(BudgetExceeded):
             enumerate_hypotheses(sc, 0, 1)
+
+    @pytest.mark.parametrize("sc", [DUPLICATE_SHIFT, *GOLDEN_SCENARIOS.values()],
+                             ids=["duplicate_shift", *GOLDEN_SCENARIOS])
+    def test_budget_counts_every_packed_index(self, sc):
+        # The indices each register packs before its duplicates collapse.
+        packed = []
+        with mock.patch.object(registers, "SparseRegister",
+                               lambda members, n_q: packed.append(members.size)):
+            for k, bit in itertools.product(range(sc.K), (1, -1)):
+                enumerate_hypotheses(sc, k, bit)
+        assert packed == [hypothesis_budget(sc)] * (2 * sc.K)
 
     def test_bad_user_and_bit(self, two_user_scenario):
         with pytest.raises(ValidationError):
